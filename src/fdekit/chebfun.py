@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-13
+TOL_RANGE = (1e-15, 1e-3)  # relative tolerances build accepts
 MAX_DEGREE = 32768
 
 _EVAL_SLACK = 1e-14  # clamp width for real evaluation just outside [-1, 1]
@@ -382,7 +383,7 @@ def build(f, tol=DEFAULT_TOL, max_degree=MAX_DEGREE):
     trimmed.  Raises ResolutionError if the degree cap is reached (the
     typical symptom of a non-smooth input).
     """
-    if not (1e-15 <= tol <= 1e-3):
+    if not (TOL_RANGE[0] <= tol <= TOL_RANGE[1]):
         raise ValueError(f"tol {tol!r} outside [1e-15, 1e-3]")
     n = 16
     while True:

@@ -28,8 +28,9 @@ import time
 import numpy as np
 
 from . import conditions, gevrey, picard
+from .chebfun import MAX_DEGREE, TOL_RANGE, ChebError
 from .expr import ExprError, parse
-from .problem import Polynomial, Problem, ProblemError, clamp_unit
+from .problem import Polynomial, Problem, ProblemError
 
 __all__ = [
     "EXIT_OK",
@@ -52,7 +53,33 @@ EXIT_INPUT = 4
 
 REQUIRED_KEYS = {"k", "d", "c", "P", "a", "b", "psi"}
 OPTIONAL_KEYS = {"mu", "solver"}
-SOLVER_KEYS = {"tol", "max_iter", "cheb_tol", "max_degree"}
+# solver key -> (default, accepted values, description of the accepted values)
+SOLVER_RULES = {
+    "tol": (1e-12, lambda v: 0.0 < v < math.inf, "a finite positive number"),
+    "max_iter": (200, lambda v: v.is_integer() and v >= 1, "an integer >= 1"),
+    "cheb_tol": (
+        1e-13,
+        lambda v: TOL_RANGE[0] <= v <= TOL_RANGE[1],
+        "a number in [{:g}, {:g}]".format(*TOL_RANGE),
+    ),
+    "max_degree": (
+        MAX_DEGREE,
+        lambda v: v.is_integer() and 16 <= v <= MAX_DEGREE,
+        f"an integer in [16, {MAX_DEGREE}]",
+    ),
+}
+
+# Exit code of every fdekit error type that can reach main: bad input and
+# data that cannot be evaluated or resolved exit 4, numerical failures inside
+# the hypothesis checks or the iteration exit 3.
+_EXIT_CODES = {
+    ProblemError: EXIT_INPUT,
+    ExprError: EXIT_INPUT,
+    ChebError: EXIT_INPUT,
+    gevrey.GevreyError: EXIT_INPUT,
+    conditions.ConditionsError: EXIT_FAILURE,
+    picard.PicardError: EXIT_FAILURE,
+}
 
 CSV_POINTS = 1000  # grid is x_i = -1 + 2 i / 1000, i = 0..1000
 
@@ -113,30 +140,35 @@ def load_problem(doc):
     if missing:
         raise ProblemError(f"missing keys: {sorted(missing)}")
 
-    pcoeffs = doc["P"]
-    if not isinstance(pcoeffs, list) or not pcoeffs:
-        raise ProblemError('"P" must be a non-empty array of numbers')
-    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pcoeffs):
+    pcoeffs = [_number(x) for x in doc["P"]] if isinstance(doc["P"], list) else []
+    if not pcoeffs or None in pcoeffs:
         raise ProblemError('"P" must be a non-empty array of numbers')
 
-    for key in ("k", "d", "c"):
-        if not isinstance(doc[key], (int, float)) or isinstance(doc[key], bool):
+    num = {key: _number(doc[key]) for key in ("k", "d", "c")}
+    for key, value in num.items():
+        if value is None:
             raise ProblemError(f'"{key}" must be a number')
-    if doc["k"] <= 0:
+    if num["k"] <= 0:
         raise ProblemError(f'"k" must be positive (value {doc["k"]!r})')
-    if not -1.0 <= doc["d"] <= 1.0:
+    if not -1.0 <= num["d"] <= 1.0:
         raise ProblemError(f"d outside [-1,1] (value {doc['d']!r})")
 
     mu = doc.get("mu")
-    if mu is not None and (not isinstance(mu, (int, float)) or mu <= 0):
-        raise ProblemError('"mu" must be a positive number')
+    if mu is not None:
+        mu = _number(mu)
+        if mu is None or mu <= 0:
+            raise ProblemError('"mu" must be a positive number')
 
     solver = doc.get("solver", {})
     if not isinstance(solver, dict):
         raise ProblemError('"solver" must be an object')
-    unknown = set(solver) - SOLVER_KEYS
+    unknown = set(solver) - set(SOLVER_RULES)
     if unknown:
         raise ProblemError(f"unknown solver keys: {sorted(unknown)}")
+    settings = {
+        key: _setting(key, solver.get(key, default))
+        for key, (default, _, _) in SOLVER_RULES.items()
+    }
 
     exprs = {}
     for key in ("a", "b", "psi"):
@@ -152,15 +184,35 @@ def load_problem(doc):
         b=exprs["b"],
         psi=exprs["psi"],
         P=Polynomial.from_coeffs(pcoeffs),
-        k=float(doc["k"]),
-        d=float(doc["d"]),
-        c=float(doc["c"]),
-        mu=float(mu) if mu is not None else None,
-        cheb_tol=float(solver.get("cheb_tol", 1e-13)),
-        solve_tol=float(solver.get("tol", 1e-12)),
-        max_iter=int(solver.get("max_iter", 200)),
-        max_degree=int(solver.get("max_degree", 32768)),
+        k=num["k"],
+        d=num["d"],
+        c=num["c"],
+        mu=mu,
+        cheb_tol=settings["cheb_tol"],
+        solve_tol=settings["tol"],
+        max_iter=int(settings["max_iter"]),
+        max_degree=int(settings["max_degree"]),
     )
+
+
+def _setting(key, value):
+    """A solver value as a float, checked against SOLVER_RULES."""
+    _, accepted, description = SOLVER_RULES[key]
+    number = _number(value)
+    if number is None or not accepted(number):
+        raise ProblemError(f'solver "{key}" must be {description}')
+    return number
+
+
+def _number(x):
+    """A JSON number (not a boolean) as a float, else None; integers too
+    large for a float become inf."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return None
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
 
 
 def load_problem_file(path):
@@ -169,7 +221,7 @@ def load_problem_file(path):
             doc = json.load(fh)
     except OSError as exc:
         raise ProblemError(f"cannot read {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise ProblemError(f"invalid JSON in {path!r}: {exc}") from exc
     return load_problem(doc)
 
@@ -193,11 +245,6 @@ def _jsonable(x):
     return x
 
 
-def _fail(message):
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_INPUT
-
-
 def _load_and_validate(path):
     """Returns (problem, validation_report) or raises ProblemError."""
     prob = load_problem_file(path)
@@ -213,10 +260,7 @@ def _load_and_validate(path):
 
 def cmd_check(path):
     t0 = time.perf_counter()
-    try:
-        prob, vreport = _load_and_validate(path)
-    except ProblemError as exc:
-        return _fail(exc)
+    prob, vreport = _load_and_validate(path)
     creport = conditions.analyze(prob)
     _emit(
         {
@@ -238,10 +282,11 @@ def cmd_solve(
     require_ek=False,
 ):
     t0 = time.perf_counter()
-    try:
-        prob, vreport = _load_and_validate(path)
-    except ProblemError as exc:
-        return _fail(exc)
+    prob, vreport = _load_and_validate(path)
+    if tol is not None:
+        tol = _setting("tol", tol)
+    if max_iter is not None:
+        max_iter = int(_setting("max_iter", max_iter))
 
     report = {"validation": vreport.to_dict()}
     creport = conditions.analyze(prob)
@@ -293,9 +338,7 @@ def cmd_solve(
 def _write_csv(path, u, prob):
     xs = np.array([-1.0 + 2.0 * i / CSV_POINTS for i in range(CSV_POINTS + 1)])
     uv = u.eval(xs)
-    up = u.differentiate().eval(xs)
-    pv = clamp_unit(prob.psi.eval_real(xs))
-    res = np.abs(up - prob.a.eval_real(xs) * prob.P.eval(u.eval(pv)) - prob.b.eval_real(xs))
+    res = np.abs(picard.defect(u, prob, xs))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,u,residual\n")
         for x, v, r in zip(xs, uv, res):
@@ -305,14 +348,8 @@ def _write_csv(path, u, prob):
 def cmd_ek(path, A_list, pmax, density):
     # no range gate here: the inclusion check is itself the psi diagnostic,
     # and maps that leave [-1,1] must be reported as failing, not rejected
-    try:
-        prob = load_problem_file(path)
-    except ProblemError as exc:
-        return _fail(exc)
-    try:
-        report = gevrey.check_ek(prob.psi, prob.k, A_list, pmax, density=density)
-    except (gevrey.GevreyError, ExprError) as exc:
-        return _fail(exc)
+    prob = load_problem_file(path)
+    report = gevrey.check_ek(prob.psi, prob.k, A_list, pmax, density=density)
     _emit(report.to_dict())
     return EXIT_OK if report.passed else EXIT_HYPOTHESIS
 
@@ -324,20 +361,14 @@ def cmd_gevrey(path, nmax=12, force=False, selftest=False):
         ok = est.k_hat is not None and abs(est.k_hat - 1.0) <= 0.05
         _emit({"selftest": est.to_dict(), "ok": ok})
         return EXIT_OK if ok else EXIT_FAILURE
-    try:
-        prob, _ = _load_and_validate(path)
-    except ProblemError as exc:
-        return _fail(exc)
+    prob, _ = _load_and_validate(path)
     creport = conditions.analyze(prob)
     if not creport.ok and not force:
         _emit({"conditions": creport.to_dict()})
         return EXIT_HYPOTHESIS
-    try:
-        sol = picard.solve(prob, creport if creport.ok else None, force=force and not creport.ok)
-    except picard.PicardError as exc:
-        return _unresolvable(str(exc))
+    sol = picard.solve(prob, creport if creport.ok else None, force=force and not creport.ok)
     if not sol.converged:
-        return _unresolvable("iteration did not converge")
+        raise picard.PicardError("iteration did not converge")
     norms = gevrey.derivative_norms(sol.u, n_max=nmax)
     est = gevrey.gevrey_order_estimate(norms)
     _emit(
@@ -348,11 +379,6 @@ def cmd_gevrey(path, nmax=12, force=False, selftest=False):
         }
     )
     return EXIT_OK
-
-
-def _unresolvable(message):
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_FAILURE
 
 
 # --- reference reproduction ------------------------------------------------------
@@ -515,6 +541,7 @@ def main(argv=None):
 
     p_check = sub.add_parser("check", help="validate and run the hypothesis checks")
     p_check.add_argument("path")
+    p_check.set_defaults(run=lambda a: cmd_check(a.path))
 
     p_solve = sub.add_parser("solve", help="check then solve; optionally dump a CSV")
     p_solve.add_argument("path")
@@ -527,6 +554,9 @@ def main(argv=None):
     p_solve.add_argument("--require-ek", action="store_true",
                          help="refuse to solve when the deviating-map "
                          "inclusion sampling check fails")
+    p_solve.set_defaults(run=lambda a: cmd_solve(
+        a.path, tol=a.tol, max_iter=a.max_iter, out=a.out, force=a.force,
+        keep_iterates=a.keep_iterates, require_ek=a.require_ek))
 
     p_ek = sub.add_parser("ek", help="deviating-map stadium inclusion check")
     p_ek.add_argument("path")
@@ -534,6 +564,7 @@ def main(argv=None):
                       help="comma-separated fattening scales")
     p_ek.add_argument("--pmax", type=int, default=100)
     p_ek.add_argument("--density", type=int, default=128)
+    p_ek.set_defaults(run=lambda a: cmd_ek(a.path, a.A, a.pmax, a.density))
 
     p_gevrey = sub.add_parser("gevrey", help="derivative-growth regularity estimate")
     p_gevrey.add_argument("path", nargs="?", default=None)
@@ -541,34 +572,22 @@ def main(argv=None):
     p_gevrey.add_argument("--force", action="store_true")
     p_gevrey.add_argument("--selftest", action="store_true",
                           help="fit a synthetic norm sequence instead of a problem")
+    p_gevrey.set_defaults(run=lambda a: cmd_gevrey(
+        a.path, nmax=a.nmax, force=a.force, selftest=a.selftest))
 
     p_rep = sub.add_parser("reproduce", help="run the built-in examples against "
                            "their reference values")
     p_rep.add_argument("which", choices=["example1", "example2", "all"])
+    p_rep.set_defaults(run=lambda a: cmd_reproduce(a.which))
 
     args = parser.parse_args(argv)
-    if args.command == "check":
-        return cmd_check(args.path)
-    if args.command == "solve":
-        return cmd_solve(
-            args.path,
-            tol=args.tol,
-            max_iter=args.max_iter,
-            out=args.out,
-            force=args.force,
-            keep_iterates=args.keep_iterates,
-            require_ek=args.require_ek,
-        )
-    if args.command == "ek":
-        return cmd_ek(args.path, args.A, args.pmax, args.density)
-    if args.command == "gevrey":
-        if not args.selftest and args.path is None:
-            parser.error("gevrey requires a problem file unless --selftest is given")
-        return cmd_gevrey(args.path, nmax=args.nmax, force=args.force,
-                          selftest=args.selftest)
-    if args.command == "reproduce":
-        return cmd_reproduce(args.which)
-    raise AssertionError("unreachable")
+    if args.command == "gevrey" and not args.selftest and args.path is None:
+        parser.error("gevrey requires a problem file unless --selftest is given")
+    try:
+        return args.run(args)
+    except tuple(_EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(_EXIT_CODES[t] for t in type(exc).__mro__ if t in _EXIT_CODES)
 
 
 def entry():

@@ -18,7 +18,6 @@ comparisons and the report carries the slack of every inequality.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .chebfun import build
@@ -139,24 +138,10 @@ def compute_theta(p, a_l1=None):
     def g(r):
         return a_l1 * P.majorant_deriv_eval(r) - 1.0
 
-    hi = 1.0
-    while g(hi) <= 0.0:
-        hi *= 2.0
-        if hi > _BRACKET_CAP:
-            raise ConditionsError("threshold bracket expansion failed")
-    lo = 0.0
-    while hi - lo > 1e-14:
-        mid = 0.5 * (lo + hi)
-        if g(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    theta = 0.5 * (lo + hi)
-    gp = a_l1 * P.majorant_second_deriv_eval(theta)
-    if gp > 0.0:
-        polished = theta - g(theta) / gp
-        if math.isfinite(polished) and abs(g(polished)) <= abs(g(theta)):
-            theta = polished
+    def gp(r):
+        return a_l1 * P.majorant_second_deriv_eval(r)
+
+    theta, _ = _monotone_root(g, gp, 0.0, 1.0, 1e-14, "threshold")
     if abs(g(theta)) > THETA_RESIDUAL_TOL:
         raise ConditionsError(
             f"threshold root residual {g(theta)!r} exceeds {THETA_RESIDUAL_TOL}"
@@ -206,16 +191,8 @@ def localize_radii(p, theta, a_l1=None, cond2_lhs=None):
         )
     if h0 <= 0.0:
         raise ConditionsError("internal: H(0) <= 0 although the lhs is positive")
-    r0 = _bisect_down(H, 0.0, theta)
-    r0 = _polish(H, Hp, r0, 0.0, theta)
-
-    hi = 2.0 * theta
-    while H(hi) <= 0.0:
-        hi *= 2.0
-        if hi > _BRACKET_CAP * theta:
-            raise ConditionsError("upper-root bracket expansion failed")
-    r1 = _bisect_up(H, theta, hi)
-    r1 = _polish(H, Hp, r1, theta, hi)
+    r0, _ = _monotone_root(H, Hp, 0.0, theta, 1e-13, "lower-root")
+    r1, hi = _monotone_root(H, Hp, theta, 2.0 * theta, 1e-13, "upper-root")
 
     for name, val in (("r0", r0), ("r1", r1)):
         if abs(H(val)) > ROOT_RESIDUAL_TOL:
@@ -229,35 +206,38 @@ def localize_radii(p, theta, a_l1=None, cond2_lhs=None):
     return r0, r1, certificates
 
 
-def _bisect_down(H, lo, hi):
-    # H(lo) > 0 > H(hi), H decreasing
-    while hi - lo > 1e-13:
-        mid = 0.5 * (lo + hi)
-        if H(mid) > 0.0:
-            lo = mid
+def _monotone_root(f, fp, lo, hi, width, name):
+    """The root of f in a bracket [lo, hi] where f is monotone, f(lo) != 0.
+
+    Doubles hi until f changes sign on [lo, hi] (at most _BRACKET_CAP times
+    its start), bisects to `width` keeping the endpoint whose sign matches (a
+    zero at the midpoint replaces hi; the bisection also stops once the ends
+    are adjacent floats), then takes one Newton step, kept only inside the
+    bracket and only if it does not increase |f|.  Returns (root, hi) with hi
+    the final bracket end.
+    """
+    s = 1.0 if f(lo) > 0.0 else -1.0  # s*f falls from positive to <= 0
+    cap = _BRACKET_CAP * hi
+    while s * f(hi) >= 0.0:
+        hi *= 2.0
+        if hi > cap:
+            raise ConditionsError(f"{name} bracket expansion failed")
+    a, b = lo, hi
+    while b - a > width:
+        mid = 0.5 * (a + b)
+        if mid in (a, b):
+            break
+        if s * f(mid) > 0.0:
+            a = mid
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _bisect_up(H, lo, hi):
-    # H(lo) < 0 < H(hi), H increasing
-    while hi - lo > 1e-13:
-        mid = 0.5 * (lo + hi)
-        if H(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _polish(H, Hp, r, lo, hi):
-    hp = Hp(r)
-    if hp != 0.0:
-        cand = r - H(r) / hp
-        if lo < cand < hi and abs(H(cand)) <= abs(H(r)):
-            return cand
-    return r
+            b = mid
+    r = 0.5 * (a + b)
+    slope = fp(r)
+    if slope != 0.0:
+        cand = r - f(r) / slope
+        if lo < cand < hi and abs(f(cand)) <= abs(f(r)):
+            r = cand
+    return r, hi
 
 
 def analyze(p):

@@ -113,6 +113,8 @@ class StadiumRegion:
     def __post_init__(self):
         if self.k <= 0 or self.A <= 0 or self.n < 1:
             raise GevreyError("stadium parameters must satisfy k>0, A>0, n>=1")
+        if not 0.0 < self.radius < math.inf:
+            raise GevreyError(f"stadium radius {self.radius!r} is not positive and finite")
 
     @property
     def radius(self):
@@ -182,6 +184,8 @@ def check_ek(psi, k, A_list, p_max, density=128):
     """
     if p_max < 1:
         raise GevreyError("p_max must be >= 1")
+    if density < 1:
+        raise GevreyError("density must be >= 1")
     levels = []
     first_pass = {}
     worst_overall = 0.0

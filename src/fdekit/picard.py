@@ -33,6 +33,7 @@ __all__ = [
     "apply_T",
     "solve",
     "residual",
+    "defect",
 ]
 
 RESIDUAL_GRID = 2048  # 2049 Chebyshev points
@@ -198,7 +199,11 @@ def _check_ball(f, r0, index):
 def residual(u, p):
     """Sup over a 2049-point Chebyshev grid of |u' - a * P(u o psi) - b|."""
     grid = np.cos(np.pi * np.arange(RESIDUAL_GRID + 1) / RESIDUAL_GRID)
-    up = u.differentiate()
-    pv = clamp_unit(p.psi.eval_real(grid))
-    rhs = p.a.eval_real(grid) * p.P.eval(u.eval(pv)) + p.b.eval_real(grid)
-    return float(np.max(np.abs(up.eval(grid) - rhs)))
+    return float(np.max(np.abs(defect(u, p, grid))))
+
+
+def defect(u, p, x):
+    """Pointwise equation defect u'(x) - (a P(u o psi) + b)(x) at points x."""
+    pv = clamp_unit(p.psi.eval_real(x))
+    rhs = p.a.eval_real(x) * p.P.eval(u.eval(pv)) + p.b.eval_real(x)
+    return u.differentiate().eval(x) - rhs

@@ -13,7 +13,7 @@ rather than raising.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,44 +74,38 @@ class Polynomial:
         return self.degree < 2
 
     def eval(self, x):
-        out = 0.0 * np.asarray(x) if not np.isscalar(x) else 0.0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
+        return _horner(self.coeffs, x)
 
     def deriv_eval(self, x):
-        out = 0.0 * np.asarray(x) if not np.isscalar(x) else 0.0
-        for j in range(self.degree, 0, -1):
-            out = out * x + j * self.coeffs[j]
-        return out
+        return _horner([j * c for j, c in enumerate(self.coeffs)][1:], x)
 
-    def _check_nonneg(self, x):
+    def _majorant(self, x, r):
+        """r-th derivative of the majorant: Horner over j!/(j-r)! |a_j|, j >= r,
+        with the constant term dropped."""
         if np.any(np.asarray(x) < 0):
             raise ProblemError("majorant is only defined for x >= 0")
+        m = [math.perm(j, r) * abs(c) if j else 0.0 for j, c in enumerate(self.coeffs)]
+        return _horner(m[r:], x)
 
     def majorant_eval(self, x):
         """sum_{j>=1} |a_j| x^j at x >= 0."""
-        self._check_nonneg(x)
-        out = 0.0 * np.asarray(x) if not np.isscalar(x) else 0.0
-        for j in range(self.degree, 0, -1):
-            out = out * x + abs(self.coeffs[j])
-        return out * x
+        return self._majorant(x, 0)
 
     def majorant_deriv_eval(self, x):
         """sum_{j>=1} j |a_j| x^(j-1) at x >= 0."""
-        self._check_nonneg(x)
-        out = 0.0 * np.asarray(x) if not np.isscalar(x) else 0.0
-        for j in range(self.degree, 0, -1):
-            out = out * x + j * abs(self.coeffs[j])
-        return out
+        return self._majorant(x, 1)
 
     def majorant_second_deriv_eval(self, x):
         """sum_{j>=2} j (j-1) |a_j| x^(j-2) at x >= 0."""
-        self._check_nonneg(x)
-        out = 0.0 * np.asarray(x) if not np.isscalar(x) else 0.0
-        for j in range(self.degree, 1, -1):
-            out = out * x + j * (j - 1) * abs(self.coeffs[j])
-        return out
+        return self._majorant(x, 2)
+
+
+def _horner(coeffs, x):
+    """sum_j coeffs[j] x^j (ascending powers) by Horner's rule; 0 if empty."""
+    out = 0.0 * np.asarray(x) if not np.isscalar(x) else 0.0
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
 
 
 def clamp_unit(values, tol=PSI_RANGE_TOL):
@@ -184,7 +178,6 @@ class Problem:
     solve_tol: float = 1e-12
     max_iter: int = 200
     max_degree: int = 32768
-    _mu_cache: float | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("k", "d", "c"):
@@ -269,8 +262,6 @@ class Problem:
         fits the smallest estimated Bernstein ellipse)."""
         if self.mu is not None:
             return float(self.mu)
-        if self._mu_cache is not None:
-            return self._mu_cache
         rho = math.inf
         for e in (self.a, self.b, self.psi):
             try:
@@ -279,8 +270,5 @@ class Problem:
                 raise ProblemError(f"mu not given and not estimable: {exc}") from exc
             rho = min(rho, u.ellipse_hint)
         if math.isinf(rho):
-            est = 1.0  # all data resolved as low-degree polynomials (entire)
-        else:
-            est = (rho + 1.0 / rho) / 2.0 - 1.0
-        self._mu_cache = est
-        return est
+            return 1.0  # all data resolved as low-degree polynomials (entire)
+        return (rho + 1.0 / rho) / 2.0 - 1.0

@@ -101,6 +101,12 @@ class TestCheck:
     def test_unreadable_file_exit_4(self, capsys):
         assert cli.main(["check", "/nonexistent/nope.json"]) == EXIT_INPUT
 
+    def test_non_utf8_file_exit_4(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"a": "\xe9"}')
+        assert cli.main(["check", str(path)]) == EXIT_INPUT
+        assert "invalid JSON" in capsys.readouterr().err
+
     def test_report_byte_stable_modulo_timing(self, tmp_path, capsys):
         path = write_json(tmp_path, example2_doc())
         _, out1 = run(capsys, ["check", path])
@@ -172,6 +178,12 @@ class TestSolve:
         assert code == EXIT_OK
         assert report_of(out)["solve"]["iterations"] < 9
 
+    @pytest.mark.parametrize("flag,value", [("--tol", "0"), ("--tol", "nan"), ("--max-iter", "0")])
+    def test_out_of_range_flag_exit_4(self, tmp_path, capsys, flag, value):
+        code = cli.main(["solve", write_json(tmp_path, example2_doc()), flag, value])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_csv_write_failure_exit_4(self, tmp_path, capsys):
         code, _ = run(
             capsys,
@@ -215,6 +227,13 @@ class TestEk:
         )
         assert code == EXIT_HYPOTHESIS
         assert not report_of(out)["passed"]
+
+
+    @pytest.mark.parametrize("flags", [["--A", "inf"], ["--density", "-1"]], ids=["A", "density"])
+    def test_out_of_range_flag_exit_4(self, tmp_path, capsys, flags):
+        code = cli.main(["ek", write_json(tmp_path, example2_doc()), *flags])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestGevreyCmd:
@@ -279,3 +298,34 @@ class TestReproduce:
         assert sum(l.startswith("FAIL") for l in lines) == 2
         assert any("example1" in l for l in lines)
         assert any("example2" in l for l in lines)
+
+
+# Inputs that once escaped the exit-code contract as tracebacks: undefined or
+# non-smooth data and out-of-range solver settings must all exit 4.
+ERROR_CASES = {
+    "check-ln": ("check", {"a": "0.1*ln(t+1)"}),
+    "solve-ln": ("solve", {"a": "0.1*ln(t+1)"}),
+    "gevrey-ln": ("gevrey", {"a": "0.1*ln(t+1)"}),
+    "check-abs-a": ("check", {"a": "0.1*abs(t)"}),
+    "solve-abs-psi": ("solve", {"psi": "abs(t)"}),
+    "gevrey-abs-psi": ("gevrey", {"psi": "abs(t)"}),
+    "solve-unresolved": (
+        "solve",
+        {"a": "0.2*cos(1500*t)", "psi": "sin(200*t)", "solver": {"max_degree": 1024}},
+    ),
+    "cheb_tol-too-large": ("check", {"solver": {"cheb_tol": 0.1}}),
+    "max_iter-string": ("check", {"solver": {"max_iter": "abc"}}),
+    "tol-list": ("check", {"solver": {"tol": [1]}}),
+    "max_degree-too-large": ("check", {"solver": {"max_degree": 1e9}}),
+    "mu-boolean": ("check", {"mu": True}),
+    "ek-radius-underflow": ("ek", {"k": 1e-308}),
+}
+
+
+@pytest.mark.parametrize("command,change", ERROR_CASES.values(), ids=ERROR_CASES.keys())
+def test_error_exits_with_message(tmp_path, capsys, command, change):
+    code = cli.main([command, write_json(tmp_path, {**example2_doc(), **change})])
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

@@ -190,6 +190,15 @@ class TestAnalyze:
         assert rep.cond1_ok and rep.theta is None
         assert "degenerate" in rep.error
 
+    def test_roots_where_float_spacing_exceeds_the_width(self):
+        # theta = 500 and r1 ~ 1000, where adjacent floats lie further apart
+        # than the 1e-14 and 1e-13 bisection widths; bisection must stop
+        p = simple_problem("0.0005", [0.0, 0.0, 1.0], c=0.01)
+        rep = conditions.analyze(p)
+        assert rep.ok
+        assert rep.theta == pytest.approx(500.0, rel=1e-12)
+        assert rep.r1 == pytest.approx((1 + math.sqrt(1 - 4e-5)) / 2e-3, rel=1e-12)
+
     def test_randomized_invariants(self):
         rng = np.random.default_rng(20260808)
         for _ in range(100):

@@ -130,7 +130,7 @@ class TestEffectiveMu:
         p = make_problem(b=parse("cosh(t)"), a=parse("2^t"), psi=parse("sin(t)"))
         mu = p.effective_mu()
         assert mu > 0
-        assert p.effective_mu() == mu  # cached
+        assert p.effective_mu() == mu  # deterministic: recomputed, same value
 
     def test_low_degree_fallback(self):
         p = make_problem(a=parse("t"), b=parse("t^2"), psi=parse("t"))
