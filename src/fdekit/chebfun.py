@@ -4,9 +4,9 @@ A ChebFun stores first-kind coefficients c_0..c_m of a function resolved to a
 relative truncation tolerance.  Construction samples the function at
 second-kind Chebyshev points with the degree doubling until the tail of the
 coefficient vector falls below tolerance, then trims.  Evaluation is Clenshaw
-recurrence (real or complex); calculus is done on coefficients, so
-antiderivatives, derivatives and the two norms used by the hypothesis checks
-(sup norm and integral of the absolute value) are spectrally accurate.
+recurrence (real or complex); calculus is done on coefficients, and the sup
+norm and integral of |u| refine FFT grid values by Newton steps in arccos(x),
+so all of these are spectrally accurate.
 
 Complex evaluation is the analytic continuation of the interpolant; it is
 only meaningful inside the region where the underlying series still converges
@@ -35,6 +35,7 @@ TOL_RANGE = (1e-15, 1e-3)  # relative tolerances build accepts
 MAX_DEGREE = 32768
 
 _EVAL_SLACK = 1e-14  # clamp width for real evaluation just outside [-1, 1]
+_CHUNK = 1 << 16  # matrix entries per dense product in _theta_eval
 
 
 class ChebError(Exception):
@@ -85,13 +86,62 @@ def _clenshaw(c, x):
     return x * b1 - b2 + c[0]
 
 
-def _clenshaw_scalar(c, x):
-    b1 = 0.0
-    b2 = 0.0
-    twox = 2.0 * x
-    for ck in c[:0:-1]:
-        b1, b2 = twox * b1 - b2 + ck, b1
-    return x * b1 - b2 + c[0]
+def _grid_values(c, n):
+    """Values of sum c_k T_k at _pts_desc(n), n >= degree: the inverse of
+    _vals_to_coeffs, a zero-padded DCT-I through one real FFT."""
+    b = np.zeros(n + 1)
+    b[: len(c)] = c
+    b[1:n] *= 0.5
+    return np.fft.rfft(np.concatenate([b, b[-2:0:-1]])).real
+
+
+def _theta_eval(c, theta):
+    """Rows g, g', g'' of g(theta) = sum c_k cos(k theta), as dense products in
+    chunks of about _CHUNK entries.  k*theta is exact: theta = head + tail with
+    head on a 2^-35 lattice (k*head is exact for k < 2^16), and with t = k*tail,
+    cos(t) = 1 - t^2/2 and sin(t) = t to double precision as |t| < 2e-6."""
+    # highest degree first, so the small terms add up before the large ones
+    k = np.arange(len(c) - 1, -1, -1, dtype=float)
+    c, kc = c[::-1], -k * c[::-1]
+    out = np.empty((3, len(theta)))
+    tail = np.fmod(theta, 2.0**-35)
+    head = theta - tail
+    rows = max(1, _CHUNK // len(c))
+    for s in range(0, len(theta), rows):
+        part = slice(s, s + rows)
+        a = np.multiply.outer(head[part], k)
+        t = np.multiply.outer(tail[part], k)
+        ca, sa, ct = np.cos(a), np.sin(a), 1.0 - 0.5 * t * t
+        cos = ca * ct - sa * t
+        out[:, part] = [cos @ c, (sa * ct + ca * t) @ kc, cos @ (k * kc)]
+    return out
+
+
+def _newton(c, th, lo, hi, below, order):
+    """Zeros of f, the order-th theta-derivative of g = sum c_k cos(k theta),
+    one per bracket [lo, hi] where f has the sign `below` left of its zero,
+    and the largest |g| evaluated.  Newton steps are clipped into the bracket,
+    which narrows around the zero; a step that is not finite bisects.  A point
+    stops at a step <= 1e-15 or at |f| <= 4 eps sum k^order |c_k|.
+    """
+    if len(th) == 0:
+        return th, 0.0
+    noise = 4.0 * np.finfo(float).eps * float(np.sum(np.abs(c) * np.arange(len(c)) ** order))
+    best = 0.0
+    for _ in range(12):
+        rows = _theta_eval(c, th)
+        best = max(best, float(np.max(np.abs(rows[0]), initial=0.0)))
+        f = rows[order]
+        left = np.sign(f) == below
+        lo, hi = np.where(left, th, lo), np.where(left, hi, th)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = f / rows[order + 1]
+        new = np.where(np.isfinite(step), np.clip(th - step, lo, hi), 0.5 * (lo + hi))
+        new = np.where(np.abs(f) <= noise, th, new)
+        if np.all(np.abs(new - th) <= 1e-15):
+            return new, best
+        th = new
+    return th, best
 
 
 def ellipse_radius(z):
@@ -212,91 +262,76 @@ class ChebFun:
         n = len(c) - 1
         if n == 0:
             return ChebFun(np.zeros(1), self.build_tol, self.ellipse_hint)
-        w = np.zeros(n + 2)
-        for k in range(n, 0, -1):
-            w[k - 1] = w[k + 1] + 2.0 * k * c[k]
+        # w[j] = sum of 2k c_k, k > j, k - j odd, added from the top down
+        d = 2.0 * np.arange(n, 0, -1) * c[:0:-1]
+        w = np.empty(n)
+        w[0::2], w[1::2] = np.cumsum(d[0::2]), np.cumsum(d[1::2])
+        w = w[::-1].copy()
         w[0] *= 0.5
-        return ChebFun(w[:n], self.build_tol, self.ellipse_hint)
+        return ChebFun(w, self.build_tol, self.ellipse_hint)
 
     # -- norms ----------------------------------------------------------------
 
     def sup_norm(self):
         """Maximum of |u| over [-1, 1].
 
-        Dense Chebyshev grid of size >= 8*(degree+1), then golden-section
-        refinement around every grid-local maximum within 0.1% of the best.
-        The result is a lower bound of the true sup, tight to ~1e-12 relative
-        for functions resolved at build tolerance.
+        FFT values on a Chebyshev grid of size >= 8*(degree+1); each local
+        maximum within 0.1% of the best (at most 32) starts Newton steps for
+        d/dtheta u(cos theta) = 0 inside its two neighbouring cells.  The
+        largest |u| evaluated is a lower bound of the sup, ~1e-14 relative.
         """
         c = self.coeffs
-        m = self.degree
-        if m == 0:
+        if len(c) == 1:
             return abs(float(c[0]))
-        ng = max(8 * (m + 1), 64)
-        pts = chebpts(ng)
-        va = np.abs(_clenshaw(c, pts))
+        ng = max(8 * len(c), 64)
+        v = _grid_values(c, ng)
+        va = np.abs(v)
         best = float(va.max())
-        if best == 0.0:
-            return 0.0
-        keep = 0.999 * best
-        flags = np.zeros(ng + 1, dtype=bool)
-        flags[1:-1] = (va[1:-1] >= va[:-2]) & (va[1:-1] >= va[2:]) & (va[1:-1] >= keep)
-        flags[0] = va[0] >= va[1] and va[0] >= keep
-        flags[-1] = va[-1] >= va[-2] and va[-1] >= keep
-        idx = np.nonzero(flags)[0]
+        nb = np.concatenate([[-np.inf], va, [-np.inf]])  # neighbours of each node
+        idx = np.nonzero((va >= nb[:-2]) & (va >= nb[2:]) & (va >= 0.999 * best))[0]
         if len(idx) > 32:
             idx = idx[np.argsort(va[idx])[-32:]]
-        for i in idx:
-            a = pts[max(i - 1, 0)]
-            b = pts[min(i + 1, ng)]
-            best = max(best, _golden_max_abs(c, a, b))
-        return best
+        # end nodes start half a cell inside, as theta = 0, pi are stationary
+        # points of every cosine sum; left of a maximum of |u|, u_theta has u's sign
+        h = math.pi / ng
+        th = np.clip(idx * h, 0.5 * h, math.pi - 0.5 * h)
+        lo, hi = np.maximum(idx - 1, 0) * h, np.minimum(idx + 1, ng) * h
+        return max(best, _newton(c, th, lo, hi, np.sign(v[idx]), 1)[1])
 
     def l1_norm(self):
         """Integral of |u| over [-1, 1].
 
-        Sign changes are located on a dense grid and bisected to 1e-14, then
-        |u| is integrated piecewise via antiderivative differences with the
-        local sign, which keeps spectral accuracy.
+        Sign changes of FFT values on a Chebyshev grid of size >= 16*(degree+1)
+        are refined by bracketed Newton steps in theta = arccos(x), then |u| is
+        integrated piecewise via signed antiderivative differences.
         """
         return self.abs_integral(-1.0, 1.0)
 
     def abs_integral(self, lo, hi):
-        """Integral of |u| over [lo, hi] within [-1, 1]."""
+        """Integral of |u| over [lo, hi] within [-1, 1], on the cells of the
+        l1_norm grid that cover [lo, hi]; roots outside it clip to its ends."""
         if hi < lo:
             lo, hi = hi, lo
         c = self.coeffs
-        m = self.degree
-        ng = max(16 * (m + 1), 64)
-        pts = lo + (chebpts(ng) + 1.0) * (hi - lo) / 2.0
-        v = _clenshaw(c, pts)
-        if np.max(np.abs(v)) == 0.0:
-            return 0.0
-        roots = []
-        changes = 0
-        for i in range(ng):
-            if v[i] == 0.0:
-                roots.append(float(pts[i]))  # grid-exact zero: breakpoint only
-            elif v[i] * v[i + 1] < 0.0:
-                changes += 1
-                roots.append(_bisect_root(c, float(pts[i]), float(pts[i + 1]), v[i]))
-        if v[-1] == 0.0:
-            roots.append(float(pts[-1]))
-        if changes > 10 * (m + 1):
-            raise ChebError(
-                f"{changes} sign changes exceed 10*(degree+1)={10 * (m + 1)}; "
-                "oscillation unresolved"
-            )
-        bps = np.unique(np.concatenate([[lo], roots, [hi]]))
-        antider = self.antiderivative()
-        uv = _clenshaw(antider.coeffs, bps)
-        total = 0.0
-        for i in range(len(bps) - 1):
-            mid = 0.5 * (bps[i] + bps[i + 1])
-            s = _clenshaw_scalar(c, mid)
-            piece = uv[i + 1] - uv[i]
-            total += piece if s >= 0.0 else -piece
-        return max(float(total), 0.0)
+        ng = max(16 * len(c), 64)
+        grid = np.pi * np.arange(ng + 1) / ng  # theta of _pts_desc(ng)
+        ends = np.arccos(np.clip([hi, lo], -1.0, 1.0))
+        first = np.searchsorted(grid, ends[0], "right") - 1  # last node <= theta(hi)
+        last = np.searchsorted(grid, ends[1])  # first node >= theta(lo)
+        th, v = grid[first : last + 1], _grid_values(c, ng)[first : last + 1]
+        sv = np.sign(v)
+        br = np.nonzero(sv[:-1] * sv[1:] < 0.0)[0]
+        if len(br) > 10 * len(c):
+            raise ChebError(f"{len(br)} sign changes exceed 10*(degree+1)={10 * len(c)}; "
+                            "oscillation unresolved")
+        a, b = th[br], th[br + 1]
+        roots = _newton(c, a - v[br] * (b - a) / (v[br + 1] - v[br]), a, b, sv[br], 0)[0]
+        bps = np.unique(np.clip(np.concatenate([ends, th[v == 0.0], roots]), *ends))
+        # U at the breakpoints; d/dtheta U(cos theta) = -sin(theta) u signs midpoints
+        pts = np.concatenate([bps, 0.5 * (bps[:-1] + bps[1:])])
+        uv, du = _theta_eval(self.antiderivative().coeffs, pts)[:2]
+        piece = uv[: len(bps) - 1] - uv[1 : len(bps)]  # theta ascends, x descends
+        return max(math.fsum(np.where(du[len(bps):] <= 0.0, piece, -piece)), 0.0)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -328,43 +363,6 @@ class ChebFun:
         return ChebFun(self.coeffs * float(scalar), self.build_tol, self.ellipse_hint)
 
     __rmul__ = __mul__
-
-
-def _golden_max_abs(c, a, b):
-    """Golden-section maximisation of |u| on [a, b]."""
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-    fa = abs(_clenshaw_scalar(c, a))
-    fb = abs(_clenshaw_scalar(c, b))
-    x1 = b - g * (b - a)
-    x2 = a + g * (b - a)
-    f1 = abs(_clenshaw_scalar(c, x1))
-    f2 = abs(_clenshaw_scalar(c, x2))
-    best = max(fa, fb, f1, f2)
-    while b - a > 1e-13:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + g * (b - a)
-            f2 = abs(_clenshaw_scalar(c, x2))
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - g * (b - a)
-            f1 = abs(_clenshaw_scalar(c, x1))
-        best = max(best, f1, f2)
-    return best
-
-
-def _bisect_root(c, a, b, fa):
-    """Bisect a bracketed sign change of the series to width 1e-14."""
-    while b - a > 1e-14:
-        mid = 0.5 * (a + b)
-        fm = _clenshaw_scalar(c, mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (fa > 0.0):
-            a, fa = mid, fm
-        else:
-            b = mid
-    return 0.5 * (a + b)
 
 
 def _trim(c, thresh):

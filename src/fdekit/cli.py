@@ -466,10 +466,10 @@ def _reproduce_one(name, lines):
     checks.append(
         ("residual <= 1e-10", sol.residual_sup <= 1e-10, f"residual={sol.residual_sup!r}")
     )
+    sup = sol.u.sup_norm()
     checks.append(
-        ("iterates inside invariant ball",
-         sol.u.sup_norm() <= sol.r0_used + 1e-10,
-         f"sup={sol.u.sup_norm()!r} r0={sol.r0_used!r}")
+        ("iterates inside invariant ball", sup <= sol.r0_used + 1e-10,
+         f"sup={sup!r} r0={sol.r0_used!r}")
     )
 
     ek = gevrey.check_ek(prob.psi, prob.k, [0.1, 0.5, 0.9], 100, density=128)

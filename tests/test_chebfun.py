@@ -1,12 +1,18 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as npcheb
 
+from fdekit import chebfun
 from fdekit.chebfun import (
+    ChebError,
     ChebFun,
     EvalDomainError,
     ResolutionError,
+    _grid_values,
+    _pts_desc,
     build,
     chebpts,
 )
@@ -202,3 +208,204 @@ class TestPropertySuites:
 
             # norm consistency
             assert u.l1_norm() <= 2.0 * u.sup_norm() + 1e-12
+
+
+def differentiate_reference(c):
+    """The derivative recurrence w[k-1] = w[k+1] + 2k c_k, one term at a time."""
+    n = len(c) - 1
+    if n == 0:
+        return np.zeros(1)
+    w = np.zeros(n + 2)
+    for k in range(n, 0, -1):
+        w[k - 1] = w[k + 1] + 2.0 * k * c[k]
+    w[0] *= 0.5
+    return w[:n]
+
+
+class TestKernelEdgeCases:
+    def test_differentiate_matches_recurrence_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        for n in list(range(12)) + [100, 1001, 4096]:
+            c = rng.standard_normal(n + 1)
+            assert np.array_equal(ChebFun(c).differentiate().coeffs, differentiate_reference(c))
+
+    def test_grid_values_invert_vals_to_coeffs(self):
+        rng = np.random.default_rng(8)
+        for m, n in ((0, 64), (5, 5), (5, 64), (40, 321)):
+            c = rng.standard_normal(m + 1)
+            want = npcheb.chebval(_pts_desc(n), c)
+            assert np.max(np.abs(_grid_values(c, n) - want)) <= 1e-14 * np.sum(np.abs(c))
+
+    def test_root_on_a_grid_node(self):
+        # the root sits within 1e-16 of the node x = cos(pi/2)
+        assert ChebFun([2e-17, 0.5]).l1_norm() == pytest.approx(0.5, abs=1e-15)
+        assert ChebFun([0.0, 1.0]).l1_norm() == pytest.approx(1.0, abs=1e-15)
+        assert ChebFun([0.0, 1.0]).abs_integral(0.0, 1.0) == pytest.approx(0.5, abs=1e-15)
+
+    def test_example1_odd_power_through_zero(self):
+        # a = alpha t^N with N odd has its root at t = 0, a grid node
+        for n_pow in (1, 3):
+            u = build(lambda t, n=n_pow: 0.9 * t**n)
+            assert u.l1_norm() == pytest.approx(2 * 0.9 / (n_pow + 1), abs=1e-15)
+            assert u.abs_integral(-1.0, 0.0) == pytest.approx(0.9 / (n_pow + 1), abs=1e-15)
+
+    def test_root_at_sub_interval_endpoint(self):
+        u = ChebFun([0.0, 0.0, 1.0])  # 2x^2 - 1, roots at +-1/sqrt(2)
+        r = 1.0 / math.sqrt(2.0)
+        want = r - 1.0 / 3.0 - 2.0 * r**3 / 3.0  # int_r^1 (2x^2 - 1)
+        assert u.abs_integral(r, 1.0) == pytest.approx(want, abs=1e-15)
+        assert u.abs_integral(-1.0, -r) == pytest.approx(want, abs=1e-15)
+        assert u.abs_integral(-r, r) == pytest.approx(2.0 * r - 4.0 * r**3 / 3.0, abs=1e-15)
+        assert u.abs_integral(0.3, 0.3) == 0.0
+
+    def test_abs_integral_is_additive(self):
+        rng = np.random.default_rng(9)
+        for f in (lambda t: np.sin(7 * t) - 0.2, lambda t: np.cos(40 * t) * np.exp(t)):
+            u = build(f)
+            for d in rng.uniform(-1, 1, 5):
+                total = u.abs_integral(-1.0, d) + u.abs_integral(d, 1.0)
+                assert total == pytest.approx(u.l1_norm(), abs=1e-13)
+
+    def test_too_many_sign_changes_raise(self, monkeypatch):
+        # a degree-m series has at most m roots, so only rounding noise that
+        # flips sign from node to node can exceed 10*(m+1) sign changes
+        monkeypatch.setattr(chebfun, "_grid_values", lambda c, n: (-1.0) ** np.arange(n + 1))
+        with pytest.raises(ChebError, match="sign changes"):
+            ChebFun([0.0, 1.0]).l1_norm()
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_sup_at_an_interval_end(self, sign):
+        # T_8 + T_1 peaks at 2 on x = 1 only, T_8 - T_1 on x = -1 only
+        c = np.zeros(9)
+        c[8], c[1] = 1.0, sign
+        assert ChebFun(c).sup_norm() == pytest.approx(2.0, abs=1e-15)
+        assert ChebFun(-c).sup_norm() == pytest.approx(2.0, abs=1e-15)
+
+    @pytest.mark.parametrize("m", [2, 40, 301])
+    def test_sup_halfway_between_grid_nodes(self, m):
+        # 1 - (x - x*)^2, zero-padded to degree m, has |u| <= 1 with equality
+        # only at x*, which sits at theta halfway between two grid nodes
+        ng = max(8 * (m + 1), 64)
+        xs = math.cos((ng // 2 - 0.5) * math.pi / ng)  # just right of 0
+        c = np.zeros(m + 1)
+        c[:3] = [0.5 - xs * xs, 2.0 * xs, -0.5]
+        assert ChebFun(c).sup_norm() == pytest.approx(1.0, abs=1e-15)
+
+
+# -- accuracy against a 50-digit oracle ---------------------------------------
+#
+# The oracle sums the exact series (float coefficients taken as exact) in
+# fixed-point integers scaled by 2^_FIX, about 77 digits, and takes
+# transcendental values (grid nodes) from mpmath at 50 digits.  Locations of
+# roots and extrema come from double-precision Newton on numpy's Clenshaw:
+# an error delta there moves the sup and the integral only by O(delta^2).
+
+_FIX = 256
+
+
+def _fixed(v):
+    num, den = float(v).as_integer_ratio()
+    return (num << _FIX) // den
+
+
+def _exact(coeffs_fixed, xs_fixed):
+    """sum c_k T_k(x) * 2^_FIX at fixed-point points, by integer Clenshaw."""
+    x = np.array(xs_fixed, dtype=object)
+    b1 = np.zeros(len(x), dtype=object)
+    b2 = np.zeros(len(x), dtype=object)
+    for ck in coeffs_fixed[:0:-1]:
+        b1, b2 = ((2 * x * b1) >> _FIX) - b2 + ck, b1
+    return ((x * b1) >> _FIX) - b2 + coeffs_fixed[0]
+
+
+def _to_mp(v_fixed):
+    return mpmath.ldexp(mpmath.mpf(int(v_fixed)), -_FIX)
+
+
+def _random_series(m, seed):
+    """Random coefficients decaying to 1e-15 of the first, like a resolved build."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(m + 1) * 10.0 ** (-15.0 * np.arange(m + 1) / m)
+
+
+def _newton(c, x, lo, hi, steps=8):
+    """Double-precision Newton for a zero of sum c_k T_k, kept in [lo, hi]."""
+    d = npcheb.chebder(c)
+    for _ in range(steps):
+        x = np.clip(x - npcheb.chebval(x, c) / npcheb.chebval(x, d), lo, hi)
+    return x
+
+
+def _oracle_sup(c, cf, x, v):
+    """max |u|: exact values at the ends and at Newton-polished maxima of the
+    three largest local maxima of |v|, the values at the ascending grid x."""
+    va = np.abs(v)
+    peak = np.nonzero((va[1:-1] >= va[:-2]) & (va[1:-1] >= va[2:]))[0] + 1
+    top = peak[np.argsort(va[peak])[-3:]]
+    xs = _newton(npcheb.chebder(c), x[top], x[top - 1], x[top + 1])
+    pts = np.concatenate([[-1.0, 1.0], xs])
+    return max(abs(_to_mp(e)) for e in _exact(cf, [_fixed(p) for p in pts]))
+
+
+def _oracle_l1(c, cf, x, v):
+    """int |u|: exact antiderivative differences between Newton-polished roots
+    of the sign changes of v on the grid x, signed at the piece midpoints."""
+    br = np.nonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0)[0]
+    a, b = x[br], x[br + 1]
+    roots = _newton(c, a - v[br] * (b - a) / (v[br + 1] - v[br]), a, b)
+    bps = np.concatenate([[-1.0], roots, [1.0]])
+    ext = list(cf) + [0, 0]
+    anti = [0, ext[0] - ext[2] // 2] + [
+        (ext[k - 1] - ext[k + 1]) // (2 * k) for k in range(2, len(cf) + 1)
+    ]
+    big = _exact(anti, [_fixed(p) for p in bps])
+    sign = np.sign(npcheb.chebval(0.5 * (bps[:-1] + bps[1:]), c))
+    return _to_mp(sum(int(s) * (hi - lo) for lo, hi, s in zip(big[:-1], big[1:], sign)))
+
+
+# Errors of the Clenshaw-based kernels fdekit used before the FFT grid (dense
+# Clenshaw grid, golden-section search, bisection) against this oracle on the
+# same series, relative to sum |c_k|.
+CLENSHAW_REL_ERR = {
+    16: {"grid": 9.11e-17, "sup": 4.26e-17, "l1": 1.17e-16},
+    257: {"grid": 9.51e-16, "sup": 2.57e-17, "l1": 4.14e-17},
+    2049: {"grid": 2.87e-15, "sup": 4.01e-17, "l1": 1.01e-17},
+    4097: {"grid": 2.15e-15, "sup": 1.00e-16, "l1": 1.96e-17},
+}
+
+
+def kernel_errors(u):
+    """{kernel: (error, one ulp of the exact value)}, relative to sum |c_k|,
+    for _grid_values (worst of 33 nodes), sup_norm and l1_norm."""
+    mpmath.mp.dps = 50
+    c = np.asarray(u.coeffs)
+    cf = [_fixed(v) for v in c]
+    n = 8 * len(c)
+    idx = np.unique(np.linspace(0, n, 33).astype(int))
+    nodes = [int(mpmath.floor(mpmath.ldexp(mpmath.cos(j * mpmath.pi / n), _FIX))) for j in idx]
+    exact = [_to_mp(e) for e in _exact(cf, nodes)]
+    x = chebpts(n)
+    v = npcheb.chebval(x, c)
+    sup, l1 = _oracle_sup(c, cf, x, v), _oracle_l1(c, cf, x, v)
+    out = {
+        "grid": (max(abs(g - e) for g, e in zip(_grid_values(c, n)[idx], exact)),
+                 max(abs(e) for e in exact)),
+        "sup": (abs(u.sup_norm() - sup), sup),
+        "l1": (abs(u.l1_norm() - l1), l1),
+    }
+    scale = float(np.sum(np.abs(c)))
+    return {k: (float(e) / scale, float(np.spacing(float(w))) / scale) for k, (e, w) in out.items()}
+
+
+@pytest.mark.parametrize("m", sorted(CLENSHAW_REL_ERR))
+def test_kernels_against_oracle(m):
+    # no worse than the Clenshaw kernels, or within two ulps of the exact
+    # value: FFT and dense-product sums round in another order than
+    # Clenshaw, and at that level which way the roundings fall is chance
+    u = ChebFun(_random_series(m, seed=m))
+    for key, (err, ulp) in kernel_errors(u).items():
+        assert err <= 1e-13, (key, err)
+        assert err <= max(CLENSHAW_REL_ERR[m][key], 2.0 * ulp), (key, err, ulp)
+    n = 8 * (m + 1)
+    diff = np.max(np.abs(_grid_values(u.coeffs, n) - npcheb.chebval(_pts_desc(n), u.coeffs)))
+    assert diff <= 1e-13 * np.sum(np.abs(u.coeffs))
