@@ -321,9 +321,6 @@ class ChebFun:
         th, v = grid[first : last + 1], _grid_values(c, ng)[first : last + 1]
         sv = np.sign(v)
         br = np.nonzero(sv[:-1] * sv[1:] < 0.0)[0]
-        if len(br) > 10 * len(c):
-            raise ChebError(f"{len(br)} sign changes exceed 10*(degree+1)={10 * len(c)}; "
-                            "oscillation unresolved")
         a, b = th[br], th[br + 1]
         roots = _newton(c, a - v[br] * (b - a) / (v[br + 1] - v[br]), a, b, sv[br], 0)[0]
         bps = np.unique(np.clip(np.concatenate([ends, th[v == 0.0], roots]), *ends))

@@ -20,6 +20,7 @@ with full float precision; exit codes are a stable contract: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -234,14 +235,19 @@ def _emit(doc, stream=None):
 
 
 def _jsonable(x):
+    """x with dataclass records as {field name: value} in declaration order,
+    tuples as lists, numpy scalars as Python ones and non-finite floats as
+    None.  Dataclasses are tested last: most values are floats, dicts and lists."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     if isinstance(x, (np.floating, np.integer, np.bool_)):
-        x = x.item()
-    if isinstance(x, float) and not math.isfinite(x):
-        return None
+        return _jsonable(x.item())
+    if dataclasses.is_dataclass(x):
+        return {f.name: _jsonable(getattr(x, f.name)) for f in dataclasses.fields(x)}
     return x
 
 
@@ -265,22 +271,14 @@ def cmd_check(path):
     _emit(
         {
             "validation": vreport.to_dict(),
-            "conditions": creport.to_dict(),
+            "conditions": creport,
             "timing": {"seconds": time.perf_counter() - t0},
         }
     )
     return EXIT_OK if creport.ok else EXIT_HYPOTHESIS
 
 
-def cmd_solve(
-    path,
-    tol=None,
-    max_iter=None,
-    out=None,
-    force=False,
-    keep_iterates=False,
-    require_ek=False,
-):
+def cmd_solve(path, tol=None, max_iter=None, out=None, force=False, require_ek=False):
     t0 = time.perf_counter()
     prob, vreport = _load_and_validate(path)
     if tol is not None:
@@ -290,49 +288,40 @@ def cmd_solve(
 
     report = {"validation": vreport.to_dict()}
     creport = conditions.analyze(prob)
-    report["conditions"] = creport.to_dict()
+    report["conditions"] = creport
 
+    code, csv_error = EXIT_HYPOTHESIS, None
+    ek_ok = True
     if require_ek:
         ek = gevrey.check_ek(prob.psi, prob.k, [0.1, 0.5, 0.9], 20, density=64)
-        report["diagnostics"] = {"ek": ek.to_dict()}
-        if not ek.passed:
-            report["timing"] = {"seconds": time.perf_counter() - t0}
-            _emit(report)
-            return EXIT_HYPOTHESIS
+        report["diagnostics"] = {"ek": ek}
+        ek_ok = ek.passed
 
-    if not creport.ok and not force:
-        report["timing"] = {"seconds": time.perf_counter() - t0}
-        _emit(report)
-        return EXIT_HYPOTHESIS
-
-    try:
-        sol = picard.solve(
-            prob,
-            creport if creport.ok else None,
-            force=force and not creport.ok,
-            keep_iterates=keep_iterates,
-            solve_tol=tol,
-            max_iter=max_iter,
-        )
-    except picard.PicardError as exc:
-        report["solve"] = {"error": str(exc)}
-        report["timing"] = {"seconds": time.perf_counter() - t0}
-        _emit(report)
-        return EXIT_FAILURE
-    report["solve"] = sol.to_dict()
-
-    if out is not None:
+    if ek_ok and (creport.ok or force):
         try:
-            _write_csv(out, sol.u, prob)
-        except OSError as exc:
-            report["timing"] = {"seconds": time.perf_counter() - t0}
-            _emit(report)
-            print(f"error: cannot write CSV {out!r}: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+            sol = picard.solve(
+                prob,
+                creport if creport.ok else None,
+                force=force and not creport.ok,
+                solve_tol=tol,
+                max_iter=max_iter,
+            )
+        except picard.PicardError as exc:
+            report["solve"], code = {"error": str(exc)}, EXIT_FAILURE
+        else:
+            report["solve"] = sol.to_dict()
+            code = EXIT_OK if sol.converged else EXIT_FAILURE
+            if out is not None:
+                try:
+                    _write_csv(out, sol.u, prob)
+                except OSError as exc:
+                    code, csv_error = EXIT_INPUT, f"error: cannot write CSV {out!r}: {exc}"
 
     report["timing"] = {"seconds": time.perf_counter() - t0}
     _emit(report)
-    return EXIT_OK if sol.converged else EXIT_FAILURE
+    if csv_error is not None:
+        print(csv_error, file=sys.stderr)
+    return code
 
 
 def _write_csv(path, u, prob):
@@ -350,7 +339,7 @@ def cmd_ek(path, A_list, pmax, density):
     # and maps that leave [-1,1] must be reported as failing, not rejected
     prob = load_problem_file(path)
     report = gevrey.check_ek(prob.psi, prob.k, A_list, pmax, density=density)
-    _emit(report.to_dict())
+    _emit(report)
     return EXIT_OK if report.passed else EXIT_HYPOTHESIS
 
 
@@ -359,12 +348,12 @@ def cmd_gevrey(path, nmax=12, force=False, selftest=False):
         synthetic = [float(j) ** (2 * j) for j in range(1, 13)]
         est = gevrey.gevrey_order_estimate(synthetic)
         ok = est.k_hat is not None and abs(est.k_hat - 1.0) <= 0.05
-        _emit({"selftest": est.to_dict(), "ok": ok})
+        _emit({"selftest": est, "ok": ok})
         return EXIT_OK if ok else EXIT_FAILURE
     prob, _ = _load_and_validate(path)
     creport = conditions.analyze(prob)
     if not creport.ok and not force:
-        _emit({"conditions": creport.to_dict()})
+        _emit({"conditions": creport})
         return EXIT_HYPOTHESIS
     sol = picard.solve(prob, creport if creport.ok else None, force=force and not creport.ok)
     if not sol.converged:
@@ -374,8 +363,8 @@ def cmd_gevrey(path, nmax=12, force=False, selftest=False):
     _emit(
         {
             "solve": sol.to_dict(),
-            "derivative_norms": norms.to_dict(),
-            "estimate": est.to_dict(),
+            "derivative_norms": norms,
+            "estimate": est,
         }
     )
     return EXIT_OK
@@ -489,7 +478,7 @@ def _reproduce_one(name, lines):
             ("iterate continuations inside fattened value interval",
              probe.all_within, f"s_used={probe.s_used!r}")
         )
-        probe_summary = probe.to_dict()
+        probe_summary = probe
 
     all_ok = True
     for label, ok, detail in checks:
@@ -550,13 +539,12 @@ def main(argv=None):
     p_solve.add_argument("--out", default=None, help="CSV output path (x,u,residual)")
     p_solve.add_argument("--force", action="store_true",
                          help="solve even when the hypotheses fail")
-    p_solve.add_argument("--keep-iterates", action="store_true")
     p_solve.add_argument("--require-ek", action="store_true",
                          help="refuse to solve when the deviating-map "
                          "inclusion sampling check fails")
     p_solve.set_defaults(run=lambda a: cmd_solve(
         a.path, tol=a.tol, max_iter=a.max_iter, out=a.out, force=a.force,
-        keep_iterates=a.keep_iterates, require_ek=a.require_ek))
+        require_ek=a.require_ek))
 
     p_ek = sub.add_parser("ek", help="deviating-map stadium inclusion check")
     p_ek.add_argument("path")
@@ -580,9 +568,14 @@ def main(argv=None):
     p_rep.add_argument("which", choices=["example1", "example2", "all"])
     p_rep.set_defaults(run=lambda a: cmd_reproduce(a.which))
 
-    args = parser.parse_args(argv)
-    if args.command == "gevrey" and not args.selftest and args.path is None:
-        parser.error("gevrey requires a problem file unless --selftest is given")
+    try:
+        args = parser.parse_args(argv)
+        if args.command == "gevrey" and not args.selftest and args.path is None:
+            parser.error("gevrey requires a problem file unless --selftest is given")
+    except SystemExit as exc:
+        if exc.code:  # a usage error; --help exits 0
+            return EXIT_INPUT
+        raise
     try:
         return args.run(args)
     except tuple(_EXIT_CODES) as exc:

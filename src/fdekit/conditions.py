@@ -68,24 +68,6 @@ class ConditionsReport:
     def ok(self):
         return self.cond1_ok and self.cond2_ok
 
-    def to_dict(self):
-        return {
-            "a_l1": self.a_l1,
-            "cond1_lhs": self.cond1_lhs,
-            "cond1_ok": self.cond1_ok,
-            "theta": self.theta,
-            "gap": self.gap,
-            "cond2_lhs": self.cond2_lhs,
-            "cond2_ok": self.cond2_ok,
-            "r0": self.r0,
-            "r1": self.r1,
-            "q": self.q,
-            "slacks": dict(self.slacks),
-            "brackets": {k: list(v) for k, v in self.brackets.items()},
-            "cheb_tol": self.cheb_tol,
-            "error": self.error,
-        }
-
 
 def _build_a(p):
     return build(lambda t: p.a.eval_real(t), p.cheb_tol, p.max_degree)

@@ -137,39 +137,18 @@ class EkLevel:
     worst_ratio: float
     worst_dist: float
 
-    def to_dict(self):
-        return {
-            "A": self.A,
-            "p": self.p,
-            "worst_ratio": self.worst_ratio,
-            "worst_dist": self.worst_dist,
-        }
-
 
 @dataclass
 class EkReport:
-    psi_src: str
+    psi: str
     k: float
     A_list: list
     p_max: int
     density: int
-    levels: list
     passed: bool
-    first_pass_p: dict
     worst_ratio: float
-
-    def to_dict(self):
-        return {
-            "psi": self.psi_src,
-            "k": self.k,
-            "A_list": list(self.A_list),
-            "p_max": self.p_max,
-            "density": self.density,
-            "passed": self.passed,
-            "worst_ratio": self.worst_ratio,
-            "first_pass_p": {repr(a): p for a, p in self.first_pass_p.items()},
-            "levels": [lv.to_dict() for lv in self.levels],
-        }
+    first_pass_p: dict
+    levels: list
 
 
 def check_ek(psi, k, A_list, p_max, density=128):
@@ -207,15 +186,15 @@ def check_ek(psi, k, A_list, p_max, density=128):
         first_pass[A] = last_fail + 1 if last_fail < p_max else None
     passed = worst_overall <= 1.0 + EK_PASS_SLACK
     return EkReport(
-        psi_src=psi.src,
+        psi=psi.src,
         k=k,
         A_list=list(A_list),
         p_max=p_max,
         density=density,
-        levels=levels,
         passed=passed,
-        first_pass_p=first_pass,
         worst_ratio=worst_overall,
+        first_pass_p=first_pass,
+        levels=levels,
     )
 
 
@@ -245,18 +224,6 @@ class OmegaReport:
     nu_proxy: float
     tau_candidate: float | None
     s: float
-
-    def to_dict(self):
-        return {
-            "values": list(self.values),
-            "C_est": self.C_est,
-            "a_sup": self.a_sup,
-            "source_sup": self.source_sup,
-            "mu": self.mu,
-            "nu_proxy": self.nu_proxy,
-            "tau_candidate": self.tau_candidate,
-            "s": self.s,
-        }
 
 
 def omega_sequence(p, s, r0, n_max, tau_candidate=None):
@@ -352,15 +319,6 @@ class ProbeLevel:
     allowed: float
     points: int
 
-    def to_dict(self):
-        return {
-            "n": self.n,
-            "ratio": self.ratio,
-            "worst_dist": self.worst_dist,
-            "allowed": self.allowed,
-            "points": self.points,
-        }
-
 
 @dataclass
 class ProbeReport:
@@ -369,19 +327,8 @@ class ProbeReport:
     C: float
     r0: float
     k: float
-    levels: list = field(default_factory=list)
     all_within: bool = False
-
-    def to_dict(self):
-        return {
-            "s_requested": self.s_requested,
-            "s_used": self.s_used,
-            "C": self.C,
-            "r0": self.r0,
-            "k": self.k,
-            "all_within": self.all_within,
-            "levels": [lv.to_dict() for lv in self.levels],
-        }
+    levels: list = field(default_factory=list)
 
 
 def stadium_inclusion_probe(iterates, r0, k, s, C, n_range, density=64):
@@ -461,13 +408,6 @@ class DerivativeNorms:
             if not fl
         ]
 
-    def to_dict(self):
-        return {
-            "values": list(self.values),
-            "flagged": list(self.flagged),
-            "degree": self.degree,
-        }
-
 
 def derivative_norms(u, n_max=12):
     """Sup norms of repeated spectral derivatives, m_j = sup |u^(j)|.
@@ -504,17 +444,6 @@ class GevreyEstimate:
     B: float | None
     classification: str  # "analytic-like" | "gevrey" | "unresolved"
     usable_indices: list
-
-    def to_dict(self):
-        return {
-            "norms": list(self.norms),
-            "flagged": list(self.flagged),
-            "slope": self.slope,
-            "k_hat": self.k_hat,
-            "B": self.B,
-            "classification": self.classification,
-            "usable_indices": list(self.usable_indices),
-        }
 
 
 def gevrey_order_estimate(norms, flagged=None):

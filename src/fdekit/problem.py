@@ -13,7 +13,7 @@ rather than raising.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -128,16 +128,6 @@ class CheckResult:
     worst_t: float | None = None
     worst_value: float | None = None
 
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "ok": self.ok,
-            "severity": self.severity,
-            "detail": self.detail,
-            "worst_t": self.worst_t,
-            "worst_value": self.worst_value,
-        }
-
 
 @dataclass
 class ValidationReport:
@@ -155,7 +145,7 @@ class ValidationReport:
         return [c for c in self.checks if c.severity == "error" and not c.ok]
 
     def to_dict(self):
-        return {"ok": self.ok, "checks": [c.to_dict() for c in self.checks]}
+        return {"ok": self.ok, "checks": [asdict(c) for c in self.checks]}
 
 
 @dataclass
@@ -183,8 +173,8 @@ class Problem:
         for name in ("k", "d", "c"):
             if not math.isfinite(float(getattr(self, name))):
                 raise ProblemError(f"{name} must be finite")
-        if self.mu is not None and not (self.mu > 0):
-            raise ProblemError("mu must be positive")
+        if self.mu is not None and not 0 < self.mu < math.inf:
+            raise ProblemError("mu must be positive and finite")
         if not (self.cheb_tol > 0 and self.solve_tol > 0):
             raise ProblemError("tolerances must be positive")
         if self.max_iter < 1 or self.max_degree < 16:

@@ -5,9 +5,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as npcheb
 
-from fdekit import chebfun
 from fdekit.chebfun import (
-    ChebError,
     ChebFun,
     EvalDomainError,
     ResolutionError,
@@ -177,7 +175,7 @@ class TestNorms:
         assert u.l1_norm() == pytest.approx(4.0 / math.pi, abs=1e-13)
 
     def test_heavy_oscillation_still_integrates(self):
-        # 80 sign changes, well below the 10*(degree+1) cap for this degree
+        # 80 sign changes
         u = build(lambda t: np.sin(40 * np.pi * t))
         assert u.l1_norm() == pytest.approx(4.0 / math.pi, rel=1e-10)
 
@@ -265,13 +263,6 @@ class TestKernelEdgeCases:
             for d in rng.uniform(-1, 1, 5):
                 total = u.abs_integral(-1.0, d) + u.abs_integral(d, 1.0)
                 assert total == pytest.approx(u.l1_norm(), abs=1e-13)
-
-    def test_too_many_sign_changes_raise(self, monkeypatch):
-        # a degree-m series has at most m roots, so only rounding noise that
-        # flips sign from node to node can exceed 10*(m+1) sign changes
-        monkeypatch.setattr(chebfun, "_grid_values", lambda c, n: (-1.0) ** np.arange(n + 1))
-        with pytest.raises(ChebError, match="sign changes"):
-            ChebFun([0.0, 1.0]).l1_norm()
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_sup_at_an_interval_end(self, sign):

@@ -318,6 +318,7 @@ ERROR_CASES = {
     "tol-list": ("check", {"solver": {"tol": [1]}}),
     "max_degree-too-large": ("check", {"solver": {"max_degree": 1e9}}),
     "mu-boolean": ("check", {"mu": True}),
+    "mu-overflow": ("check", {"mu": math.inf}),  # as "mu": 1e400 parses
     "ek-radius-underflow": ("ek", {"k": 1e-308}),
 }
 
@@ -329,3 +330,88 @@ def test_error_exits_with_message(tmp_path, capsys, command, change):
     assert code == EXIT_INPUT
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+# Command lines that argparse rejects exit 4 like any other input error.
+USAGE_ERRORS = {
+    "max-iter-not-int": ["solve", "{path}", "--max-iter", "abc"],
+    "empty-scale-list": ["ek", "{path}", "--A", ""],
+    "unknown-command": ["bogus", "{path}"],
+    "gevrey-without-path": ["gevrey"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_error_exits_4(tmp_path, capsys, argv):
+    path = write_json(tmp_path, example2_doc())
+    code = cli.main([arg.format(path=path) for arg in argv])
+    assert code == EXIT_INPUT
+    assert "usage: fdekit" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: fdekit" in capsys.readouterr().out
+
+
+def layout(doc):
+    """The key sequence of a JSON document at every nesting level: a dict
+    becomes the list of its keys, written {key: layout} where the value has
+    keys of its own; a list of records becomes their one shared layout."""
+    if isinstance(doc, dict):
+        return [{k: sub} if (sub := layout(v)) else k for k, v in doc.items()]
+    if isinstance(doc, list):
+        layouts = [layout(v) for v in doc]
+        assert all(lay == layouts[0] for lay in layouts)
+        return layouts[0] if layouts else []
+    return []
+
+
+VALIDATION = ["ok", {"checks": ["name", "ok", "severity", "detail", "worst_t", "worst_value"]}]
+CONDITIONS = [
+    "a_l1", "cond1_lhs", "cond1_ok", "theta", "gap", "cond2_lhs", "cond2_ok",
+    "r0", "r1", "q",
+    {"slacks": ["cond1", "cond2_lower", "cond2_upper", "q_margin"]},
+    {"brackets": ["r0_bracket", "r1_bracket"]},
+    "cheb_tol", "error",
+]
+SOLUTION = [
+    "iterations", "increments", "q_used", "r0_used", "residual_sup", "converged",
+    "out_of_theorem", "n_req", "coeff_decay", "degree",
+]
+TIMING = {"timing": ["seconds"]}
+REPORT_LAYOUTS = {
+    "check": [{"validation": VALIDATION}, {"conditions": CONDITIONS}, TIMING],
+    "solve": [
+        {"validation": VALIDATION}, {"conditions": CONDITIONS}, {"solve": SOLUTION}, TIMING,
+    ],
+    "ek": [
+        "psi", "k", "A_list", "p_max", "density", "passed", "worst_ratio",
+        {"first_pass_p": ["0.1", "0.5", "0.9"]},
+        {"levels": ["A", "p", "worst_ratio", "worst_dist"]},
+    ],
+    "gevrey": [
+        {"solve": SOLUTION},
+        {"derivative_norms": ["values", "flagged", "degree"]},
+        {"estimate": [
+            "norms", "flagged", "slope", "k_hat", "B", "classification", "usable_indices",
+        ]},
+    ],
+}
+
+
+@pytest.mark.parametrize("command", REPORT_LAYOUTS)
+def test_report_layout(tmp_path, capsys, command):
+    code, out = run(capsys, [command, write_json(tmp_path, example2_doc())])
+    assert code == EXIT_OK
+    assert layout(report_of(out)) == REPORT_LAYOUTS[command]
+
+
+def test_probe_summary_layout(capsys):
+    _, out = run(capsys, ["reproduce", "example2"])
+    assert layout(report_of(out)["probe"]) == [
+        "s_requested", "s_used", "C", "r0", "k", "all_within",
+        {"levels": ["n", "ratio", "worst_dist", "allowed", "points"]},
+    ]

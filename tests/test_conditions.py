@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -172,7 +173,7 @@ class TestAnalyze:
         assert rep.a_l1 == pytest.approx(3.0, abs=1e-12)
         assert rep.ok
         assert rep.slacks["cond2_upper"] == pytest.approx(rep.gap - rep.cond2_lhs)
-        d = rep.to_dict()
+        d = dataclasses.asdict(rep)
         assert d["cond1_ok"] and d["cond2_ok"]
         assert "r0_bracket" in d["brackets"]
 

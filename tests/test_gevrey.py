@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -88,7 +89,7 @@ class TestCheckEk:
 
     def test_report_shape(self):
         rep = check_ek(parse("sin(t)"), 1.0, [0.5], 3, density=32)
-        d = rep.to_dict()
+        d = dataclasses.asdict(rep)
         assert d["passed"] and len(d["levels"]) == 3
 
 

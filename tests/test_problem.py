@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,8 @@ class TestValidate:
             make_problem(cheb_tol=-1.0)
         with pytest.raises(ProblemError):
             make_problem(mu=0.0)
+        with pytest.raises(ProblemError, match="mu must be positive and finite"):
+            make_problem(mu=math.inf)
 
 
 class TestClamp:
