@@ -3,15 +3,22 @@
 A ChebFun stores first-kind coefficients c_0..c_m of a function resolved to a
 relative truncation tolerance.  Construction samples the function at
 second-kind Chebyshev points with the degree doubling until the tail of the
-coefficient vector falls below tolerance, then trims.  Evaluation is Clenshaw
-recurrence (real or complex); calculus is done on coefficients, and the sup
-norm and integral of |u| refine FFT grid values by Newton steps in arccos(x),
-so all of these are spectrally accurate.
+coefficient vector falls below tolerance, then trims.  Calculus is done on
+coefficients, and the sup norm and integral of |u| refine FFT grid values by
+Newton steps in arccos(x), so all of these are spectrally accurate.
 
-Complex evaluation is the analytic continuation of the interpolant; it is
-only meaningful inside the region where the underlying series still converges
-to the sampled function.  A decay-based ellipse parameter estimate is kept on
-each instance and drives the ``trusted`` flag.
+Real evaluation of a series with m + 1 coefficients at N points has two
+kernels.  Below _EVAL_CROSSOVER coefficients it is the Clenshaw recurrence,
+O(mN) in a Python loop over the coefficients.  From there on it reads values
+on a Chebyshev grid of about _OVERSAMPLE*(m+1) points through one FFT and
+interpolates them locally in theta = arccos(x), O(m log m + pN) with
+p = _STENCIL nodes per point: the "oversample, then interpolate" form of the
+nonuniform FFT (Dutt & Rokhlin 1993; Greengard & Lee 2004).
+
+Complex evaluation, always Clenshaw, is the analytic continuation of the
+interpolant; it is only meaningful inside the region where the underlying
+series still converges to the sampled function.  A decay-based ellipse
+parameter estimate is kept on each instance and drives the ``trusted`` flag.
 """
 
 from __future__ import annotations
@@ -36,6 +43,14 @@ MAX_DEGREE = 32768
 
 _EVAL_SLACK = 1e-14  # clamp width for real evaluation just outside [-1, 1]
 _CHUNK = 1 << 16  # matrix entries per dense product in _theta_eval
+# Real evaluation of series with at least _EVAL_CROSSOVER coefficients goes
+# through _interp (crossover measured against Clenshaw, see CHANGES.md)
+_EVAL_CROSSOVER = 128
+_OVERSAMPLE = 4  # _interp grid cells per coefficient
+_STENCIL = 16  # _interp nodes per point
+# barycentric weights of _STENCIL equispaced nodes
+_BARY = np.array([(-1.0) ** i * math.comb(_STENCIL - 1, i) for i in range(_STENCIL)])
+_PI_LONG = np.arccos(np.longdouble(-1.0))
 
 
 class ChebError(Exception):
@@ -86,13 +101,56 @@ def _clenshaw(c, x):
     return x * b1 - b2 + c[0]
 
 
+def _fft_size(n):
+    """The smallest 2^a 3^b 5^c >= n: grid sizes whose FFT has no slow factor."""
+    best, f5 = 1 << max(n - 1, 0).bit_length(), 1
+    while f5 < best:
+        f = f5
+        while f < best:  # f = 3^b 5^c times the least power of 2 reaching n
+            best = min(best, f << (-(-n // f) - 1).bit_length())
+            f *= 3
+        f5 *= 5
+    return best
+
+
 def _grid_values(c, n):
-    """Values of sum c_k T_k at _pts_desc(n), n >= degree: the inverse of
-    _vals_to_coeffs, a zero-padded DCT-I through one real FFT."""
+    """Values of sum c_k T_k at _pts_desc(n): the inverse of _vals_to_coeffs,
+    a zero-padded DCT-I through one real FFT.  Above degree n the series is
+    first folded by aliasing, as T_k equals T_k' on that grid for
+    k' = min(k mod 2n, 2n - k mod 2n)."""
+    if len(c) > n + 1:
+        k = np.arange(len(c)) % (2 * n)
+        c = np.bincount(np.minimum(k, 2 * n - k), weights=c, minlength=n + 1)
     b = np.zeros(n + 1)
     b[: len(c)] = c
     b[1:n] *= 0.5
     return np.fft.rfft(np.concatenate([b, b[-2:0:-1]])).real
+
+
+def _interp(c, x):
+    """sum c_k T_k at x in [-1, 1] (any shape): barycentric Lagrange
+    interpolation in theta = arccos(x) over the _STENCIL nearest nodes of the
+    FFT grid of _fft_size(_OVERSAMPLE*len(c)) cells, reflected evenly at
+    theta = 0 and pi, with a node's value returned where x hits it.  theta is
+    taken in long double (64-bit significand on x86): an error of one double
+    ulp in theta moves the value by theta*eps*|d/dtheta u(cos theta)|, which
+    at high degree exceeds the error of Clenshaw's recurrence."""
+    n = _fft_size(_OVERSAMPLE * len(c))
+    half = _STENCIL // 2
+    v = _grid_values(c, n)
+    ext = np.concatenate([v[half:0:-1], v, v[-2 : -half - 2 : -1]])  # node j at j + half
+    t = np.arccos(x.ravel().astype(np.longdouble))
+    t *= n / _PI_LONG  # theta in grid cells
+    base = np.floor(t.astype(float))  # nearest node at or below, 0..n
+    t -= base
+    r = t.astype(float)  # offset from that node, within rounding of [0, 1)
+    vals = np.lib.stride_tricks.sliding_window_view(ext, _STENCIL)[base.astype(np.intp) + 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = _BARY / (r[:, None] - np.arange(1 - half, half + 1))
+        out = np.einsum("ij,ij->i", q, vals) / np.einsum("ij->i", q)
+    hit = np.isnan(out)  # a zero offset makes its row inf/inf
+    out[hit] = vals[hit][np.isinf(q[hit])]
+    return out.reshape(x.shape)
 
 
 def _theta_eval(c, theta):
@@ -208,7 +266,12 @@ class ChebFun:
     # -- evaluation ----------------------------------------------------------
 
     def eval(self, x):
-        """Clenshaw evaluation at real points; |x| <= 1 + 1e-14 (clamped)."""
+        """Values at real points; |x| <= 1 + 1e-14 (clamped).
+
+        Clenshaw below _EVAL_CROSSOVER coefficients, O(mN) for degree m at N
+        points; above it FFT grid values interpolated in arccos(x),
+        O(m log m + _STENCIL*N) (see the module docstring).
+        """
         arr = np.asarray(x, dtype=float)
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
@@ -216,7 +279,8 @@ class ChebFun:
         if np.any(bad):
             worst = float(arr[bad][0])
             raise EvalDomainError(f"evaluation point {worst!r} outside [-1, 1]")
-        out = _clenshaw(self.coeffs, np.clip(arr, -1.0, 1.0))
+        c, arr = self.coeffs, np.clip(arr, -1.0, 1.0)
+        out = _clenshaw(c, arr) if len(c) < _EVAL_CROSSOVER else _interp(c, arr)
         return float(out[0]) if scalar else out
 
     def eval_complex(self, z):
@@ -283,7 +347,7 @@ class ChebFun:
         c = self.coeffs
         if len(c) == 1:
             return abs(float(c[0]))
-        ng = max(8 * len(c), 64)
+        ng = _fft_size(max(8 * len(c), 64))
         v = _grid_values(c, ng)
         va = np.abs(v)
         best = float(va.max())
@@ -313,7 +377,7 @@ class ChebFun:
         if hi < lo:
             lo, hi = hi, lo
         c = self.coeffs
-        ng = max(16 * len(c), 64)
+        ng = _fft_size(max(16 * len(c), 64))
         grid = np.pi * np.arange(ng + 1) / ng  # theta of _pts_desc(ng)
         ends = np.arccos(np.clip([hi, lo], -1.0, 1.0))
         first = np.searchsorted(grid, ends[0], "right") - 1  # last node <= theta(hi)

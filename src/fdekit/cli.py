@@ -23,6 +23,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 
@@ -83,6 +84,12 @@ _EXIT_CODES = {
 }
 
 CSV_POINTS = 1000  # grid is x_i = -1 + 2 i / 1000, i = 0..1000
+
+# stderr line of every solve forced past failing hypotheses
+FORCED_NOTE = (
+    "warning: solving outside the hypothesis window: ball monitoring uses the "
+    "heuristic radius 2*(||b + P(0)a||_1 + |c|)"
+)
 
 
 # --- built-in example problems ----------------------------------------------
@@ -285,6 +292,8 @@ def cmd_solve(path, tol=None, max_iter=None, out=None, force=False, require_ek=F
         tol = _setting("tol", tol)
     if max_iter is not None:
         max_iter = int(_setting("max_iter", max_iter))
+    if out is not None:
+        _check_writable(out)
 
     report = {"validation": vreport.to_dict()}
     creport = conditions.analyze(prob)
@@ -299,13 +308,7 @@ def cmd_solve(path, tol=None, max_iter=None, out=None, force=False, require_ek=F
 
     if ek_ok and (creport.ok or force):
         try:
-            sol = picard.solve(
-                prob,
-                creport if creport.ok else None,
-                force=force and not creport.ok,
-                solve_tol=tol,
-                max_iter=max_iter,
-            )
+            sol = _solve(prob, creport, force, solve_tol=tol, max_iter=max_iter)
         except picard.PicardError as exc:
             report["solve"], code = {"error": str(exc)}, EXIT_FAILURE
         else:
@@ -322,6 +325,28 @@ def cmd_solve(path, tol=None, max_iter=None, out=None, force=False, require_ek=F
     if csv_error is not None:
         print(csv_error, file=sys.stderr)
     return code
+
+
+def _solve(prob, creport, force, **kwargs):
+    """picard.solve on the analysed problem, forced (with FORCED_NOTE on
+    stderr) when its hypotheses fail and force is set."""
+    forced = force and not creport.ok
+    if forced:
+        print(FORCED_NOTE, file=sys.stderr)
+    return picard.solve(prob, None if forced else creport, force=forced, **kwargs)
+
+
+def _check_writable(path):
+    """Raise ProblemError unless path can be opened for writing; a file this
+    check creates is removed again."""
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise ProblemError(f"cannot write CSV {path!r}: {exc}") from exc
+    if not existed:
+        os.remove(path)
 
 
 def _write_csv(path, u, prob):
@@ -355,7 +380,7 @@ def cmd_gevrey(path, nmax=12, force=False, selftest=False):
     if not creport.ok and not force:
         _emit({"conditions": creport})
         return EXIT_HYPOTHESIS
-    sol = picard.solve(prob, creport if creport.ok else None, force=force and not creport.ok)
+    sol = _solve(prob, creport, force)
     if not sol.converged:
         raise picard.PicardError("iteration did not converge")
     norms = gevrey.derivative_norms(sol.u, n_max=nmax)

@@ -16,13 +16,12 @@ history and an equation residual measured on a dense grid.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import conditions
-from .chebfun import ChebFun, build
+from .chebfun import ChebFun, _grid_values, _pts_desc, build
 from .problem import clamp_unit
 
 __all__ = [
@@ -92,9 +91,7 @@ def apply_T(f, p):
     """
 
     def integrand(t):
-        tt = np.atleast_1d(np.asarray(t, dtype=float))
-        pv = clamp_unit(p.psi.eval_real(tt))
-        return p.a.eval_real(tt) * p.P.eval(f.eval(pv)) + p.b.eval_real(tt)
+        return _rhs(f, p, np.atleast_1d(np.asarray(t, dtype=float)))
 
     g = build(integrand, p.cheb_tol, p.max_degree)
     u = g.antiderivative()
@@ -120,17 +117,13 @@ def solve(
     Requires a passing ConditionsReport (computed if not supplied) unless
     force=True, which runs outside the hypothesis window with the heuristic
     radius 2*(||b + P(0)a||_1 + |c|) for ball monitoring and marks the
-    result.  A ball-escape raises; hitting max_iter returns converged=False.
+    result out_of_theorem.  A ball-escape raises; hitting max_iter returns
+    converged=False.
     """
     st = p.solve_tol if solve_tol is None else float(solve_tol)
     mi = p.max_iter if max_iter is None else int(max_iter)
 
     if force:
-        warnings.warn(
-            "solving outside the hypothesis window: ball monitoring uses the "
-            "heuristic radius 2*(||b + P(0)a||_1 + |c|)",
-            stacklevel=2,
-        )
         r0 = 2.0 * (conditions.source_mass(p) + abs(p.c))
         q = _FORCED_Q
         out_of_theorem = True
@@ -197,13 +190,18 @@ def _check_ball(f, r0, index):
 
 
 def residual(u, p):
-    """Sup over a 2049-point Chebyshev grid of |u' - a * P(u o psi) - b|."""
-    grid = np.cos(np.pi * np.arange(RESIDUAL_GRID + 1) / RESIDUAL_GRID)
-    return float(np.max(np.abs(defect(u, p, grid))))
+    """Sup over a 2049-point Chebyshev grid of |u' - a * P(u o psi) - b|,
+    with u' on the grid from one FFT of its coefficients."""
+    du = _grid_values(u.differentiate().coeffs, RESIDUAL_GRID)
+    return float(np.max(np.abs(du - _rhs(u, p, _pts_desc(RESIDUAL_GRID)))))
 
 
 def defect(u, p, x):
     """Pointwise equation defect u'(x) - (a P(u o psi) + b)(x) at points x."""
+    return u.differentiate().eval(x) - _rhs(u, p, x)
+
+
+def _rhs(f, p, x):
+    """(a P(f o psi) + b)(x), with psi clamped into [-1, 1]."""
     pv = clamp_unit(p.psi.eval_real(x))
-    rhs = p.a.eval_real(x) * p.P.eval(u.eval(pv)) + p.b.eval_real(x)
-    return u.differentiate().eval(x) - rhs
+    return p.a.eval_real(x) * p.P.eval(f.eval(pv)) + p.b.eval_real(x)

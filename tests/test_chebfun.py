@@ -6,9 +6,14 @@ import pytest
 from numpy.polynomial import chebyshev as npcheb
 
 from fdekit.chebfun import (
+    _EVAL_CROSSOVER,
+    _EVAL_SLACK,
+    _OVERSAMPLE,
     ChebFun,
     EvalDomainError,
     ResolutionError,
+    _clenshaw,
+    _fft_size,
     _grid_values,
     _pts_desc,
     build,
@@ -234,6 +239,26 @@ class TestKernelEdgeCases:
             want = npcheb.chebval(_pts_desc(n), c)
             assert np.max(np.abs(_grid_values(c, n) - want)) <= 1e-14 * np.sum(np.abs(c))
 
+    def test_grid_values_fold_above_degree_n(self):
+        # every j-th node of the grid of j*n cells is a node of the n-cell one
+        rng = np.random.default_rng(10)
+        for m, n, j in ((9, 4, 3), (100, 7, 15), (5000, 2048, 3)):
+            c = rng.standard_normal(m + 1)
+            want = _grid_values(c, j * n)[::j]
+            assert np.max(np.abs(_grid_values(c, n) - want)) <= 1e-13 * np.sum(np.abs(c))
+
+    def test_fft_size_is_the_next_5_smooth_number(self):
+        def smooth(k):
+            for f in (2, 3, 5):
+                while k % f == 0:
+                    k //= f
+            return k == 1
+
+        for n in list(range(1, 200)) + [10832, 16 * 677, 69912]:
+            size = _fft_size(n)
+            assert size >= n and smooth(size)
+            assert not any(smooth(k) for k in range(n, size))
+
     def test_root_on_a_grid_node(self):
         # the root sits within 1e-16 of the node x = cos(pi/2)
         assert ChebFun([2e-17, 0.5]).l1_norm() == pytest.approx(0.5, abs=1e-15)
@@ -276,7 +301,7 @@ class TestKernelEdgeCases:
     def test_sup_halfway_between_grid_nodes(self, m):
         # 1 - (x - x*)^2, zero-padded to degree m, has |u| <= 1 with equality
         # only at x*, which sits at theta halfway between two grid nodes
-        ng = max(8 * (m + 1), 64)
+        ng = _fft_size(max(8 * (m + 1), 64))
         xs = math.cos((ng // 2 - 0.5) * math.pi / ng)  # just right of 0
         c = np.zeros(m + 1)
         c[:3] = [0.5 - xs * xs, 2.0 * xs, -0.5]
@@ -400,3 +425,80 @@ def test_kernels_against_oracle(m):
     n = 8 * (m + 1)
     diff = np.max(np.abs(_grid_values(u.coeffs, n) - npcheb.chebval(_pts_desc(n), u.coeffs)))
     assert diff <= 1e-13 * np.sum(np.abs(u.coeffs))
+
+
+def _exact_values(c, x):
+    """sum c_k T_k at the float points x, exactly, as mpmath numbers."""
+    return [_to_mp(e) for e in _exact([_fixed(v) for v in c], [_fixed(v) for v in x])]
+
+
+def _eval_points(seed, count=32):
+    """Random points, sin(40 x)-mapped points (which crowd towards +-1) and +-1."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate(
+        [rng.uniform(-1, 1, count), np.sin(40.0 * rng.uniform(-1, 1, count)), [-1.0, 1.0]]
+    )
+
+
+@pytest.mark.parametrize("m", [16, 257, 2049, 4097, 17477])
+def test_eval_against_oracle(m):
+    # the same rule as for the other kernels, against Clenshaw at the same
+    # points; degree 16 is below the crossover and is Clenshaw itself
+    c = _random_series(m, seed=m)
+    x = _eval_points(seed=m + 1)
+    exact = _exact_values(c, x)
+    scale = float(np.sum(np.abs(c)))
+
+    def error(v):
+        return float(max(abs(a - e) for a, e in zip(v, exact))) / scale
+
+    err, clenshaw_err = error(ChebFun(c).eval(x)), error(_clenshaw(c, x))
+    ulp = float(np.spacing(float(max(abs(e) for e in exact)))) / scale
+    assert err <= 1e-13, err
+    assert err <= max(clenshaw_err, 2.0 * ulp), (err, clenshaw_err, ulp)
+
+
+class TestInterpolatedEval:
+    """Edge cases of real evaluation above the Clenshaw crossover."""
+
+    m = 300
+
+    def series(self):
+        u = ChebFun(_random_series(self.m, seed=5))
+        assert len(u.coeffs) >= _EVAL_CROSSOVER
+        return u
+
+    def test_ends_return_grid_values(self):
+        u = self.series()
+        v = _grid_values(u.coeffs, _fft_size(_OVERSAMPLE * (self.m + 1)))
+        assert u.eval(1.0) == v[0]
+        assert u.eval(-1.0) == pytest.approx(v[-1], abs=1e-15)
+
+    def test_every_grid_node(self):
+        # nodes as floats: theta may land on a node exactly (a 0/0 in the
+        # barycentric sums, returned as that node's value) or within rounding
+        u = self.series()
+        x = _pts_desc(_fft_size(_OVERSAMPLE * (self.m + 1)))
+        exact = _exact_values(u.coeffs, x)
+        err = max(abs(a - e) for a, e in zip(u.eval(x), exact))
+        assert float(err) <= 1e-14 * np.sum(np.abs(u.coeffs))
+
+    def test_slack_outside_the_interval_clamps(self):
+        u = self.series()
+        eps = 0.5 * _EVAL_SLACK
+        assert u.eval(1.0 + eps) == u.eval(1.0)
+        assert u.eval(-1.0 - eps) == u.eval(-1.0)
+        with pytest.raises(EvalDomainError):
+            u.eval(1.0 + 2.0 * _EVAL_SLACK)
+        with pytest.raises(EvalDomainError):
+            u.eval(np.array([0.0, math.nan]))
+
+    def test_shapes(self):
+        u = self.series()
+        x = np.linspace(-1, 1, 12).reshape(3, 4)
+        assert isinstance(u.eval(0.25), float)
+        assert isinstance(u.eval(np.array(0.25)), float)
+        assert u.eval(x).shape == (3, 4)
+        assert np.array_equal(u.eval(x), u.eval(x.ravel()).reshape(3, 4))
+        empty = u.eval(np.array([]))
+        assert empty.shape == (0,) and empty.dtype == float

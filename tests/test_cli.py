@@ -192,6 +192,41 @@ class TestSolve:
         )
         assert code == EXIT_INPUT
 
+    def test_unwritable_csv_path_exits_4_before_solving(self, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before checking the CSV path")
+
+        monkeypatch.setattr(cli.picard, "solve", no_solve)
+        out_csv = "/nonexistent/dir/x.csv"
+        code = cli.main(["solve", write_json(tmp_path, example2_doc()), "--out", out_csv])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write CSV {out_csv!r}: ")
+
+    def test_csv_path_check_leaves_no_file(self, tmp_path, capsys):
+        # the hypotheses fail, so nothing is solved and nothing written
+        doc = {"k": 1.0, "d": 0.0, "c": 5.0, "P": [0.0, 0.0, 1.0],
+               "a": "0.5", "b": "0", "psi": "t"}
+        out_csv = tmp_path / "never.csv"
+        code, _ = run(capsys, ["solve", write_json(tmp_path, doc), "--out", str(out_csv)])
+        assert code == EXIT_HYPOTHESIS
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "gevrey"])
+    def test_every_forced_solve_prints_one_stable_line(self, tmp_path, capsys, command):
+        doc = {"k": 1.0, "d": 0.0, "c": 0.1, "P": [0.0, 0.0, 1.0],
+               "a": "0.3", "b": "cos(t)", "psi": "t"}
+        path = write_json(tmp_path, doc)
+        for _ in range(2):
+            code = cli.main([command, path, "--force"])
+            captured = capsys.readouterr()
+            assert code == EXIT_OK
+            assert captured.err == cli.FORCED_NOTE + "\n"
+            assert report_of(captured.out)["solve"]["out_of_theorem"]
+        cli.main([command, write_json(tmp_path, example2_doc()), "--force"])
+        assert capsys.readouterr().err == ""  # the hypotheses hold: not forced
+
     def test_require_ek_blocks_bad_deviation(self, tmp_path, capsys):
         # psi = t^2 maps into [0,1] but fails the stadium inclusion sampling
         # for k=1 near the right endpoint (squaring pushes points outward)

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from fdekit import conditions, picard
-from fdekit.chebfun import ChebFun, build
+from fdekit.chebfun import ChebFun, _clenshaw, _pts_desc, build
 from fdekit.cli import example1_doc, example2_doc, load_problem
 from fdekit.expr import parse
 from fdekit.picard import ConditionFailure, apply_T, residual, solve
@@ -83,7 +85,8 @@ class TestSolve:
         )
         rep = conditions.analyze(p)
         assert not rep.ok
-        with pytest.warns(UserWarning, match="outside the hypothesis window"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the report's flag, not a warning
             sol = solve(p, force=True)
         assert sol.converged and sol.out_of_theorem
         xs = np.linspace(-1, 1, 401)
@@ -201,3 +204,19 @@ class TestResidual:
         p = load_problem(example2_doc())
         sol = solve(p, conditions.analyze(p))
         assert residual(sol.u, p) <= 1e-10
+
+    @pytest.mark.parametrize("w", [1000.0, 3000.0])
+    def test_fft_derivative_matches_clenshaw(self, w):
+        # u' has degree about w, below and above the 2048-cell residual grid,
+        # where its coefficients are folded by aliasing before the FFT
+        p = load_problem(
+            {"k": 1.0, "d": 0.0, "c": 0.0, "P": [0.0, 0.0, 1.0],
+             "a": "0.2*cos(3*t)", "b": "sin(t)", "psi": "sin(t)"}
+        )
+        u = build(lambda t: np.cos(w * t + 0.3))
+        assert (u.degree > picard.RESIDUAL_GRID) == (w > 2000.0)
+        x = _pts_desc(picard.RESIDUAL_GRID)
+        rhs = p.a.eval_real(x) * p.P.eval(u.eval(np.sin(x))) + p.b.eval_real(x)
+        want = np.max(np.abs(_clenshaw(u.differentiate().coeffs, x) - rhs))
+        scale = np.sum(np.arange(u.degree + 1) * np.abs(u.coeffs))
+        assert abs(residual(u, p) - want) <= 1e-13 * scale
