@@ -15,7 +15,6 @@ from .expr import Expr, parse
 from .gevrey import (
     check_ek,
     derivative_norms,
-    dist_to_interval,
     gevrey_order_estimate,
     lambda_estimate,
     omega_sequence,
@@ -40,7 +39,6 @@ __all__ = [
     "build",
     "check_ek",
     "derivative_norms",
-    "dist_to_interval",
     "gevrey_order_estimate",
     "lambda_estimate",
     "omega_sequence",

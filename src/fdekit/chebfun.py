@@ -30,7 +30,6 @@ import numpy as np
 __all__ = [
     "ChebFun",
     "build",
-    "chebpts",
     "ellipse_radius",
     "ChebError",
     "ResolutionError",
@@ -63,13 +62,6 @@ class ResolutionError(ChebError):
 
 class EvalDomainError(ChebError):
     """Real evaluation point outside the clamped domain."""
-
-
-def chebpts(n):
-    """n+1 second-kind Chebyshev points cos(j*pi/n), ascending.  chebpts(0) = [1]."""
-    if n == 0:
-        return np.array([1.0])
-    return np.cos(np.pi * np.arange(n, -1, -1) / n)
 
 
 def _pts_desc(n):
@@ -314,11 +306,6 @@ class ChebFun:
             k = np.arange(2, m + 2)
             out[2:] = (cpad[1 : m + 1] - cpad[3 : m + 3]) / (2.0 * k)
         return ChebFun(out, self.build_tol, self.ellipse_hint)
-
-    def integral_from(self, d, x):
-        """Integral of the function from d to x, both in [-1, 1]."""
-        u = self.antiderivative()
-        return float(u.eval(x) - u.eval(d))
 
     def differentiate(self):
         """Derivative as a ChebFun (degree drops by one)."""

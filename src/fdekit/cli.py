@@ -39,7 +39,6 @@ __all__ = [
     "EXIT_HYPOTHESIS",
     "EXIT_FAILURE",
     "EXIT_INPUT",
-    "builtin_problem",
     "example1_doc",
     "example2_doc",
     "load_problem",
@@ -124,13 +123,6 @@ def example2_doc():
         "psi": "sin(t)",
         "mu": 1.0,
     }
-
-
-def builtin_problem(name):
-    docs = {"example1": example1_doc, "example2": example2_doc}
-    if name not in docs:
-        raise ProblemError(f"unknown built-in problem {name!r}")
-    return docs[name]()
 
 
 # --- problem loading ----------------------------------------------------------
@@ -375,6 +367,8 @@ def cmd_gevrey(path, nmax=12, force=False, selftest=False):
         ok = est.k_hat is not None and abs(est.k_hat - 1.0) <= 0.05
         _emit({"selftest": est, "ok": ok})
         return EXIT_OK if ok else EXIT_FAILURE
+    if not 1 <= nmax <= gevrey.MAX_DERIVATIVES:
+        raise ProblemError(f"--nmax must be in [1, {gevrey.MAX_DERIVATIVES}]")
     prob, _ = _load_and_validate(path)
     creport = conditions.analyze(prob)
     if not creport.ok and not force:
@@ -384,7 +378,7 @@ def cmd_gevrey(path, nmax=12, force=False, selftest=False):
     if not sol.converged:
         raise picard.PicardError("iteration did not converge")
     norms = gevrey.derivative_norms(sol.u, n_max=nmax)
-    est = gevrey.gevrey_order_estimate(norms)
+    est = gevrey.gevrey_order_estimate(norms.values, norms.flagged)
     _emit(
         {
             "solve": sol.to_dict(),
@@ -494,7 +488,9 @@ def _reproduce_one(name, lines):
 
     probe_summary = None
     if name == "example2":
-        omega = gevrey.omega_sequence(prob, 0.0, rep.r0, 1)
+        # the largest scale that passed the inclusion check at every level
+        tau = max((A for A, first in ek.first_pass_p.items() if first == 1), default=None)
+        omega = gevrey.omega_sequence(prob, 0.0, rep.r0, 1, tau)
         s0 = 1.0 / (2.0 * omega.C_est)
         probe = gevrey.stadium_inclusion_probe(
             sol.iterates, rep.r0, prob.k, s0, omega.C_est, range(1, 9)

@@ -90,22 +90,18 @@ def source_mass(p):
     return _build_source(p).l1_norm()
 
 
-def check_condition1(p, a_l1=None):
+def check_condition1(p, a_l1):
     """First hypothesis: ||a||_1 * M'(0) < 1, strict.  Returns (lhs, ok)."""
-    if a_l1 is None:
-        a_l1 = a_l1_norm(p)
     lhs = a_l1 * p.P.majorant_deriv_eval(0.0)
     return lhs, lhs < 1.0
 
 
-def compute_theta(p, a_l1=None):
+def compute_theta(p, a_l1):
     """Unique positive root of ||a||_1 * M'(r) = 1.
 
     Bracketed by doubling from 1, bisected to width 1e-14, then one Newton
     polish; the returned theta satisfies |  ||a||_1 M'(theta) - 1 | <= 1e-12.
     """
-    if a_l1 is None:
-        a_l1 = a_l1_norm(p)
     if a_l1 == 0.0:
         raise ThetaUndefinedError("theta undefined: ||a||_1 = 0")
     P = p.P
@@ -131,32 +127,28 @@ def compute_theta(p, a_l1=None):
     return theta
 
 
-def check_condition2(p, theta, lhs=None):
-    """Second hypothesis: 0 < ||b + P(0)a||_1 + |c| < theta - M(theta)/M'(theta).
+def check_condition2(p, theta, lhs):
+    """Second hypothesis: 0 < lhs < theta - M(theta)/M'(theta), where lhs is
+    ||b + P(0)a||_1 + |c|.
 
     Returns (lhs, bound, ok); both comparisons are strict.
     """
-    if lhs is None:
-        lhs = source_mass(p) + abs(p.c)
     P = p.P
     bound = theta - P.majorant_eval(theta) / P.majorant_deriv_eval(theta)
     ok = (0.0 < lhs) and (lhs < bound)
     return lhs, bound, ok
 
 
-def localize_radii(p, theta, a_l1=None, cond2_lhs=None):
+def localize_radii(p, theta, a_l1, cond2_lhs):
     """The two positive roots r0 < theta < r1 of
-    H(r) = ||a||_1 M(r) + ||b + P(0)a||_1 + |c| - r.
+    H(r) = a_l1 M(r) + cond2_lhs - r, where a_l1 = ||a||_1 and
+    cond2_lhs = ||b + P(0)a||_1 + |c|.
 
     H decreases strictly on [0, theta] and increases after, so both roots are
     bisected inside guaranteed brackets (to width 1e-13, plus one Newton
     polish each).  Returns (r0, r1, certificates) where certificates record
     the sign-change brackets.
     """
-    if a_l1 is None:
-        a_l1 = a_l1_norm(p)
-    if cond2_lhs is None:
-        cond2_lhs = source_mass(p) + abs(p.c)
     P = p.P
 
     def H(r):

@@ -36,7 +36,6 @@ __all__ = [
     "ProbeReport",
     "DerivativeNorms",
     "GevreyEstimate",
-    "dist_to_interval",
     "interval_distance",
     "check_ek",
     "omega_sequence",
@@ -67,29 +66,23 @@ def interval_distance(z, half_width=1.0):
     return float(out) if arr.ndim == 0 else out
 
 
-def dist_to_interval(z):
-    """Distance to [-1, 1] and the closest interval point: (rho, zhat)."""
-    z = complex(z)
-    zhat = min(max(z.real, -1.0), 1.0)
-    rho = math.hypot(max(abs(z.real) - 1.0, 0.0), z.imag)
-    return rho, zhat
-
-
 # --- stadium regions ---------------------------------------------------------
 
 
-def _stadium_points(radius, per_piece=128, interior_target=1024):
+def _stadium_points(radius, density):
     """Deterministic sample of a stadium of the given radius around [-1, 1]:
-    boundary (two caps, two horizontal segments) plus an interior grid."""
+    `density` points on each boundary piece (two caps, two horizontal
+    segments) plus an interior grid of about 8 * density points."""
     r = float(radius)
-    phi = np.linspace(-0.5 * np.pi, 0.5 * np.pi, per_piece)
+    phi = np.linspace(-0.5 * np.pi, 0.5 * np.pi, density)
     right = 1.0 + r * np.exp(1j * phi)
     left = -1.0 + r * np.exp(1j * (phi + np.pi))
-    xs = np.linspace(-1.0, 1.0, per_piece)
+    xs = np.linspace(-1.0, 1.0, density)
     top = xs + 1j * r
     bottom = xs - 1j * r
     boundary = np.concatenate([right, left, top, bottom])
 
+    interior_target = 8 * density
     aspect = (2.0 + 2.0 * r) / (2.0 * r)
     ny = max(int(round(math.sqrt(interior_target / aspect))), 3)
     if ny % 2 == 0:
@@ -120,11 +113,8 @@ class StadiumRegion:
     def radius(self):
         return self.A * self.n ** (-1.0 / self.k)
 
-    def contains(self, z):
-        return interval_distance(z) < self.radius
-
-    def sample(self, per_piece=128, interior_target=1024):
-        return _stadium_points(self.radius, per_piece, interior_target)
+    def sample(self, density):
+        return _stadium_points(self.radius, density)
 
 
 # --- deviating-map inclusion check ------------------------------------------
@@ -158,13 +148,18 @@ def check_ek(psi, k, A_list, p_max, density=128):
     stadium is sampled (boundary caps and segments with `density` points per
     piece, plus an interior grid of ~8*density points), psi is evaluated, and
     the worst ratio  dist(psi(z), [-1,1]) / (A p^(-1/k))  is recorded.  The
-    check passes when every ratio is <= 1 + 1e-12.  This is evidence, not a
-    proof: the property quantifies over open sets.
+    check passes when every ratio is <= 1 + 1e-12.  first_pass_p maps each
+    scale to the first level from which every ratio passes (1: the scale
+    passes at every level; None: it fails at p_max).  The scales must be
+    positive and distinct.  This is evidence, not a proof: the property
+    quantifies over open sets.
     """
     if p_max < 1:
         raise GevreyError("p_max must be >= 1")
     if density < 1:
         raise GevreyError("density must be >= 1")
+    if len(set(A_list)) != len(A_list):
+        raise GevreyError(f"fattening scales must be distinct: {list(A_list)!r}")
     levels = []
     first_pass = {}
     worst_overall = 0.0
@@ -174,7 +169,7 @@ def check_ek(psi, k, A_list, p_max, density=128):
         last_fail = 0
         for p in range(1, p_max + 1):
             region = StadiumRegion(k=k, A=A, n=p + 1)
-            pts = region.sample(per_piece=density, interior_target=8 * density)
+            pts = region.sample(density)
             w = psi.eval_complex(pts)
             dist = interval_distance(w)
             worst = float(np.max(dist))
@@ -198,19 +193,6 @@ def check_ek(psi, k, A_list, p_max, density=128):
     )
 
 
-def _largest_passing_scale(p, scales=None, p_max=20, density=64):
-    """Quick sweep for the largest fattening scale that passes the inclusion
-    check; None when no tested scale passes."""
-    if scales is None:
-        scales = [round(0.1 * i, 1) for i in range(1, 10)]
-    best = None
-    for A in scales:
-        rep = check_ek(p.psi, p.k, [A], p_max, density=density)
-        if rep.passed:
-            best = A
-    return best
-
-
 # --- growth envelope recursion ----------------------------------------------
 
 
@@ -226,7 +208,7 @@ class OmegaReport:
     s: float
 
 
-def omega_sequence(p, s, r0, n_max, tau_candidate=None):
+def omega_sequence(p, s, r0, n_max, tau_candidate):
     """The growth envelope recursion w_1 = 1,
     w_{n+1} = ||a||_inf * M(r0 + s n^(-1/k) w_n) + ||b + P(0)a||_inf,
     with both sup norms sampled over the stadium of radius mu/2.
@@ -234,19 +216,18 @@ def omega_sequence(p, s, r0, n_max, tau_candidate=None):
     Also computes C_est, the smallest grid-verified constant C >=
     max(2/nu, 1) with  ||a||_inf M(r0 + x) + ||b+P(0)a||_inf <= C max(x,1)^N0
     on x in [0, 2]; boundedness w_n <= C_est is asserted whenever
-    s <= 1/C_est.
+    s <= 1/C_est.  nu = min(mu, tau_candidate)/2, where tau_candidate is a
+    fattening scale the caller found to pass check_ek (the largest one it
+    tested); None means no passing scale is known and gives nu = mu/2.
     """
     if s < 0:
         raise GevreyError("s must be >= 0")
     mu = p.effective_mu()
-    pts = _stadium_points(mu / 2.0, per_piece=256, interior_target=2048)
+    pts = _stadium_points(mu / 2.0, 256)
     a_vals = p.a.eval_complex(pts)
     src_vals = p.b.eval_complex(pts) + p.P.eval(0.0) * a_vals
     a_sup = float(np.max(np.abs(a_vals)))
     src_sup = float(np.max(np.abs(src_vals)))
-
-    if tau_candidate is None:
-        tau_candidate = _largest_passing_scale(p)
     nu_proxy = (mu if tau_candidate is None else min(mu, tau_candidate)) / 2.0
 
     xs = np.linspace(0.0, 2.0, 2001)
@@ -299,7 +280,7 @@ def lambda_estimate(p, s, r0, C, density=64):
         mass = max(a_fun.abs_integral(-1.0, p.d), a_fun.abs_integral(p.d, 1.0))
         return mass * float(p.P.majorant_deriv_eval(r0))
 
-    pts = _stadium_points(s, per_piece=density, interior_target=8 * density)
+    pts = _stadium_points(s, density)
     m = max(int(density), 64)
     tau = np.linspace(0.0, 1.0, m)
     zeta = p.d + (pts[:, None] - p.d) * tau[None, :]
@@ -364,7 +345,7 @@ def stadium_inclusion_probe(iterates, r0, k, s, C, n_range, density=64):
     worst = 0.0
     for n in n_range:
         radius = s_used * n ** (-1.0 / k)
-        pts = _stadium_points(radius, per_piece=density, interior_target=8 * density)
+        pts = _stadium_points(radius, density)
         vals, trusted = iterates[n - 1].eval_complex(pts)
         if not np.all(trusted):
             raise GevreyError(f"untrusted evaluation points at level {n}")
@@ -401,13 +382,6 @@ class DerivativeNorms:
     flagged: list
     degree: int
 
-    def usable(self):
-        return [
-            (j + 1, v)
-            for j, (v, fl) in enumerate(zip(self.values, self.flagged))
-            if not fl
-        ]
-
 
 def derivative_norms(u, n_max=12):
     """Sup norms of repeated spectral derivatives, m_j = sup |u^(j)|.
@@ -417,8 +391,8 @@ def derivative_norms(u, n_max=12):
     a norm is flagged once eps * sup|u| * (that factor) exceeds 1e-4 * m_j.
     Flagged norms should not enter regularity fits.
     """
-    if n_max > MAX_DERIVATIVES:
-        raise GevreyError(f"n_max must be <= {MAX_DERIVATIVES}")
+    if not 1 <= n_max <= MAX_DERIVATIVES:
+        raise GevreyError(f"n_max must be in [1, {MAX_DERIVATIVES}]")
     base_sup = u.sup_norm()
     deg = u.degree
     values = []
@@ -455,9 +429,6 @@ def gevrey_order_estimate(norms, flagged=None):
     otherwise the index estimate is k_hat = 1/(e-1).  Fewer than 4 usable
     norms yields the "unresolved" classification.
     """
-    if isinstance(norms, DerivativeNorms):
-        flagged = norms.flagged
-        norms = norms.values
     norms = [float(v) for v in norms]
     if flagged is None:
         flagged = [False] * len(norms)

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .chebfun import build
+from .chebfun import _pts_desc, build
 from .expr import Expr
 
 __all__ = [
@@ -76,9 +76,6 @@ class Polynomial:
     def eval(self, x):
         return _horner(self.coeffs, x)
 
-    def deriv_eval(self, x):
-        return _horner([j * c for j, c in enumerate(self.coeffs)][1:], x)
-
     def _majorant(self, x, r):
         """r-th derivative of the majorant: Horner over j!/(j-r)! |a_j|, j >= r,
         with the constant term dropped."""
@@ -136,10 +133,6 @@ class ValidationReport:
     @property
     def ok(self):
         return all(c.ok for c in self.checks if c.severity == "error")
-
-    @property
-    def warnings(self):
-        return [c for c in self.checks if c.severity == "warning" and not c.ok]
 
     def failures(self):
         return [c for c in self.checks if c.severity == "error" and not c.ok]
@@ -206,7 +199,7 @@ class Problem:
             )
         )
 
-        grid = np.cos(np.pi * np.arange(VALIDATION_GRID + 1) / VALIDATION_GRID)
+        grid = _pts_desc(VALIDATION_GRID)
         try:
             vals = self.psi.eval_real(grid)
             worst_i = int(np.argmax(np.abs(vals)))

@@ -46,7 +46,7 @@ def random_passing_problem(rng):
         d=d,
         c=0.0,
     )
-    theta = conditions.compute_theta(skeleton)
+    theta = conditions.compute_theta(skeleton, conditions.a_l1_norm(skeleton))
     _, gap, _ = conditions.check_condition2(skeleton, theta, lhs=1.0)
     b_const = 0.125 * gap
     c = 0.15 * gap
@@ -84,6 +84,13 @@ def smooth_fn(args):
         )
 
     return f
+
+
+def integral(u, d, x):
+    """Integral of the ChebFun u from d to x: a difference of antiderivative
+    values."""
+    anti = u.antiderivative()
+    return float(anti.eval(x) - anti.eval(d))
 
 
 def ode_oracle_problem():

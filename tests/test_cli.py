@@ -125,7 +125,8 @@ class TestSolve:
             ["solve", write_json(tmp_path, example2_doc()), "--out", str(out_csv)],
         )
         assert code == EXIT_OK
-        rows = list(csv.DictReader(open(out_csv)))
+        with open(out_csv, newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 1001
         xs = [float(r["x"]) for r in rows]
         assert xs == [-1.0 + 2.0 * i / 1000 for i in range(1001)]
@@ -143,7 +144,8 @@ class TestSolve:
             ["solve", write_json(tmp_path, example1_doc()), "--out", str(out_csv)],
         )
         assert code == EXIT_OK
-        rows = list(csv.DictReader(open(out_csv)))
+        with open(out_csv, newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert float(rows[500]["u"]) == pytest.approx(0.0, abs=1e-12)
 
     def test_identity_oracle_forced_residual_column(self, tmp_path, capsys):
@@ -155,7 +157,8 @@ class TestSolve:
             ["solve", write_json(tmp_path, doc), "--force", "--out", str(out_csv)],
         )
         assert code == EXIT_OK
-        rows = list(csv.DictReader(open(out_csv)))
+        with open(out_csv, newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert max(float(r["residual"]) for r in rows) <= 1e-8
 
     def test_condition_failure_without_force_exit_2(self, tmp_path, capsys):
@@ -294,6 +297,18 @@ class TestGevreyCmd:
         capsys.readouterr()
         assert code == EXIT_FAILURE
 
+    @pytest.mark.parametrize("nmax", ["0", "-3", "13"])
+    def test_out_of_range_nmax_exit_4_before_solving(self, tmp_path, capsys, monkeypatch, nmax):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solved before checking --nmax")
+
+        monkeypatch.setattr(cli.picard, "solve", forbidden)
+        code = cli.main(["gevrey", write_json(tmp_path, example2_doc()), "--nmax", nmax])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_forced_instance_with_nmax(self, tmp_path, capsys):
         doc = {"k": 1.0, "d": 0.0, "c": 0.1, "P": [0.0, 0.0, 1.0],
                "a": "0.3", "b": "cos(t)", "psi": "t"}
@@ -326,6 +341,18 @@ class TestReproduce:
         passing = [l for l in lines if l.startswith("PASS")]
         assert len(passing) == len(lines) - 2
 
+    def test_all_runs_one_inclusion_check_per_example(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return check_ek(*args, **kwargs)
+
+        check_ek = cli.gevrey.check_ek
+        monkeypatch.setattr(cli.gevrey, "check_ek", counted)
+        run(capsys, ["reproduce", "all"])
+        assert len(calls) == 2
+
     def test_all_aggregates_both(self, capsys):
         code, out = run(capsys, ["reproduce", "all"])
         assert code == EXIT_FAILURE  # quartic bracket misprints dominate
@@ -355,12 +382,13 @@ ERROR_CASES = {
     "mu-boolean": ("check", {"mu": True}),
     "mu-overflow": ("check", {"mu": math.inf}),  # as "mu": 1e400 parses
     "ek-radius-underflow": ("ek", {"k": 1e-308}),
+    "ek-repeated-scale": ("ek --A 0.5,0.5", {}),
 }
 
 
 @pytest.mark.parametrize("command,change", ERROR_CASES.values(), ids=ERROR_CASES.keys())
 def test_error_exits_with_message(tmp_path, capsys, command, change):
-    code = cli.main([command, write_json(tmp_path, {**example2_doc(), **change})])
+    code = cli.main([*command.split(), write_json(tmp_path, {**example2_doc(), **change})])
     err = capsys.readouterr().err
     assert code == EXIT_INPUT
     assert err.startswith("error: ")

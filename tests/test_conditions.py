@@ -30,21 +30,26 @@ def simple_problem(a_src, P_coeffs, b_src="0", c=0.0, psi_src="t"):
     )
 
 
+def mass(p):
+    """The second hypothesis' left-hand side ||b + P(0)a||_1 + |c|."""
+    return conditions.source_mass(p) + abs(p.c)
+
+
 class TestCondition1:
     def test_quartic_example(self):
         p = load_problem(example2_doc())
-        lhs, ok = conditions.check_condition1(p)
+        lhs, ok = conditions.check_condition1(p, conditions.a_l1_norm(p))
         assert ok
         assert lhs == pytest.approx(0.375, abs=1e-13)
 
     def test_cubic_example_lhs_zero(self):
         p = load_problem(example1_doc())
-        lhs, ok = conditions.check_condition1(p)
+        lhs, ok = conditions.check_condition1(p, conditions.a_l1_norm(p))
         assert lhs == 0.0 and ok
 
     def test_failing_instance(self):
         p = simple_problem("2", [0.0, 1.0, 1.0])
-        lhs, ok = conditions.check_condition1(p)
+        lhs, ok = conditions.check_condition1(p, conditions.a_l1_norm(p))
         assert lhs == pytest.approx(4.0, abs=1e-12)
         assert not ok
 
@@ -52,28 +57,31 @@ class TestCondition1:
 class TestComputeTheta:
     def test_quartic_example_value(self):
         p = load_problem(example2_doc())
-        theta = conditions.compute_theta(p)
+        theta = conditions.compute_theta(p, conditions.a_l1_norm(p))
         assert theta == pytest.approx(EX2_THETA, abs=2e-12)
         # the residual contract
         assert abs(3.0 * p.P.majorant_deriv_eval(theta) - 1.0) <= 1e-12
 
     def test_cubic_closed_form(self):
         p = load_problem(example1_doc())
-        assert conditions.compute_theta(p) == pytest.approx(
+        assert conditions.compute_theta(p, conditions.a_l1_norm(p)) == pytest.approx(
             math.sqrt(1.0 / 3.0), abs=1e-12
         )
 
     def test_half_constant_square(self):
         p = simple_problem("0.5", [0.0, 0.0, 1.0])
-        assert conditions.compute_theta(p) == pytest.approx(0.5, abs=1e-13)
+        theta = conditions.compute_theta(p, conditions.a_l1_norm(p))
+        assert theta == pytest.approx(0.5, abs=1e-13)
 
     def test_zero_weight_undefined(self):
+        p = simple_problem("0", [0.0, 0.0, 1.0])
         with pytest.raises(ThetaUndefinedError):
-            conditions.compute_theta(simple_problem("0", [0.0, 0.0, 1.0]))
+            conditions.compute_theta(p, conditions.a_l1_norm(p))
 
     def test_degenerate_polynomial_undefined(self):
+        p = simple_problem("0.5", [0.0, 1.0])
         with pytest.raises(ThetaUndefinedError, match="degenerate"):
-            conditions.compute_theta(simple_problem("0.5", [0.0, 1.0]))
+            conditions.compute_theta(p, conditions.a_l1_norm(p))
 
     def test_scaling_invariance(self):
         rng = np.random.default_rng(99)
@@ -97,16 +105,16 @@ class TestComputeTheta:
 class TestCondition2:
     def test_quartic_example(self):
         p = load_problem(example2_doc())
-        theta = conditions.compute_theta(p)
-        lhs, bound, ok = conditions.check_condition2(p, theta)
+        theta = conditions.compute_theta(p, conditions.a_l1_norm(p))
+        lhs, bound, ok = conditions.check_condition2(p, theta, mass(p))
         assert ok
         assert lhs == pytest.approx(0.02, abs=1e-10)
         assert bound == pytest.approx(EX2_GAP, abs=2e-12)
 
     def test_cubic_closed_forms(self):
         p = load_problem(example1_doc())
-        theta = conditions.compute_theta(p)
-        lhs, bound, ok = conditions.check_condition2(p, theta)
+        theta = conditions.compute_theta(p, conditions.a_l1_norm(p))
+        lhs, bound, ok = conditions.check_condition2(p, theta, mass(p))
         assert ok
         assert lhs == pytest.approx(0.2 * math.sinh(1.0), abs=1e-12)
         # report bound is the true gap (2/3) theta; the smaller closed-form
@@ -117,8 +125,8 @@ class TestCondition2:
     def test_degenerate_zero_mass_fails_strictly(self):
         # b = -P(0) a and c = 0 gives lhs = 0: strict positivity fails
         p = simple_problem("2^t", [1.0, 0.0, 1.0], b_src="-(2^t)", c=0.0)
-        theta = conditions.compute_theta(p)
-        lhs, _, ok = conditions.check_condition2(p, theta)
+        theta = conditions.compute_theta(p, conditions.a_l1_norm(p))
+        lhs, _, ok = conditions.check_condition2(p, theta, mass(p))
         assert lhs == pytest.approx(0.0, abs=1e-14)
         assert not ok
 

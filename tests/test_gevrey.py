@@ -13,7 +13,6 @@ from fdekit.gevrey import (
     StadiumRegion,
     check_ek,
     derivative_norms,
-    dist_to_interval,
     gevrey_order_estimate,
     interval_distance,
     lambda_estimate,
@@ -24,25 +23,20 @@ from fdekit.gevrey import (
 
 class TestDistToInterval:
     def test_corner(self):
-        rho, zhat = dist_to_interval(2 + 1j)
-        assert zhat == 1.0
-        assert rho == pytest.approx(math.sqrt(2.0), abs=1e-15)
+        assert interval_distance(2 + 1j) == pytest.approx(math.sqrt(2.0), abs=1e-15)
 
     def test_above_interval(self):
-        rho, zhat = dist_to_interval(0.3 + 0.2j)
-        assert zhat == 0.3 and rho == pytest.approx(0.2, abs=1e-16)
+        assert interval_distance(0.3 + 0.2j) == pytest.approx(0.2, abs=1e-16)
 
     def test_real_outside(self):
-        rho, zhat = dist_to_interval(-1.5 + 0j)
-        assert zhat == -1.0 and rho == pytest.approx(0.5, abs=1e-16)
+        assert interval_distance(-1.5 + 0j) == pytest.approx(0.5, abs=1e-16)
 
     def test_lipschitz_random_pairs(self):
         rng = np.random.default_rng(314)
         for _ in range(100):
             z1 = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             z2 = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            r1, _ = dist_to_interval(z1)
-            r2, _ = dist_to_interval(z2)
+            r1, r2 = interval_distance(z1), interval_distance(z2)
             assert abs(r1 - r2) <= abs(z1 - z2) + 1e-12
 
 
@@ -50,8 +44,8 @@ class TestStadiumRegion:
     def test_radius_and_membership(self):
         r = StadiumRegion(k=1.0, A=0.5, n=2)
         assert r.radius == 0.25
-        assert r.contains(0.9 + 0.2j)
-        assert not r.contains(0.9 + 0.3j)
+        assert interval_distance(0.9 + 0.2j) < r.radius
+        assert not interval_distance(0.9 + 0.3j) < r.radius
 
     def test_nesting_sampled(self):
         rng = np.random.default_rng(2718)
@@ -61,7 +55,7 @@ class TestStadiumRegion:
             n = int(rng.integers(1, 20))
             inner = StadiumRegion(k=k, A=A, n=n + 1)
             outer = StadiumRegion(k=k, A=A, n=n)
-            pts = inner.sample(per_piece=16, interior_target=32)
+            pts = inner.sample(16)
             assert np.all(interval_distance(pts) < outer.radius)
 
     def test_bad_parameters(self):
@@ -93,6 +87,11 @@ class TestCheckEk:
         assert d["passed"] and len(d["levels"]) == 3
 
 
+# The largest fattening scale at which sin(t), the deviating map of both
+# built-in examples, passes check_ek.
+SINE_SCALE = 0.9
+
+
 @pytest.fixture(scope="module")
 def quartic():
     p = load_problem(example2_doc())
@@ -101,22 +100,35 @@ def quartic():
 
 
 class TestOmegaSequence:
+    @pytest.mark.parametrize("tau", [None, SINE_SCALE])
+    def test_runs_no_inclusion_check(self, quartic, monkeypatch, tau):
+        p, rep = quartic
+        want = omega_sequence(p, 0.0, rep.r0, 3, tau)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("omega_sequence ran check_ek")
+
+        monkeypatch.setattr(gevrey, "check_ek", forbidden)
+        assert omega_sequence(p, 0.0, rep.r0, 3, tau) == want
+        assert want.tau_candidate == tau
+        assert want.nu_proxy == min(want.mu, tau or math.inf) / 2.0
+
     def test_first_value_is_one(self, quartic):
         p, rep = quartic
-        om = omega_sequence(p, 0.3, rep.r0, 5)
+        om = omega_sequence(p, 0.3, rep.r0, 5, SINE_SCALE)
         assert om.values[0] == 1.0
 
     def test_zero_scale_collapses(self, quartic):
         p, rep = quartic
-        om = omega_sequence(p, 0.0, rep.r0, 10)
+        om = omega_sequence(p, 0.0, rep.r0, 10, SINE_SCALE)
         const = om.a_sup * p.P.majorant_eval(rep.r0) + om.source_sup
         assert all(v == pytest.approx(const, rel=1e-15) for v in om.values[1:])
 
     def test_bounded_by_envelope_constant(self, quartic):
         p, rep = quartic
-        om0 = omega_sequence(p, 0.0, rep.r0, 1)
+        om0 = omega_sequence(p, 0.0, rep.r0, 1, SINE_SCALE)
         s = 1.0 / (2.0 * om0.C_est)
-        om = omega_sequence(p, s, rep.r0, 50)
+        om = omega_sequence(p, s, rep.r0, 50, SINE_SCALE)
         assert max(om.values) <= om.C_est
         # independent recursion oracle from the reported sups
         w, oracle = 1.0, [1.0]
@@ -127,7 +139,7 @@ class TestOmegaSequence:
 
     def test_envelope_constant_floor(self, quartic):
         p, rep = quartic
-        om = omega_sequence(p, 0.0, rep.r0, 2)
+        om = omega_sequence(p, 0.0, rep.r0, 2, SINE_SCALE)
         assert om.C_est >= max(2.0 / om.nu_proxy, 1.0)
 
 
@@ -154,7 +166,7 @@ class TestLambdaEstimate:
     def test_monotone_in_s(self):
         p = load_problem(example2_doc())
         rep = conditions.analyze(p)
-        om = omega_sequence(p, 0.0, rep.r0, 1)
+        om = omega_sequence(p, 0.0, rep.r0, 1, SINE_SCALE)
         lam0 = lambda_estimate(p, 0.0, rep.r0, om.C_est)
         for s in (0.01, 0.05):
             assert lambda_estimate(p, s, rep.r0, om.C_est) >= lam0 - 1e-12
@@ -171,7 +183,7 @@ class TestStadiumInclusionProbe:
         p = load_problem(example2_doc())
         rep = conditions.analyze(p)
         sol = picard.solve(p, rep, keep_iterates=True)
-        om = omega_sequence(p, 0.0, rep.r0, 1)
+        om = omega_sequence(p, 0.0, rep.r0, 1, SINE_SCALE)
         s = 1.0 / (2.0 * om.C_est)
         probe = stadium_inclusion_probe(
             sol.iterates, rep.r0, p.k, s, om.C_est, range(1, 9)
@@ -218,8 +230,9 @@ class TestDerivativeNorms:
             assert v == pytest.approx(math.factorial(j), rel=1e-4)
 
     def test_cap(self):
-        with pytest.raises(GevreyError):
-            derivative_norms(ChebFun([0.0, 1.0]), 13)
+        for n_max in (13, 0, -3):
+            with pytest.raises(GevreyError):
+                derivative_norms(ChebFun([0.0, 1.0]), n_max)
 
 
 class TestGevreyOrderEstimate:
@@ -249,9 +262,10 @@ class TestGevreyOrderEstimate:
         assert est.classification == "unresolved"
         assert est.slope is None
 
-    def test_accepts_derivative_norms_object(self):
+    def test_fits_derivative_norms(self):
         u = build(np.exp, tol=1e-15)
-        est = gevrey_order_estimate(derivative_norms(u, 12))
+        dn = derivative_norms(u, 12)
+        est = gevrey_order_estimate(dn.values, dn.flagged)
         assert est.classification == "analytic-like"
         assert abs(est.slope) <= 0.05
 
@@ -261,7 +275,7 @@ class TestExamplesOmegaBound:
         for doc in (example1_doc(), example2_doc()):
             p = load_problem(doc)
             rep = conditions.analyze(p)
-            om0 = omega_sequence(p, 0.0, rep.r0, 1)
+            om0 = omega_sequence(p, 0.0, rep.r0, 1, SINE_SCALE)
             s = 1.0 / (2.0 * om0.C_est)
-            om = omega_sequence(p, s, rep.r0, 200)
+            om = omega_sequence(p, s, rep.r0, 200, SINE_SCALE)
             assert max(om.values) <= om.C_est
