@@ -352,6 +352,10 @@ def _write_csv(path, u, prob):
 
 
 def cmd_ek(path, A_list, pmax, density):
+    if not 1 <= pmax <= gevrey.MAX_EK_LEVELS:
+        raise ProblemError(f"--pmax must be in [1, {gevrey.MAX_EK_LEVELS}]")
+    if not 1 <= density <= gevrey.MAX_EK_DENSITY:
+        raise ProblemError(f"--density must be in [1, {gevrey.MAX_EK_DENSITY}]")
     # no range gate here: the inclusion check is itself the psi diagnostic,
     # and maps that leave [-1,1] must be reported as failing, not rejected
     prob = load_problem_file(path)

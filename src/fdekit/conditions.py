@@ -131,12 +131,12 @@ def check_condition2(p, theta, lhs):
     """Second hypothesis: 0 < lhs < theta - M(theta)/M'(theta), where lhs is
     ||b + P(0)a||_1 + |c|.
 
-    Returns (lhs, bound, ok); both comparisons are strict.
+    Returns (bound, ok); both comparisons are strict.
     """
     P = p.P
     bound = theta - P.majorant_eval(theta) / P.majorant_deriv_eval(theta)
     ok = (0.0 < lhs) and (lhs < bound)
-    return lhs, bound, ok
+    return bound, ok
 
 
 def localize_radii(p, theta, a_l1, cond2_lhs):
@@ -237,7 +237,7 @@ def analyze(p):
     report.theta = theta
 
     lhs = source_mass(p) + abs(p.c)
-    lhs, bound, cond2_ok = check_condition2(p, theta, lhs=lhs)
+    bound, cond2_ok = check_condition2(p, theta, lhs=lhs)
     report.cond2_lhs = lhs
     report.gap = bound
     report.cond2_ok = cond2_ok

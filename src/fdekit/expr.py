@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 FUNCTIONS = ("sin", "cos", "sinh", "cosh", "exp", "ln", "sqrt", "abs")
+ENTIRE_FUNCTIONS = ("sin", "cos", "sinh", "cosh", "exp")
 CONSTANTS = {"pi": math.pi, "e": math.e}
 
 # exponents larger than this are never treated as integer-literal powers
@@ -368,6 +369,25 @@ def _eval_pow(node, base, t, cplx):
     return np.power(base, expo)
 
 
+def _is_entire(node):
+    """True when every node is holomorphic on all of C: numbers, constants,
+    t, unary minus, + - *, the entire builtins and integer-literal powers
+    with a non-negative exponent.  Anything else (division, ln, sqrt, abs,
+    other powers) counts as not entire."""
+    if isinstance(node, (Num, Const, Var)):
+        return True
+    if isinstance(node, Neg):
+        return _is_entire(node.child)
+    if isinstance(node, Call):
+        return node.func in ENTIRE_FUNCTIONS and _is_entire(node.arg)
+    if isinstance(node, BinOp):
+        if node.op == "^":
+            n = _int_literal_exponent(node.right)
+            return n is not None and n >= 0 and _is_entire(node.left)
+        return node.op in ("+", "-", "*") and _is_entire(node.left) and _is_entire(node.right)
+    return False
+
+
 # --- public wrapper -------------------------------------------------------
 
 
@@ -403,6 +423,11 @@ class Expr:
         if not np.all(np.isfinite(out)):
             raise OverflowEvalError(f"non-finite value while evaluating '{self.src}'")
         return complex(out[0]) if scalar else out
+
+    def is_entire(self):
+        """Whether the tree is built only from entire operations (see
+        `_is_entire`), so the expression is holomorphic on all of C."""
+        return _is_entire(self.root)
 
     def to_string(self):
         """Deterministic printed form; reparsing yields an identical tree."""

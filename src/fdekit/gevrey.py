@@ -4,7 +4,8 @@ Geometry: the stadium region at level n is the interval [-1, 1] fattened by
 an open disk of radius A * n^(-1/k); it shrinks back to the interval as n
 grows.  A deviating map that sends every level-(n+1) stadium into the
 level-n one (uniformly for small A) is the geometric engine behind the
-regularity bootstrap, and is checked here by dense sampling.
+regularity bootstrap, and is checked here by dense sampling (of the
+stadium boundary alone when the map is entire; see check_ek).
 
 Growth: the envelope recursion w_1 = 1,
 w_{n+1} = ||a||_inf * M(r0 + s n^(-1/k) w_n) + ||b + P(0)a||_inf (sup norms
@@ -21,6 +22,7 @@ the function as analytic-like or of finite regularity index k.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -48,6 +50,8 @@ __all__ = [
 EK_PASS_SLACK = 1e-12
 SLOPE_ANALYTIC_CUTOFF = 1.05
 MAX_DERIVATIVES = 12
+MAX_EK_LEVELS = 10000
+MAX_EK_DENSITY = 4096
 _EPS = np.finfo(float).eps
 
 
@@ -69,19 +73,36 @@ def interval_distance(z, half_width=1.0):
 # --- stadium regions ---------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
+def _boundary_template(density):
+    """The stadium boundary of radius r is offset + r * direction, with
+    `density` points on each piece: the caps +-1 + r e^(i phi) and the
+    segments x +- i r.  Read-only arrays, shared by every radius."""
+    phi = np.linspace(-0.5 * np.pi, 0.5 * np.pi, density)
+    xs = np.linspace(-1.0, 1.0, density)
+    ones = np.ones(density)
+    offset = np.concatenate([ones, -ones, xs, xs])
+    direction = np.concatenate(
+        [np.exp(1j * phi), np.exp(1j * (phi + np.pi)), 1j * ones, -1j * ones]
+    )
+    offset.flags.writeable = False
+    direction.flags.writeable = False
+    return offset, direction
+
+
+def _stadium_boundary(radius, density):
+    """`density` points on each boundary piece (two caps, two horizontal
+    segments) of the stadium of the given radius around [-1, 1]."""
+    offset, direction = _boundary_template(density)
+    return offset + float(radius) * direction
+
+
 def _stadium_points(radius, density):
     """Deterministic sample of a stadium of the given radius around [-1, 1]:
-    `density` points on each boundary piece (two caps, two horizontal
-    segments) plus an interior grid of about 8 * density points."""
+    the boundary of `_stadium_boundary` plus an interior grid of about
+    8 * density points.  The interior is needed wherever the sampled
+    function may peak inside; `check_ek` drops it for entire maps."""
     r = float(radius)
-    phi = np.linspace(-0.5 * np.pi, 0.5 * np.pi, density)
-    right = 1.0 + r * np.exp(1j * phi)
-    left = -1.0 + r * np.exp(1j * (phi + np.pi))
-    xs = np.linspace(-1.0, 1.0, density)
-    top = xs + 1j * r
-    bottom = xs - 1j * r
-    boundary = np.concatenate([right, left, top, bottom])
-
     interior_target = 8 * density
     aspect = (2.0 + 2.0 * r) / (2.0 * r)
     ny = max(int(round(math.sqrt(interior_target / aspect))), 3)
@@ -92,7 +113,7 @@ def _stadium_points(radius, density):
     gy = np.linspace(-r, r, ny)
     zz = (gx[:, None] + 1j * gy[None, :]).ravel()
     inside = interval_distance(zz) <= r * (1.0 - 1e-9)
-    return np.concatenate([boundary, zz[inside]])
+    return np.concatenate([_stadium_boundary(r, density), zz[inside]])
 
 
 @dataclass(frozen=True)
@@ -113,8 +134,12 @@ class StadiumRegion:
     def radius(self):
         return self.A * self.n ** (-1.0 / self.k)
 
-    def sample(self, density):
-        return _stadium_points(self.radius, density)
+    def sample(self, density, interior=True):
+        """Boundary points (`density` per piece) plus, when `interior` is
+        true, the interior grid of `_stadium_points`."""
+        if interior:
+            return _stadium_points(self.radius, density)
+        return _stadium_boundary(self.radius, density)
 
 
 # --- deviating-map inclusion check ------------------------------------------
@@ -147,19 +172,23 @@ def check_ek(psi, k, A_list, p_max, density=128):
     For each fattening scale A and each level p = 1..p_max, the level-(p+1)
     stadium is sampled (boundary caps and segments with `density` points per
     piece, plus an interior grid of ~8*density points), psi is evaluated, and
-    the worst ratio  dist(psi(z), [-1,1]) / (A p^(-1/k))  is recorded.  The
-    check passes when every ratio is <= 1 + 1e-12.  first_pass_p maps each
-    scale to the first level from which every ratio passes (1: the scale
-    passes at every level; None: it fails at p_max).  The scales must be
-    positive and distinct.  This is evidence, not a proof: the property
-    quantifies over open sets.
+    the worst ratio  dist(psi(z), [-1,1]) / (A p^(-1/k))  is recorded.  When
+    the psi tree is entire (`Expr.is_entire`) the interior grid is skipped:
+    dist(., [-1,1]) is convex, so dist(psi(z), [-1,1]) is subharmonic and,
+    by the maximum principle, peaks on the stadium boundary.  The check
+    passes when every ratio is <= 1 + 1e-12.  first_pass_p maps each scale
+    to the first level from which every ratio passes (1: the scale passes at
+    every level; None: it fails at p_max).  The scales must be positive and
+    distinct, 1 <= p_max <= MAX_EK_LEVELS and 1 <= density <= MAX_EK_DENSITY.
+    This is evidence, not a proof: the property quantifies over open sets.
     """
-    if p_max < 1:
-        raise GevreyError("p_max must be >= 1")
-    if density < 1:
-        raise GevreyError("density must be >= 1")
+    if not 1 <= p_max <= MAX_EK_LEVELS:
+        raise GevreyError(f"p_max must be in [1, {MAX_EK_LEVELS}]")
+    if not 1 <= density <= MAX_EK_DENSITY:
+        raise GevreyError(f"density must be in [1, {MAX_EK_DENSITY}]")
     if len(set(A_list)) != len(A_list):
         raise GevreyError(f"fattening scales must be distinct: {list(A_list)!r}")
+    interior = not psi.is_entire()
     levels = []
     first_pass = {}
     worst_overall = 0.0
@@ -169,7 +198,7 @@ def check_ek(psi, k, A_list, p_max, density=128):
         last_fail = 0
         for p in range(1, p_max + 1):
             region = StadiumRegion(k=k, A=A, n=p + 1)
-            pts = region.sample(density)
+            pts = region.sample(density, interior=interior)
             w = psi.eval_complex(pts)
             dist = interval_distance(w)
             worst = float(np.max(dist))

@@ -47,7 +47,7 @@ def random_passing_problem(rng):
         c=0.0,
     )
     theta = conditions.compute_theta(skeleton, conditions.a_l1_norm(skeleton))
-    _, gap, _ = conditions.check_condition2(skeleton, theta, lhs=1.0)
+    gap, _ = conditions.check_condition2(skeleton, theta, lhs=1.0)
     b_const = 0.125 * gap
     c = 0.15 * gap
     return Problem(

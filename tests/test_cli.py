@@ -273,6 +273,32 @@ class TestEk:
         assert code == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [("--pmax", "1000000000", "error: --pmax must be in [1, 10000]\n"),
+         ("--density", "1000000000", "error: --density must be in [1, 4096]\n")],
+        ids=["pmax", "density"],
+    )
+    def test_capped_flag_exit_4_before_loading(self, capsys, monkeypatch, flag, value, message):
+        def forbidden(*args, **kwargs):
+            raise AssertionError(f"ran past the {flag} cap")
+
+        monkeypatch.setattr(cli, "load_problem_file", forbidden)
+        monkeypatch.setattr(cli.gevrey, "check_ek", forbidden)
+        code = cli.main(["ek", "no-such-file.json", flag, value])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        assert captured.err == message
+
+    def test_abs_map_exit_4(self, tmp_path, capsys):
+        doc = {**example2_doc(), "psi": "abs(t)"}
+        code = cli.main(["ek", write_json(tmp_path, doc)])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: 'abs(t)': abs is not supported in complex evaluation\n"
+        )
+
 
 class TestGevreyCmd:
     def test_quartic_example(self, tmp_path, capsys):
@@ -383,6 +409,8 @@ ERROR_CASES = {
     "mu-overflow": ("check", {"mu": math.inf}),  # as "mu": 1e400 parses
     "ek-radius-underflow": ("ek", {"k": 1e-308}),
     "ek-repeated-scale": ("ek --A 0.5,0.5", {}),
+    "ek-pmax-too-large": ("ek --pmax 10001", {}),
+    "ek-density-too-large": ("ek --density 4097", {}),
 }
 
 

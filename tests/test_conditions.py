@@ -106,7 +106,8 @@ class TestCondition2:
     def test_quartic_example(self):
         p = load_problem(example2_doc())
         theta = conditions.compute_theta(p, conditions.a_l1_norm(p))
-        lhs, bound, ok = conditions.check_condition2(p, theta, mass(p))
+        lhs = mass(p)
+        bound, ok = conditions.check_condition2(p, theta, lhs)
         assert ok
         assert lhs == pytest.approx(0.02, abs=1e-10)
         assert bound == pytest.approx(EX2_GAP, abs=2e-12)
@@ -114,7 +115,8 @@ class TestCondition2:
     def test_cubic_closed_forms(self):
         p = load_problem(example1_doc())
         theta = conditions.compute_theta(p, conditions.a_l1_norm(p))
-        lhs, bound, ok = conditions.check_condition2(p, theta, mass(p))
+        lhs = mass(p)
+        bound, ok = conditions.check_condition2(p, theta, lhs)
         assert ok
         assert lhs == pytest.approx(0.2 * math.sinh(1.0), abs=1e-12)
         # report bound is the true gap (2/3) theta; the smaller closed-form
@@ -126,7 +128,8 @@ class TestCondition2:
         # b = -P(0) a and c = 0 gives lhs = 0: strict positivity fails
         p = simple_problem("2^t", [1.0, 0.0, 1.0], b_src="-(2^t)", c=0.0)
         theta = conditions.compute_theta(p, conditions.a_l1_norm(p))
-        lhs, _, ok = conditions.check_condition2(p, theta, mass(p))
+        lhs = mass(p)
+        _, ok = conditions.check_condition2(p, theta, lhs)
         assert lhs == pytest.approx(0.0, abs=1e-14)
         assert not ok
 

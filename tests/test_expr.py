@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from fdekit.expr import (
+    ENTIRE_FUNCTIONS,
+    FUNCTIONS,
     BinOp,
     DomainError,
     Num,
@@ -177,3 +179,47 @@ class TestInvariants:
 
     def test_unary_minus_binds_below_power(self):
         assert parse("-2^2").eval_real(0.0) == -4.0
+
+
+# Source -> whether the tree is entire (holomorphic on all of C).
+ENTIRE_CASES = {
+    "1.5": True,
+    "pi": True,
+    "e": True,
+    "t": True,
+    "-(sin(t))": True,
+    "t^2-0.5": True,
+    "0.9*t": True,
+    "t^0": True,
+    "t^(3)": True,
+    "0.5*sin(t)^3": True,
+    "sin(0.5*t)^3": True,
+    "0.5*cos(t)": True,
+    "0.3*sinh(t)": True,
+    "cosh(t)-1": True,
+    "exp(t)-1": True,
+    "exp(sin(t)*cos(t)) + pi*t^4": True,
+    "t^-1": False,
+    "t^2.5": False,
+    "t^t": False,
+    "t^(1+1)": False,
+    "t^1000": False,  # above the integer-literal limit: evaluated through ln
+    "2^t": False,
+    "1/(t+3)": False,
+    "t/2": False,
+    "ln(t+3)": False,
+    "sqrt(t+2)": False,
+    "abs(t)": False,
+    "sin(abs(t))": False,
+    "exp(t) + 0*ln(t+3)": False,
+}
+
+
+@pytest.mark.parametrize("src,entire", ENTIRE_CASES.items(), ids=ENTIRE_CASES.keys())
+def test_is_entire(src, entire):
+    assert parse(src).is_entire() is entire
+
+
+def test_is_entire_for_every_builtin():
+    for name in FUNCTIONS:
+        assert parse(f"{name}(t)").is_entire() is (name in ENTIRE_FUNCTIONS)

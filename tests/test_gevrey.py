@@ -7,8 +7,9 @@ import pytest
 from fdekit import conditions, gevrey, picard
 from fdekit.chebfun import ChebFun, build
 from fdekit.cli import example1_doc, example2_doc, load_problem
-from fdekit.expr import parse
+from fdekit.expr import Expr, parse
 from fdekit.gevrey import (
+    EkReport,
     GevreyError,
     StadiumRegion,
     check_ek,
@@ -85,6 +86,64 @@ class TestCheckEk:
         rep = check_ek(parse("sin(t)"), 1.0, [0.5], 3, density=32)
         d = dataclasses.asdict(rep)
         assert d["passed"] and len(d["levels"]) == 3
+
+    @pytest.mark.parametrize("p_max,density", [(0, 32), (10001, 32), (3, 0), (3, 4097)])
+    def test_level_and_density_caps(self, monkeypatch, p_max, density):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sampled before checking the caps")
+
+        monkeypatch.setattr(StadiumRegion, "sample", forbidden)
+        with pytest.raises(GevreyError, match="must be in"):
+            check_ek(parse("sin(t)"), 1.0, [0.5], p_max, density=density)
+
+
+ENTIRE_MAPS = ["sin(t)", "0.5*sin(t)^3", "t^2-0.5", "0.5*cos(t)", "0.9*t",
+               "sin(0.5*t)^3", "0.3*sinh(t)", "exp(t)-1"]
+NON_ENTIRE_MAPS = ["sqrt(t+2)", "1/(t+3)", "2^t", "ln(t+3)"]
+
+
+def count_eval_points(monkeypatch):
+    """Patch Expr.eval_complex to record the number of points of each call."""
+    counts = []
+    original = Expr.eval_complex
+
+    def counting(self, z):
+        counts.append(np.size(z))
+        return original(self, z)
+
+    monkeypatch.setattr(Expr, "eval_complex", counting)
+    return counts
+
+
+class TestEkSampling:
+    @pytest.mark.parametrize("density", [32, 128])
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("src", ENTIRE_MAPS)
+    def test_boundary_only_matches_full_sampling(self, monkeypatch, src, k, density):
+        psi = parse(src)
+        counts = count_eval_points(monkeypatch)
+        got = check_ek(psi, k, [0.1, 0.5, 0.9], 100, density=density)
+        assert counts == [4 * density] * 300
+
+        def full(self, density, interior=True):
+            return gevrey._stadium_points(self.radius, density)
+
+        monkeypatch.setattr(StadiumRegion, "sample", full)
+        want = check_ek(psi, k, [0.1, 0.5, 0.9], 100, density=density)
+        for f in dataclasses.fields(EkReport):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+    @pytest.mark.parametrize("src", NON_ENTIRE_MAPS)
+    def test_non_entire_maps_sample_the_interior(self, monkeypatch, src):
+        counts = count_eval_points(monkeypatch)
+        check_ek(parse(src), 1.0, [0.1, 0.5], 20, density=32)
+        want = [
+            len(gevrey._stadium_points(StadiumRegion(k=1.0, A=A, n=p + 1).radius, 32))
+            for A in (0.1, 0.5)
+            for p in range(1, 21)
+        ]
+        assert counts == want
+        assert min(want) > 4 * 32
 
 
 # The largest fattening scale at which sin(t), the deviating map of both
