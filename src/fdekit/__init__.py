@@ -16,7 +16,6 @@ from .gevrey import (
     check_ek,
     derivative_norms,
     gevrey_order_estimate,
-    lambda_estimate,
     omega_sequence,
     stadium_inclusion_probe,
     StadiumRegion,
@@ -40,7 +39,6 @@ __all__ = [
     "check_ek",
     "derivative_norms",
     "gevrey_order_estimate",
-    "lambda_estimate",
     "omega_sequence",
     "parse",
     "residual",

@@ -17,8 +17,10 @@ nonuniform FFT (Dutt & Rokhlin 1993; Greengard & Lee 2004).
 
 Complex evaluation, always Clenshaw, is the analytic continuation of the
 interpolant; it is only meaningful inside the region where the underlying
-series still converges to the sampled function.  A decay-based ellipse
-parameter estimate is kept on each instance and drives the ``trusted`` flag.
+series still converges to the sampled function.  A decay-based estimate of
+that region's Bernstein-ellipse parameter is kept on each instance as
+``ellipse_hint``; callers that continue a series off the interval keep their
+points inside it.
 """
 
 from __future__ import annotations
@@ -180,7 +182,7 @@ def _newton(c, th, lo, hi, below, order):
     best = 0.0
     for _ in range(12):
         rows = _theta_eval(c, th)
-        best = max(best, float(np.max(np.abs(rows[0]), initial=0.0)))
+        best = max(best, float(np.max(np.abs(rows[0]))))
         f = rows[order]
         left = np.sign(f) == below
         lo, hi = np.where(left, th, lo), np.where(left, hi, th)
@@ -230,9 +232,9 @@ def _sample(f, x):
 class ChebFun:
     """Immutable truncated Chebyshev series on [-1, 1]."""
 
-    __slots__ = ("coeffs", "build_tol", "ellipse_hint", "grid_size")
+    __slots__ = ("coeffs", "ellipse_hint", "grid_size")
 
-    def __init__(self, coeffs, build_tol=DEFAULT_TOL, ellipse_hint=None):
+    def __init__(self, coeffs, ellipse_hint=None):
         c = np.array(coeffs, dtype=float)
         if c.ndim != 1 or len(c) == 0:
             raise ValueError("coefficients must be a non-empty 1-d array")
@@ -240,7 +242,6 @@ class ChebFun:
             raise ValueError("non-finite coefficients")
         c.setflags(write=False)
         self.coeffs = c
-        self.build_tol = float(build_tol)
         self.ellipse_hint = (
             _estimate_rho(c) if ellipse_hint is None else float(ellipse_hint)
         )
@@ -253,7 +254,7 @@ class ChebFun:
         return len(self.coeffs) - 1
 
     def __repr__(self):
-        return f"ChebFun(degree={self.degree}, tol={self.build_tol:g})"
+        return f"ChebFun(degree={self.degree})"
 
     # -- evaluation ----------------------------------------------------------
 
@@ -276,22 +277,11 @@ class ChebFun:
         return float(out[0]) if scalar else out
 
     def eval_complex(self, z):
-        """Clenshaw evaluation at complex points.
-
-        Returns (value, trusted); trusted is False where z lies outside the
-        estimated ellipse of series validity.
-        """
+        """Clenshaw evaluation at complex points; the values continue the
+        sampled function only inside the ellipse of parameter ellipse_hint."""
         arr = np.asarray(z, dtype=complex)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        val = _clenshaw(self.coeffs, arr)
-        if math.isinf(self.ellipse_hint):
-            trusted = np.ones(arr.shape, dtype=bool)
-        else:
-            trusted = ellipse_radius(arr) <= self.ellipse_hint * (1.0 + 1e-12)
-        if scalar:
-            return complex(val[0]), bool(trusted[0])
-        return val, trusted
+        val = _clenshaw(self.coeffs, np.atleast_1d(arr))
+        return complex(val[0]) if arr.ndim == 0 else val
 
     # -- calculus ------------------------------------------------------------
 
@@ -305,21 +295,21 @@ class ChebFun:
         if m >= 1:
             k = np.arange(2, m + 2)
             out[2:] = (cpad[1 : m + 1] - cpad[3 : m + 3]) / (2.0 * k)
-        return ChebFun(out, self.build_tol, self.ellipse_hint)
+        return ChebFun(out, self.ellipse_hint)
 
     def differentiate(self):
         """Derivative as a ChebFun (degree drops by one)."""
         c = self.coeffs
         n = len(c) - 1
         if n == 0:
-            return ChebFun(np.zeros(1), self.build_tol, self.ellipse_hint)
+            return ChebFun(np.zeros(1), self.ellipse_hint)
         # w[j] = sum of 2k c_k, k > j, k - j odd, added from the top down
         d = 2.0 * np.arange(n, 0, -1) * c[:0:-1]
         w = np.empty(n)
         w[0::2], w[1::2] = np.cumsum(d[0::2]), np.cumsum(d[1::2])
         w = w[::-1].copy()
         w[0] *= 0.5
-        return ChebFun(w, self.build_tol, self.ellipse_hint)
+        return ChebFun(w, self.ellipse_hint)
 
     # -- norms ----------------------------------------------------------------
 
@@ -383,34 +373,13 @@ class ChebFun:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def _binary(self, other, sign):
+    def __sub__(self, other):
         if not isinstance(other, ChebFun):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        c = np.zeros(n)
+        c = np.zeros(max(len(self.coeffs), len(other.coeffs)))
         c[: len(self.coeffs)] = self.coeffs
-        c[: len(other.coeffs)] += sign * other.coeffs
-        return ChebFun(
-            c,
-            min(self.build_tol, other.build_tol),
-            min(self.ellipse_hint, other.ellipse_hint),
-        )
-
-    def __add__(self, other):
-        return self._binary(other, 1.0)
-
-    def __sub__(self, other):
-        return self._binary(other, -1.0)
-
-    def __neg__(self):
-        return ChebFun(-self.coeffs, self.build_tol, self.ellipse_hint)
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, (int, float)):
-            return NotImplemented
-        return ChebFun(self.coeffs * float(scalar), self.build_tol, self.ellipse_hint)
-
-    __rmul__ = __mul__
+        c[: len(other.coeffs)] -= other.coeffs
+        return ChebFun(c, min(self.ellipse_hint, other.ellipse_hint))
 
 
 def _trim(c, thresh):
@@ -440,12 +409,12 @@ def build(f, tol=DEFAULT_TOL, max_degree=MAX_DEGREE):
         c = _vals_to_coeffs(v)
         maxc = float(np.max(np.abs(c)))
         if maxc == 0.0:
-            u = ChebFun(np.zeros(1), tol)
+            u = ChebFun(np.zeros(1))
             u.grid_size = n + 1
             return u
         tail = max(abs(float(c[-1])), abs(float(c[-2])))
         if tail <= tol * maxc:
-            u = ChebFun(_trim(c, tol * maxc), tol)
+            u = ChebFun(_trim(c, tol * maxc))
             u.grid_size = n + 1
             return u
         if n >= max_degree:

@@ -30,9 +30,9 @@ import time
 import numpy as np
 
 from . import conditions, gevrey, picard
-from .chebfun import MAX_DEGREE, TOL_RANGE, ChebError
+from .chebfun import ChebError
 from .expr import ExprError, parse
-from .problem import Polynomial, Problem, ProblemError
+from .problem import SOLVER_RULES, Polynomial, Problem, ProblemError, _number, _setting
 
 __all__ = [
     "EXIT_OK",
@@ -54,22 +54,6 @@ EXIT_INPUT = 4
 
 REQUIRED_KEYS = {"k", "d", "c", "P", "a", "b", "psi"}
 OPTIONAL_KEYS = {"mu", "solver"}
-# solver key -> (default, accepted values, description of the accepted values)
-SOLVER_RULES = {
-    "tol": (1e-12, lambda v: 0.0 < v < math.inf, "a finite positive number"),
-    "max_iter": (200, lambda v: v.is_integer() and v >= 1, "an integer >= 1"),
-    "cheb_tol": (
-        1e-13,
-        lambda v: TOL_RANGE[0] <= v <= TOL_RANGE[1],
-        "a number in [{:g}, {:g}]".format(*TOL_RANGE),
-    ),
-    "max_degree": (
-        MAX_DEGREE,
-        lambda v: v.is_integer() and 16 <= v <= MAX_DEGREE,
-        f"an integer in [16, {MAX_DEGREE}]",
-    ),
-}
-
 # Exit code of every fdekit error type that can reach main: bad input and
 # data that cannot be evaluated or resolved exit 4, numerical failures inside
 # the hypothesis checks or the iteration exit 3.
@@ -166,8 +150,9 @@ def load_problem(doc):
     if unknown:
         raise ProblemError(f"unknown solver keys: {sorted(unknown)}")
     settings = {
-        key: _setting(key, solver.get(key, default))
-        for key, (default, _, _) in SOLVER_RULES.items()
+        name: _setting(key, solver[key])
+        for key, (name, *_) in SOLVER_RULES.items()
+        if key in solver
     }
 
     exprs = {}
@@ -188,31 +173,8 @@ def load_problem(doc):
         d=num["d"],
         c=num["c"],
         mu=mu,
-        cheb_tol=settings["cheb_tol"],
-        solve_tol=settings["tol"],
-        max_iter=int(settings["max_iter"]),
-        max_degree=int(settings["max_degree"]),
+        **settings,
     )
-
-
-def _setting(key, value):
-    """A solver value as a float, checked against SOLVER_RULES."""
-    _, accepted, description = SOLVER_RULES[key]
-    number = _number(value)
-    if number is None or not accepted(number):
-        raise ProblemError(f'solver "{key}" must be {description}')
-    return number
-
-
-def _number(x):
-    """A JSON number (not a boolean) as a float, else None; integers too
-    large for a float become inf."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        return None
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf
 
 
 def load_problem_file(path):
@@ -281,9 +243,9 @@ def cmd_solve(path, tol=None, max_iter=None, out=None, force=False, require_ek=F
     t0 = time.perf_counter()
     prob, vreport = _load_and_validate(path)
     if tol is not None:
-        tol = _setting("tol", tol)
+        prob = dataclasses.replace(prob, solve_tol=tol)
     if max_iter is not None:
-        max_iter = int(_setting("max_iter", max_iter))
+        prob = dataclasses.replace(prob, max_iter=max_iter)
     if out is not None:
         _check_writable(out)
 
@@ -300,7 +262,7 @@ def cmd_solve(path, tol=None, max_iter=None, out=None, force=False, require_ek=F
 
     if ek_ok and (creport.ok or force):
         try:
-            sol = _solve(prob, creport, force, solve_tol=tol, max_iter=max_iter)
+            sol = _solve(prob, creport, force)
         except picard.PicardError as exc:
             report["solve"], code = {"error": str(exc)}, EXIT_FAILURE
         else:
@@ -319,13 +281,13 @@ def cmd_solve(path, tol=None, max_iter=None, out=None, force=False, require_ek=F
     return code
 
 
-def _solve(prob, creport, force, **kwargs):
+def _solve(prob, creport, force):
     """picard.solve on the analysed problem, forced (with FORCED_NOTE on
     stderr) when its hypotheses fail and force is set."""
     forced = force and not creport.ok
     if forced:
         print(FORCED_NOTE, file=sys.stderr)
-    return picard.solve(prob, None if forced else creport, force=forced, **kwargs)
+    return picard.solve(prob, None if forced else creport, force=forced)
 
 
 def _check_writable(path):

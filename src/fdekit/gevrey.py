@@ -10,9 +10,8 @@ stadium boundary alone when the map is entire; see check_ek).
 Growth: the envelope recursion w_1 = 1,
 w_{n+1} = ||a||_inf * M(r0 + s n^(-1/k) w_n) + ||b + P(0)a||_inf (sup norms
 over the stadium of radius mu/2) stays bounded by an explicitly computable
-constant C whenever s <= 1/C; Lambda(s) generalises the contraction constant
-to complex path integrals.  Both are implemented as numerical probes, not
-proofs, as is the inclusion check of analytically continued iterates in
+constant C whenever s <= 1/C.  It is implemented as a numerical probe, not a
+proof, as is the inclusion check of analytically continued iterates in
 fattened value intervals.
 
 Regularity estimation: sup norms of repeated spectral derivatives are fitted
@@ -28,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chebfun import build, ellipse_radius
+from .chebfun import ellipse_radius
 
 __all__ = [
     "GevreyError",
@@ -41,7 +40,6 @@ __all__ = [
     "interval_distance",
     "check_ek",
     "omega_sequence",
-    "lambda_estimate",
     "stadium_inclusion_probe",
     "derivative_norms",
     "gevrey_order_estimate",
@@ -178,8 +176,10 @@ def check_ek(psi, k, A_list, p_max, density=128):
     by the maximum principle, peaks on the stadium boundary.  The check
     passes when every ratio is <= 1 + 1e-12.  first_pass_p maps each scale
     to the first level from which every ratio passes (1: the scale passes at
-    every level; None: it fails at p_max).  The scales must be positive and
-    distinct, 1 <= p_max <= MAX_EK_LEVELS and 1 <= density <= MAX_EK_DENSITY.
+    every level; None: it fails at p_max).  The scales must be distinct,
+    positive and finite, 1 <= p_max <= MAX_EK_LEVELS and
+    1 <= density <= MAX_EK_DENSITY; all of this is checked before any level
+    is sampled.
     This is evidence, not a proof: the property quantifies over open sets.
     """
     if not 1 <= p_max <= MAX_EK_LEVELS:
@@ -188,13 +188,13 @@ def check_ek(psi, k, A_list, p_max, density=128):
         raise GevreyError(f"density must be in [1, {MAX_EK_DENSITY}]")
     if len(set(A_list)) != len(A_list):
         raise GevreyError(f"fattening scales must be distinct: {list(A_list)!r}")
+    if not all(0.0 < A < math.inf for A in A_list):
+        raise GevreyError("fattening scales must be positive and finite")
     interior = not psi.is_entire()
     levels = []
     first_pass = {}
     worst_overall = 0.0
     for A in A_list:
-        if A <= 0:
-            raise GevreyError("fattening scales must be positive")
         last_fail = 0
         for p in range(1, p_max + 1):
             region = StadiumRegion(k=k, A=A, n=p + 1)
@@ -287,37 +287,6 @@ def omega_sequence(p, s, r0, n_max, tau_candidate):
     )
 
 
-# --- complex contraction functional ------------------------------------------
-
-
-def lambda_estimate(p, s, r0, C, density=64):
-    """Grid approximation of
-    Lambda(s) = sup_z (path integral of |a| from d to z) * M'(r0 + C s),
-    the sup over the stadium of radius s (s = 0 reduces to the exact
-    real-axis mass between d and the worst endpoint, times M'(r0)).
-
-    For s > 0 the value is a lower approximation: the sup runs over a finite
-    stadium sample and straight-path trapezoid integrals.
-    """
-    if s < 0:
-        raise GevreyError("s must be >= 0")
-    mu = p.effective_mu()
-    if s >= mu:
-        raise GevreyError(f"s = {s!r} must be < mu = {mu!r}")
-    if s == 0.0:
-        a_fun = build(lambda t: p.a.eval_real(t), p.cheb_tol, p.max_degree)
-        mass = max(a_fun.abs_integral(-1.0, p.d), a_fun.abs_integral(p.d, 1.0))
-        return mass * float(p.P.majorant_deriv_eval(r0))
-
-    pts = _stadium_points(s, density)
-    m = max(int(density), 64)
-    tau = np.linspace(0.0, 1.0, m)
-    zeta = p.d + (pts[:, None] - p.d) * tau[None, :]
-    av = np.abs(p.a.eval_complex(zeta.ravel())).reshape(zeta.shape)
-    path_mass = np.trapezoid(av, tau, axis=1) * np.abs(pts - p.d)
-    return float(np.max(path_mass)) * float(p.P.majorant_deriv_eval(r0 + C * s))
-
-
 # --- inclusion probe for analytically continued iterates ---------------------
 
 
@@ -346,8 +315,10 @@ def stadium_inclusion_probe(iterates, r0, k, s, C, n_range, density=64):
     stadium of scale s into the interval [-r0, r0] fattened by C s n^(-1/k).
 
     The continuation of each iterate is only trusted inside its estimated
-    validity ellipse, so s is halved until every probed stadium fits inside
-    every needed ellipse; the s actually used is reported.  Iterate n is the
+    validity ellipse (ChebFun.ellipse_hint), so s is halved until every
+    probed stadium fits inside every needed ellipse; the s actually used is
+    reported.  A stadium fits when its point 1 + radius does, as no point of
+    the stadium has a larger Bernstein-ellipse parameter.  Iterate n is the
     n-th Picard iterate (iterates[0] is the zero start).
     """
     n_range = list(n_range)
@@ -375,9 +346,7 @@ def stadium_inclusion_probe(iterates, r0, k, s, C, n_range, density=64):
     for n in n_range:
         radius = s_used * n ** (-1.0 / k)
         pts = _stadium_points(radius, density)
-        vals, trusted = iterates[n - 1].eval_complex(pts)
-        if not np.all(trusted):
-            raise GevreyError(f"untrusted evaluation points at level {n}")
+        vals = iterates[n - 1].eval_complex(pts)
         dist = interval_distance(vals, half_width=r0)
         allowed = C * radius
         ratio = float(np.max(dist)) / allowed

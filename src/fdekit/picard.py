@@ -98,30 +98,21 @@ def apply_T(f, p):
     shift = u.eval(p.d) - p.c
     cc = u.coeffs.copy()
     cc[0] -= shift
-    out = ChebFun(cc, u.build_tol, u.ellipse_hint)
-    return out
+    return ChebFun(cc, u.ellipse_hint)
 
 
-def solve(
-    p,
-    report=None,
-    *,
-    force=False,
-    keep_iterates=False,
-    initial=None,
-    solve_tol=None,
-    max_iter=None,
-):
+def solve(p, report=None, *, force=False, keep_iterates=False):
     """Iterate f_1 = 0, f_{n+1} = T(f_n) to the fixed point.
 
     Requires a passing ConditionsReport (computed if not supplied) unless
     force=True, which runs outside the hypothesis window with the heuristic
     radius 2*(||b + P(0)a||_1 + |c|) for ball monitoring and marks the
-    result out_of_theorem.  A ball-escape raises; hitting max_iter returns
-    converged=False.
+    result out_of_theorem.  The tolerance and iteration cap are the
+    problem's solve_tol and max_iter; run dataclasses.replace(p, ...) to
+    change them.  A ball-escape raises; hitting max_iter returns
+    converged=False.  keep_iterates keeps f_1, f_2, ... on the Solution.
     """
-    st = p.solve_tol if solve_tol is None else float(solve_tol)
-    mi = p.max_iter if max_iter is None else int(max_iter)
+    st = p.solve_tol
 
     if force:
         r0 = 2.0 * (conditions.source_mass(p) + abs(p.c))
@@ -144,14 +135,13 @@ def solve(
     if q < 1.0:
         threshold = min(threshold, st * (1.0 - q))
 
-    f = ChebFun(np.zeros(1), p.cheb_tol) if initial is None else initial
-    _check_ball(f, r0, 1)
+    f = ChebFun(np.zeros(1))
     iterates = [f] if keep_iterates else None
     increments = []
     converged = False
     n_req = None
     n = 0
-    for n in range(1, mi + 1):
+    for n in range(1, p.max_iter + 1):
         fn = apply_T(f, p)
         inc = (fn - f).sup_norm()
         increments.append(inc)

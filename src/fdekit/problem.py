@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .chebfun import _pts_desc, build
+from .chebfun import MAX_DEGREE, TOL_RANGE, _pts_desc, build
 from .expr import Expr
 
 __all__ = [
@@ -31,6 +31,24 @@ __all__ = [
 
 PSI_RANGE_TOL = 1e-12
 VALIDATION_GRID = 4096  # 4097 Chebyshev points
+# problem-file solver key -> (Problem field, its type, accepted values,
+# description of the accepted values)
+SOLVER_RULES = {
+    "tol": ("solve_tol", float, lambda v: 0.0 < v < math.inf, "a finite positive number"),
+    "max_iter": ("max_iter", int, lambda v: v.is_integer() and v >= 1, "an integer >= 1"),
+    "cheb_tol": (
+        "cheb_tol",
+        float,
+        lambda v: TOL_RANGE[0] <= v <= TOL_RANGE[1],
+        "a number in [{:g}, {:g}]".format(*TOL_RANGE),
+    ),
+    "max_degree": (
+        "max_degree",
+        int,
+        lambda v: v.is_integer() and 16 <= v <= MAX_DEGREE,
+        f"an integer in [16, {MAX_DEGREE}]",
+    ),
+}
 
 
 class ProblemError(Exception):
@@ -105,11 +123,31 @@ def _horner(coeffs, x):
     return out
 
 
-def clamp_unit(values, tol=PSI_RANGE_TOL):
-    """Clamp deviating-map outputs into [-1, 1]; error beyond tolerance."""
+def _number(x):
+    """A JSON number (not a boolean) as a float, else None; integers too
+    large for a float become inf."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return None
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
+def _setting(key, value):
+    """A solver value checked against SOLVER_RULES, as its field's type."""
+    _, kind, accepted, description = SOLVER_RULES[key]
+    number = _number(value)
+    if number is None or not accepted(number):
+        raise ProblemError(f'solver "{key}" must be {description}')
+    return kind(number)
+
+
+def clamp_unit(values):
+    """Clamp deviating-map outputs into [-1, 1]; error beyond PSI_RANGE_TOL."""
     v = np.asarray(values, dtype=float)
     worst = float(np.max(np.abs(v))) if v.size else 0.0
-    if worst > 1.0 + tol:
+    if worst > 1.0 + PSI_RANGE_TOL:
         raise ProblemError(
             f"deviating map leaves [-1, 1]: |psi| reaches {worst!r}"
         )
@@ -146,7 +184,9 @@ class Problem:
     """One functional differential equation instance.
 
     Treated as immutable after construction; all solver entry points take a
-    Problem by value and never mutate it.
+    Problem by value and never mutate it.  The solver settings must satisfy
+    SOLVER_RULES (the error names the problem-file key); construction stores
+    them as float or int.
     """
 
     a: Expr
@@ -160,7 +200,7 @@ class Problem:
     cheb_tol: float = 1e-13
     solve_tol: float = 1e-12
     max_iter: int = 200
-    max_degree: int = 32768
+    max_degree: int = MAX_DEGREE
 
     def __post_init__(self):
         for name in ("k", "d", "c"):
@@ -168,10 +208,8 @@ class Problem:
                 raise ProblemError(f"{name} must be finite")
         if self.mu is not None and not 0 < self.mu < math.inf:
             raise ProblemError("mu must be positive and finite")
-        if not (self.cheb_tol > 0 and self.solve_tol > 0):
-            raise ProblemError("tolerances must be positive")
-        if self.max_iter < 1 or self.max_degree < 16:
-            raise ProblemError("max_iter/max_degree out of range")
+        for key, (name, *_) in SOLVER_RULES.items():
+            setattr(self, name, _setting(key, getattr(self, name)))
 
     def validate(self):
         """Range and well-posedness checks; failures are reported, not raised."""

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from fdekit.chebfun import ChebFun
 from fdekit.cli import load_problem
 from fdekit import conditions
 from fdekit.problem import Polynomial, Problem
@@ -59,6 +60,13 @@ def random_passing_problem(rng):
         d=d,
         c=c,
     )
+
+
+def linear_combination(alpha, u, beta, v):
+    """alpha*u + beta*v as a ChebFun, from zero-padded coefficient arrays."""
+    n = max(u.degree, v.degree) + 1
+    cu, cv = (np.pad(w.coeffs, (0, n - len(w.coeffs))) for w in (u, v))
+    return ChebFun(alpha * cu + beta * cv)
 
 
 def random_smooth_chebfun_args(rng):

@@ -20,6 +20,7 @@ from fdekit.expr import parse
 from fdekit.gevrey import StadiumRegion, interval_distance
 from _utils import (
     integral,
+    linear_combination,
     manufactured_problem,
     ode_oracle_problem,
     ode_oracle_values,
@@ -202,7 +203,7 @@ def test_criterion_09_property_suites():
         beta = float(rng.uniform(-2, 2))
         d = float(rng.uniform(-1, 1))
         x = float(rng.uniform(-1, 1))
-        lhs = integral(alpha * u + beta * v, d, x)
+        lhs = integral(linear_combination(alpha, u, beta, v), d, x)
         rhs = alpha * integral(u, d, x) + beta * integral(v, d, x)
         ok_cheb &= abs(lhs - rhs) <= 1e-13 * max(abs(lhs), abs(rhs), 1.0)
         ok_cheb &= u.l1_norm() <= 2.0 * u.sup_norm() + 1e-12

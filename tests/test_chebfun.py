@@ -6,6 +6,7 @@ import pytest
 from numpy.polynomial import chebyshev as npcheb
 
 from fdekit.chebfun import (
+    DEFAULT_TOL,
     _EVAL_CROSSOVER,
     _EVAL_SLACK,
     _OVERSAMPLE,
@@ -18,7 +19,7 @@ from fdekit.chebfun import (
     _pts_desc,
     build,
 )
-from _utils import integral, random_smooth_chebfun_args, smooth_fn
+from _utils import integral, linear_combination, random_smooth_chebfun_args, smooth_fn
 
 
 def bessel_i0_oracle():
@@ -68,13 +69,13 @@ class TestBuild:
     def test_trailing_coefficient_above_threshold(self):
         for f in (np.exp, lambda t: 2.0**t, lambda t: np.sin(np.pi * t)):
             u = build(f)
-            assert abs(u.coeffs[-1]) >= u.build_tol * np.max(np.abs(u.coeffs))
+            assert abs(u.coeffs[-1]) >= DEFAULT_TOL * np.max(np.abs(u.coeffs))
 
     def test_matches_samples_on_final_grid(self):
         for f in (np.exp, lambda t: 2.0**t, lambda t: np.sin(np.pi * t)):
             u = build(f)
             pts = _pts_desc(u.grid_size - 1)
-            bound = 10 * u.build_tol * np.max(np.abs(u.coeffs))
+            bound = 10 * DEFAULT_TOL * np.max(np.abs(u.coeffs))
             assert np.max(np.abs(u.eval(pts) - f(pts))) <= bound
 
 
@@ -104,30 +105,23 @@ class TestEval:
 
 class TestEvalComplex:
     def test_identity(self):
-        v, trusted = ChebFun([0.0, 1.0]).eval_complex(0.2 + 0.1j)
+        v = ChebFun([0.0, 1.0]).eval_complex(0.2 + 0.1j)
         assert v == pytest.approx(0.2 + 0.1j, abs=1e-16)
-        assert trusted
 
     def test_t2_at_i(self):
-        v, _ = ChebFun([0.0, 0.0, 1.0]).eval_complex(1j)
+        v = ChebFun([0.0, 0.0, 1.0]).eval_complex(1j)
         assert v == pytest.approx(-3.0 + 0j, abs=1e-15)
 
     def test_exp_on_imaginary_axis(self):
-        v, trusted = build(np.exp).eval_complex(0.1j)
-        assert trusted
+        v = build(np.exp).eval_complex(0.1j)
         assert v == pytest.approx(complex(math.cos(0.1), math.sin(0.1)), abs=1e-10)
-
-    def test_untrusted_far_out(self):
-        u = build(lambda t: 1.0 / (1.01 - t))  # pole just outside the interval
-        _, trusted = u.eval_complex(3.0 + 3.0j)
-        assert not trusted
 
     def test_real_axis_agrees_with_eval_to_4_ulps(self):
         rng = np.random.default_rng(11)
         u = build(lambda t: np.sin(3 * t) + 0.5 * np.exp(t))
         for x in rng.uniform(-1, 1, 100):
             rv = u.eval(float(x))
-            cv, _ = u.eval_complex(complex(x))
+            cv = u.eval_complex(complex(x))
             assert cv.imag == 0.0
             assert abs(cv.real - rv) <= 4 * math.ulp(max(abs(rv), 1e-300))
 
@@ -200,7 +194,7 @@ class TestPropertySuites:
             v = build(smooth_fn(args2))
             alpha = float(rng.uniform(-2, 2))
             beta = float(rng.uniform(-2, 2))
-            w = alpha * u + beta * v
+            w = linear_combination(alpha, u, beta, v)
             d = float(rng.uniform(-1, 1))
             x = float(rng.uniform(-1, 1))
             lhs = integral(w, d, x)

@@ -14,6 +14,7 @@ from fdekit.cli import (
     example2_doc,
     load_problem,
 )
+from fdekit.expr import Expr
 from fdekit.problem import ProblemError
 
 
@@ -181,11 +182,20 @@ class TestSolve:
         assert code == EXIT_OK
         assert report_of(out)["solve"]["iterations"] < 9
 
-    @pytest.mark.parametrize("flag,value", [("--tol", "0"), ("--tol", "nan"), ("--max-iter", "0")])
-    def test_out_of_range_flag_exit_4(self, tmp_path, capsys, flag, value):
+    @pytest.mark.parametrize(
+        "flag,value,rule",
+        [("--tol", "0", '"tol" must be a finite positive number'),
+         ("--tol", "nan", '"tol" must be a finite positive number'),
+         ("--tol", "inf", '"tol" must be a finite positive number'),
+         ("--max-iter", "0", '"max_iter" must be an integer >= 1')],
+        ids=["--tol-0", "--tol-nan", "--tol-inf", "--max-iter-0"],
+    )
+    def test_out_of_range_flag_exit_4(self, tmp_path, capsys, flag, value, rule):
         code = cli.main(["solve", write_json(tmp_path, example2_doc()), flag, value])
+        captured = capsys.readouterr()
         assert code == EXIT_INPUT
-        assert capsys.readouterr().err.startswith("error: ")
+        assert captured.out == ""
+        assert captured.err == f"error: solver {rule}\n"
 
     def test_csv_write_failure_exit_4(self, tmp_path, capsys):
         code, _ = run(
@@ -290,6 +300,19 @@ class TestEk:
         assert code == EXIT_INPUT
         assert captured.out == ""
         assert captured.err == message
+
+    @pytest.mark.parametrize("scales", ["0.5,0.9,-1", "0.5,nan"])
+    @pytest.mark.parametrize("psi", ["sin(t)", "sqrt(t+2)"])
+    def test_bad_scale_exit_4_before_sampling(self, tmp_path, capsys, monkeypatch, psi, scales):
+        calls = []
+        monkeypatch.setattr(Expr, "eval_complex", lambda self, z: calls.append(z))
+        doc = {**example2_doc(), "psi": psi}
+        code = cli.main(["ek", write_json(tmp_path, doc), "--A", scales, "--pmax", "2000"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert calls == []
+        assert captured.out == ""
+        assert captured.err == "error: fattening scales must be positive and finite\n"
 
     def test_abs_map_exit_4(self, tmp_path, capsys):
         doc = {**example2_doc(), "psi": "abs(t)"}

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fdekit import conditions, gevrey, picard
-from fdekit.chebfun import ChebFun, build
+from fdekit.chebfun import ChebFun, build, ellipse_radius
 from fdekit.cli import example1_doc, example2_doc, load_problem
 from fdekit.expr import Expr, parse
 from fdekit.gevrey import (
@@ -16,7 +16,6 @@ from fdekit.gevrey import (
     derivative_norms,
     gevrey_order_estimate,
     interval_distance,
-    lambda_estimate,
     omega_sequence,
     stadium_inclusion_probe,
 )
@@ -202,41 +201,6 @@ class TestOmegaSequence:
         assert om.C_est >= max(2.0 / om.nu_proxy, 1.0)
 
 
-class TestLambdaEstimate:
-    def test_constant_weight_closed_form(self):
-        p = load_problem(
-            {"k": 1.0, "d": 0.3, "c": 0.01, "P": [0.0, 0.1, 1.0],
-             "a": "0.4", "b": "0.01", "psi": "t", "mu": 1.0}
-        )
-        rep = conditions.analyze(p)
-        assert rep.ok
-        lam = lambda_estimate(p, 0.0, rep.r0, 1.0)
-        want = 0.4 * (1.0 + 0.3) * p.P.majorant_deriv_eval(rep.r0)
-        assert lam == pytest.approx(want, abs=1e-12)
-
-    def test_quartic_closed_form_mass(self):
-        p = load_problem(example2_doc())
-        rep = conditions.analyze(p)
-        lam0 = lambda_estimate(p, 0.0, rep.r0, 1.0)
-        # weight mass from 0 to 1 is exactly 2, the farthest-endpoint winner
-        assert lam0 == pytest.approx(2.0 * p.P.majorant_deriv_eval(rep.r0), abs=1e-12)
-        assert lam0 < 1.0
-
-    def test_monotone_in_s(self):
-        p = load_problem(example2_doc())
-        rep = conditions.analyze(p)
-        om = omega_sequence(p, 0.0, rep.r0, 1, SINE_SCALE)
-        lam0 = lambda_estimate(p, 0.0, rep.r0, om.C_est)
-        for s in (0.01, 0.05):
-            assert lambda_estimate(p, s, rep.r0, om.C_est) >= lam0 - 1e-12
-
-    def test_s_must_stay_below_mu(self):
-        p = load_problem(example2_doc())
-        rep = conditions.analyze(p)
-        with pytest.raises(GevreyError):
-            lambda_estimate(p, 2.0, rep.r0, 1.0)
-
-
 class TestStadiumInclusionProbe:
     def test_zero_start_has_zero_ratio(self):
         p = load_problem(example2_doc())
@@ -265,6 +229,14 @@ class TestStadiumInclusionProbe:
     def test_missing_iterates_rejected(self):
         with pytest.raises(GevreyError):
             stadium_inclusion_probe([ChebFun([0.0])], 0.1, 1.0, 0.1, 2.0, range(1, 5))
+
+    @pytest.mark.parametrize("density", [8, 64, 128, 256])
+    def test_point_one_plus_radius_bounds_the_ellipse_parameter(self, density):
+        # a stadium that passes _fits_trusted lies inside the iterate's
+        # validity ellipse at every probed point
+        for radius in np.geomspace(1e-6, 50, 400):
+            pts = gevrey._stadium_points(radius, density)
+            assert np.max(ellipse_radius(pts)) <= ellipse_radius(1.0 + radius)
 
 
 class TestDerivativeNorms:

@@ -110,6 +110,14 @@ class TestValidate:
     def test_constructor_rejects_bad_tolerances(self):
         with pytest.raises(ProblemError):
             make_problem(cheb_tol=-1.0)
+        for field, value, key in [
+            ("cheb_tol", 0.5, "cheb_tol"),
+            ("max_iter", 2.5, "max_iter"),
+            ("max_degree", 10**6, "max_degree"),
+            ("solve_tol", math.inf, "tol"),
+        ]:
+            with pytest.raises(ProblemError, match=f'solver "{key}" must be'):
+                make_problem(**{field: value})
         with pytest.raises(ProblemError):
             make_problem(mu=0.0)
         with pytest.raises(ProblemError, match="mu must be positive and finite"):
