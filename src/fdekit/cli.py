@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -507,7 +508,9 @@ def _scales(text):
     return vals
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="fdekit",
         description="check, solve and diagnose functional differential "
@@ -554,7 +557,11 @@ def main(argv=None):
                            "their reference values")
     p_rep.add_argument("which", choices=["example1", "example2", "all"])
     p_rep.set_defaults(run=lambda a: cmd_reproduce(a.which))
+    return parser
 
+
+def main(argv=None):
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.command == "gevrey" and not args.selftest and args.path is None:

@@ -50,6 +50,7 @@ SLOPE_ANALYTIC_CUTOFF = 1.05
 MAX_DERIVATIVES = 12
 MAX_EK_LEVELS = 10000
 MAX_EK_DENSITY = 4096
+_EK_CHUNK = 1 << 16  # points per psi evaluation in check_ek (plus one level)
 _EPS = np.finfo(float).eps
 
 
@@ -196,12 +197,8 @@ def check_ek(psi, k, A_list, p_max, density=128):
     worst_overall = 0.0
     for A in A_list:
         last_fail = 0
-        for p in range(1, p_max + 1):
-            region = StadiumRegion(k=k, A=A, n=p + 1)
-            pts = region.sample(density, interior=interior)
-            w = psi.eval_complex(pts)
-            dist = interval_distance(w)
-            worst = float(np.max(dist))
+        for p, worst in enumerate(_level_maxima(psi, k, A, p_max, density, interior), 1):
+            worst = float(worst)
             ratio = worst / (A * p ** (-1.0 / k))
             levels.append(EkLevel(A=A, p=p, worst_ratio=ratio, worst_dist=worst))
             worst_overall = max(worst_overall, ratio)
@@ -220,6 +217,39 @@ def check_ek(psi, k, A_list, p_max, density=128):
         first_pass_p=first_pass,
         levels=levels,
     )
+
+
+def _level_maxima(psi, k, A, p_max, density, interior):
+    """max dist(psi(z), [-1, 1]) over the sample of the level-(p+1) stadium
+    of scale A, for p = 1..p_max.  Consecutive levels are joined into chunks
+    of fewer than _EK_CHUNK points plus one level; psi is evaluated once per
+    chunk and the chunk's distances are split back into levels by
+    np.maximum.reduceat at the level offsets."""
+    maxima = []
+    chunk, starts, size = [], [], 0
+
+    def flush():
+        dist = interval_distance(psi.eval_complex(np.concatenate(chunk)))
+        maxima.extend(np.maximum.reduceat(dist, starts).tolist())
+        chunk.clear()
+        starts.clear()
+
+    for p in range(1, p_max + 1):
+        try:
+            pts = StadiumRegion(k=k, A=A, n=p + 1).sample(density, interior)
+        except GevreyError:
+            if chunk:  # an error evaluating an earlier level is reported first
+                flush()
+            raise
+        chunk.append(pts)
+        starts.append(size)
+        size += len(pts)
+        if size >= _EK_CHUNK:
+            flush()
+            size = 0
+    if chunk:
+        flush()
+    return maxima
 
 
 # --- growth envelope recursion ----------------------------------------------

@@ -12,6 +12,7 @@ rather than raising.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -97,10 +98,9 @@ class Polynomial:
     def _majorant(self, x, r):
         """r-th derivative of the majorant: Horner over j!/(j-r)! |a_j|, j >= r,
         with the constant term dropped."""
-        if np.any(np.asarray(x) < 0):
+        if (x < 0) if isinstance(x, float) else np.any(np.asarray(x) < 0):
             raise ProblemError("majorant is only defined for x >= 0")
-        m = [math.perm(j, r) * abs(c) if j else 0.0 for j, c in enumerate(self.coeffs)]
-        return _horner(m[r:], x)
+        return _horner(_majorant_coeffs(tuple(self.coeffs), r), x)
 
     def majorant_eval(self, x):
         """sum_{j>=1} |a_j| x^j at x >= 0."""
@@ -115,9 +115,16 @@ class Polynomial:
         return self._majorant(x, 2)
 
 
+@functools.lru_cache(maxsize=64)
+def _majorant_coeffs(coeffs, r):
+    """j!/(j-r)! |a_j| for j >= r, with the constant term a_0 dropped."""
+    return tuple(math.perm(j, r) * abs(c) if j else 0.0 for j, c in enumerate(coeffs))[r:]
+
+
 def _horner(coeffs, x):
-    """sum_j coeffs[j] x^j (ascending powers) by Horner's rule; 0 if empty."""
-    out = 0.0 * np.asarray(x) if not np.isscalar(x) else 0.0
+    """sum_j coeffs[j] x^j (ascending powers) by Horner's rule; 0 if empty.
+    A float (np.float64 included) takes plain float arithmetic."""
+    out = 0.0 if isinstance(x, float) or np.isscalar(x) else 0.0 * np.asarray(x)
     for c in reversed(coeffs):
         out = out * x + c
     return out

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -468,6 +469,41 @@ def test_help_exits_0(capsys):
         cli.main(["--help"])
     assert exc.value.code == 0
     assert "usage: fdekit" in capsys.readouterr().out
+
+
+class TestParserReuse:
+    def test_scale_list_does_not_leak_between_calls(self, tmp_path, capsys):
+        path = write_json(tmp_path, example2_doc())
+        code, out = run(capsys, ["ek", path, "--A", "0.3", "--pmax", "2"])
+        assert code == EXIT_OK and report_of(out)["A_list"] == [0.3]
+        code, out = run(capsys, ["ek", path, "--pmax", "2"])
+        assert code == EXIT_OK and report_of(out)["A_list"] == [0.1, 0.5, 0.9]
+
+    def test_usage_error_then_valid_call_then_help_twice(self, tmp_path, capsys):
+        path = write_json(tmp_path, example2_doc())
+        assert cli.main(["ek", path, "--pmax", "abc"]) == EXIT_INPUT
+        assert cli.main(["check", path]) == EXIT_OK
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["--help"])
+            assert exc.value.code == 0
+            assert "usage: fdekit" in capsys.readouterr().out
+
+    def test_parser_built_at_most_once(self, tmp_path, capsys, monkeypatch):
+        built = []
+        original = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli._parser.cache_clear()
+        path = write_json(tmp_path, example2_doc())
+        for argv in (["check", path], ["ek", path, "--pmax", "2"], ["bogus"],
+                     ["gevrey", "--selftest"], ["check", path]):
+            cli.main(argv)
+        assert built.count("fdekit") == 1
 
 
 def layout(doc):

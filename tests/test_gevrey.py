@@ -114,6 +114,11 @@ def count_eval_points(monkeypatch):
     return counts
 
 
+def boundary_size(density):
+    """Points of one stadium boundary sample at the given density."""
+    return len(StadiumRegion(k=1.0, A=0.5, n=2).sample(density, interior=False))
+
+
 class TestEkSampling:
     @pytest.mark.parametrize("density", [32, 128])
     @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
@@ -122,13 +127,12 @@ class TestEkSampling:
         psi = parse(src)
         counts = count_eval_points(monkeypatch)
         got = check_ek(psi, k, [0.1, 0.5, 0.9], 100, density=density)
-        assert counts == [4 * density] * 300
+        # one psi evaluation per scale, over the boundaries of all 100 levels
+        assert counts == [100 * boundary_size(density)] * 3
 
-        def full(self, density, interior=True):
-            return gevrey._stadium_points(self.radius, density)
-
-        monkeypatch.setattr(StadiumRegion, "sample", full)
+        monkeypatch.setattr(Expr, "is_entire", lambda self: False)
         want = check_ek(psi, k, [0.1, 0.5, 0.9], 100, density=density)
+        assert sum(counts[3:]) > 3 * 100 * boundary_size(density)
         for f in dataclasses.fields(EkReport):
             assert getattr(got, f.name) == getattr(want, f.name), f.name
 
@@ -137,12 +141,33 @@ class TestEkSampling:
         counts = count_eval_points(monkeypatch)
         check_ek(parse(src), 1.0, [0.1, 0.5], 20, density=32)
         want = [
-            len(gevrey._stadium_points(StadiumRegion(k=1.0, A=A, n=p + 1).radius, 32))
+            sum(
+                len(gevrey._stadium_points(StadiumRegion(k=1.0, A=A, n=p + 1).radius, 32))
+                for p in range(1, 21)
+            )
             for A in (0.1, 0.5)
-            for p in range(1, 21)
         ]
         assert counts == want
-        assert min(want) > 4 * 32
+        assert min(want) > 20 * boundary_size(32)
+
+    @pytest.mark.parametrize("src", ["sin(t)", "sqrt(t+2)"])
+    def test_evaluations_are_chunked(self, monkeypatch, src):
+        psi = parse(src)
+        counts = []
+
+        def zeros(self, z):
+            counts.append(len(z))
+            return np.zeros(len(z), dtype=complex)
+
+        monkeypatch.setattr(Expr, "eval_complex", zeros)
+        rep = check_ek(psi, 1.0, [0.5], 300, density=4096)
+        sizes = [
+            len(StadiumRegion(k=1.0, A=0.5, n=p + 1).sample(4096, not psi.is_entire()))
+            for p in range(1, 301)
+        ]
+        assert len(rep.levels) == 300 and len(counts) > 1
+        assert max(counts) <= gevrey._EK_CHUNK + max(sizes)
+        assert sum(counts) == sum(sizes)
 
 
 # The largest fattening scale at which sin(t), the deviating map of both

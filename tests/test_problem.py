@@ -21,6 +21,12 @@ def make_problem(**kw):
     return Problem(**defaults)
 
 
+def number_kinds(n):
+    """The integer n as a Python float, np.float64, an int, a 0-d array and
+    a 1-d array (whose other entry is |n|)."""
+    return [float(n), np.float64(n), int(n), np.array(float(n)), np.array([abs(n), float(n)])]
+
+
 class TestPolynomial:
     def test_cubic_eval_and_derivative(self):
         P = Polynomial.from_coeffs([0, 0, 0, 1])
@@ -50,8 +56,28 @@ class TestPolynomial:
         assert P.majorant_deriv_eval(2.0) == 0.0
 
     def test_majorant_rejects_negative(self):
-        with pytest.raises(ProblemError):
-            Polynomial.from_coeffs([0, 1, 1]).majorant_eval(-0.1)
+        P = Polynomial.from_coeffs([0, 1, 1])
+        for x in (-0.1, *number_kinds(-1)):
+            for majorant in (P.majorant_eval, P.majorant_deriv_eval, P.majorant_second_deriv_eval):
+                with pytest.raises(ProblemError):
+                    majorant(x)
+
+    @pytest.mark.parametrize("x", [0, 1, 2])
+    def test_majorant_is_the_same_for_every_number_kind(self, x):
+        # dyadic coefficients at small integers: every sum below is exact
+        coeffs = [-1.0, 0.125, -1.0, 0.0, 1.0]
+        P = Polynomial.from_coeffs(coeffs)
+        majorants = (P.majorant_eval, P.majorant_deriv_eval, P.majorant_second_deriv_eval)
+        for r, majorant in enumerate(majorants):
+            want = sum(
+                math.perm(j, r) * abs(c) * float(x) ** (j - r)
+                for j, c in enumerate(coeffs)
+                if j >= max(r, 1)
+            )
+            for v in number_kinds(x):
+                got = majorant(v)
+                assert np.shape(got) == np.shape(v)
+                assert np.all(got == want), (r, type(v))
 
     def test_trailing_zeros_trimmed(self):
         P = Polynomial.from_coeffs([1.0, 2.0, 0.0, 0.0])
