@@ -198,12 +198,14 @@ def _newton(c, th, lo, hi, below, order):
 
 def ellipse_radius(z):
     """Bernstein-ellipse parameter of a point: |z + sqrt(z^2-1)| with the
-    branch of modulus >= 1.  Equals 1 exactly on [-1, 1]."""
+    branch of modulus >= 1.  The parameter is even in both axes, so it is
+    taken at the mirror image q of z in the closed first quadrant, where the
+    principal sqrt(q^2-1) lies in that quadrant too: the branch is the right
+    one and the sum cancels nowhere (at z = -(1 + r) the direct formula
+    loses digits).  Equals 1 exactly on [-1, 1]."""
     arr = np.asarray(z, dtype=complex)
-    w = arr + np.sqrt(arr * arr - 1.0)
-    aw = np.abs(w)
-    with np.errstate(divide="ignore"):
-        r = np.maximum(aw, 1.0 / np.where(aw == 0, 1.0, aw))
+    q = np.abs(arr.real) + 1j * np.abs(arr.imag)
+    r = np.maximum(np.abs(q + np.sqrt(q * q - 1.0)), 1.0)
     return float(r) if arr.ndim == 0 else r
 
 

@@ -75,14 +75,16 @@ def interval_distance(z, half_width=1.0):
 @functools.lru_cache(maxsize=8)
 def _boundary_template(density):
     """The stadium boundary of radius r is offset + r * direction, with
-    `density` points on each piece: the caps +-1 + r e^(i phi) and the
-    segments x +- i r.  Read-only arrays, shared by every radius."""
+    `density` points on each piece (the caps +-1 + r e^(i phi) and the
+    segments x +- i r) plus the cap tips +-(1 + r), at phi = 0, which an
+    even `density` misses.  Read-only arrays, shared by every radius."""
     phi = np.linspace(-0.5 * np.pi, 0.5 * np.pi, density)
     xs = np.linspace(-1.0, 1.0, density)
     ones = np.ones(density)
-    offset = np.concatenate([ones, -ones, xs, xs])
+    tips = np.array([1.0, -1.0])
+    offset = np.concatenate([ones, -ones, xs, xs, tips])
     direction = np.concatenate(
-        [np.exp(1j * phi), np.exp(1j * (phi + np.pi)), 1j * ones, -1j * ones]
+        [np.exp(1j * phi), np.exp(1j * (phi + np.pi)), 1j * ones, -1j * ones, tips]
     )
     offset.flags.writeable = False
     direction.flags.writeable = False
@@ -91,7 +93,8 @@ def _boundary_template(density):
 
 def _stadium_boundary(radius, density):
     """`density` points on each boundary piece (two caps, two horizontal
-    segments) of the stadium of the given radius around [-1, 1]."""
+    segments) of the stadium of the given radius around [-1, 1], plus the
+    two cap tips: 4 * density + 2 points."""
     offset, direction = _boundary_template(density)
     return offset + float(radius) * direction
 
@@ -134,8 +137,8 @@ class StadiumRegion:
         return self.A * self.n ** (-1.0 / self.k)
 
     def sample(self, density, interior=True):
-        """Boundary points (`density` per piece) plus, when `interior` is
-        true, the interior grid of `_stadium_points`."""
+        """Boundary points (`density` per piece and the two cap tips) plus,
+        when `interior` is true, the interior grid of `_stadium_points`."""
         if interior:
             return _stadium_points(self.radius, density)
         return _stadium_boundary(self.radius, density)
@@ -170,8 +173,11 @@ def check_ek(psi, k, A_list, p_max, density=128):
 
     For each fattening scale A and each level p = 1..p_max, the level-(p+1)
     stadium is sampled (boundary caps and segments with `density` points per
-    piece, plus an interior grid of ~8*density points), psi is evaluated, and
-    the worst ratio  dist(psi(z), [-1,1]) / (A p^(-1/k))  is recorded.  When
+    piece, the cap tips +-(1 + radius), and an interior grid of ~8*density
+    points), psi is evaluated, and the worst ratio
+    dist(psi(z), [-1,1]) / (A p^(-1/k))  is recorded.  The levels of one
+    scale are evaluated together in chunks of at most 2^16 points plus one
+    level, so memory stays bounded whatever p_max and density.  When
     the psi tree is entire (`Expr.is_entire`) the interior grid is skipped:
     dist(., [-1,1]) is convex, so dist(psi(z), [-1,1]) is subharmonic and,
     by the maximum principle, peaks on the stadium boundary.  The check

@@ -196,6 +196,12 @@ class TestOmegaSequence:
         assert want.tau_candidate == tau
         assert want.nu_proxy == min(want.mu, tau or math.inf) / 2.0
 
+    def test_a_sup_reaches_the_stadium_tip(self, quartic):
+        # |a| = 2 ln2 |2^t| peaks at the cap tip t = 1 + mu/2 = 1.5
+        p, rep = quartic
+        om = omega_sequence(p, 0.0, rep.r0, 1, SINE_SCALE)
+        assert om.a_sup == pytest.approx(2.0 * math.log(2.0) * 2.0**1.5, rel=1e-14, abs=0)
+
     def test_first_value_is_one(self, quartic):
         p, rep = quartic
         om = omega_sequence(p, 0.3, rep.r0, 5, SINE_SCALE)
