@@ -202,7 +202,7 @@ def ellipse_radius(z):
     taken at the mirror image q of z in the closed first quadrant, where the
     principal sqrt(q^2-1) lies in that quadrant too: the branch is the right
     one and the sum cancels nowhere (at z = -(1 + r) the direct formula
-    loses digits).  Equals 1 exactly on [-1, 1]."""
+    loses digits).  Within an ulp of 1 on [-1, 1], never below 1."""
     arr = np.asarray(z, dtype=complex)
     q = np.abs(arr.real) + 1j * np.abs(arr.imag)
     r = np.maximum(np.abs(q + np.sqrt(q * q - 1.0)), 1.0)

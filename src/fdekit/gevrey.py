@@ -204,7 +204,6 @@ def check_ek(psi, k, A_list, p_max, density=128):
     for A in A_list:
         last_fail = 0
         for p, worst in enumerate(_level_maxima(psi, k, A, p_max, density, interior), 1):
-            worst = float(worst)
             ratio = worst / (A * p ** (-1.0 / k))
             levels.append(EkLevel(A=A, p=p, worst_ratio=ratio, worst_dist=worst))
             worst_overall = max(worst_overall, ratio)

@@ -7,7 +7,7 @@ import pytest
 from fdekit import conditions, gevrey, picard
 from fdekit.chebfun import ChebFun, build, ellipse_radius
 from fdekit.cli import example1_doc, example2_doc, load_problem
-from fdekit.expr import Expr, parse
+from fdekit.expr import DomainError, Expr, parse
 from fdekit.gevrey import (
     EkReport,
     GevreyError,
@@ -85,6 +85,14 @@ class TestCheckEk:
         rep = check_ek(parse("sin(t)"), 1.0, [0.5], 3, density=32)
         d = dataclasses.asdict(rep)
         assert d["passed"] and len(d["levels"]) == 3
+
+    def test_level_error_precedes_a_later_radius_error(self):
+        # at k = 1e-3 the level-2 radius 0.5 * 3^-1000 underflows to 0, and
+        # the level-1 interior grid holds t = 0, where 1/t fails first
+        with pytest.raises(DomainError, match="division by zero"):
+            check_ek(parse("1/t"), 1e-3, [0.5], 100, density=128)
+        with pytest.raises(GevreyError, match="stadium radius 0.0"):
+            check_ek(parse("1/(t+3)"), 1e-3, [0.5], 100, density=128)
 
     @pytest.mark.parametrize("p_max,density", [(0, 32), (10001, 32), (3, 0), (3, 4097)])
     def test_level_and_density_caps(self, monkeypatch, p_max, density):
