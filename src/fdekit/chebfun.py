@@ -9,11 +9,14 @@ Newton steps in arccos(x), so all of these are spectrally accurate.
 
 Real evaluation of a series with m + 1 coefficients at N points has two
 kernels.  Below _EVAL_CROSSOVER coefficients it is the Clenshaw recurrence,
-O(mN) in a Python loop over the coefficients.  From there on it reads values
-on a Chebyshev grid of about _OVERSAMPLE*(m+1) points through one FFT and
-interpolates them locally in theta = arccos(x), O(m log m + pN) with
-p = _STENCIL nodes per point: the "oversample, then interpolate" form of the
-nonuniform FFT (Dutt & Rokhlin 1993; Greengard & Lee 2004).
+O(mN) in a Python loop over the coefficients.  From there on it interpolates
+in two steps, the "oversample, then interpolate" form of the nonuniform FFT
+(Dutt & Rokhlin 1993; Greengard & Lee 2004).  The grid step (_interp_grid)
+reads values on a Chebyshev grid of about _OVERSAMPLE*(m+1) points through
+one FFT, O(m log m); the point step (_interp_points) interpolates them
+locally in theta = arccos(x), O(pN) with p = _STENCIL nodes per point.  A
+caller that evaluates one series at several point sets takes the grid step
+once through _evaluator.
 
 Complex evaluation, always Clenshaw, is the analytic continuation of the
 interpolant; it is only meaningful inside the region where the underlying
@@ -44,11 +47,11 @@ MAX_DEGREE = 32768
 
 _EVAL_SLACK = 1e-14  # clamp width for real evaluation just outside [-1, 1]
 _CHUNK = 1 << 16  # matrix entries per dense product in _theta_eval
-# Real evaluation of series with at least _EVAL_CROSSOVER coefficients goes
-# through _interp (crossover measured against Clenshaw, see CHANGES.md)
+# Real evaluation of series with at least _EVAL_CROSSOVER coefficients
+# interpolates FFT grid values (crossover measured against Clenshaw, see CHANGES.md)
 _EVAL_CROSSOVER = 128
-_OVERSAMPLE = 4  # _interp grid cells per coefficient
-_STENCIL = 16  # _interp nodes per point
+_OVERSAMPLE = 4  # interpolation grid cells per coefficient
+_STENCIL = 16  # interpolation nodes per point
 # barycentric weights of _STENCIL equispaced nodes
 _BARY = np.array([(-1.0) ** i * math.comb(_STENCIL - 1, i) for i in range(_STENCIL)])
 _PI_LONG = np.arccos(np.longdouble(-1.0))
@@ -121,18 +124,26 @@ def _grid_values(c, n):
     return np.fft.rfft(np.concatenate([b, b[-2:0:-1]])).real
 
 
-def _interp(c, x):
-    """sum c_k T_k at x in [-1, 1] (any shape): barycentric Lagrange
-    interpolation in theta = arccos(x) over the _STENCIL nearest nodes of the
-    FFT grid of _fft_size(_OVERSAMPLE*len(c)) cells, reflected evenly at
-    theta = 0 and pi, with a node's value returned where x hits it.  theta is
-    taken in long double (64-bit significand on x86): an error of one double
-    ulp in theta moves the value by theta*eps*|d/dtheta u(cos theta)|, which
-    at high degree exceeds the error of Clenshaw's recurrence."""
+def _interp_grid(c):
+    """Grid step of the interpolation: values of sum c_k T_k on the FFT grid of
+    _fft_size(_OVERSAMPLE*len(c)) cells, reflected evenly at theta = 0 and pi
+    by _STENCIL // 2 nodes (node j at index j + _STENCIL // 2)."""
     n = _fft_size(_OVERSAMPLE * len(c))
     half = _STENCIL // 2
     v = _grid_values(c, n)
-    ext = np.concatenate([v[half:0:-1], v, v[-2 : -half - 2 : -1]])  # node j at j + half
+    return np.concatenate([v[half:0:-1], v, v[-2 : -half - 2 : -1]])
+
+
+def _interp_points(ext, x):
+    """Point step: the series at x in [-1, 1] (any shape) from its extended
+    grid `ext` (_interp_grid), by barycentric Lagrange interpolation in
+    theta = arccos(x) over the _STENCIL nearest nodes, with a node's value
+    returned where x hits it.  theta is taken in long double (64-bit
+    significand on x86): an error of one double ulp in theta moves the value
+    by theta*eps*|d/dtheta u(cos theta)|, which at high degree exceeds the
+    error of Clenshaw's recurrence."""
+    half = _STENCIL // 2
+    n = len(ext) - 2 * half - 1
     t = np.arccos(x.ravel().astype(np.longdouble))
     t *= n / _PI_LONG  # theta in grid cells
     base = np.floor(t.astype(float))  # nearest node at or below, 0..n
@@ -145,6 +156,33 @@ def _interp(c, x):
     hit = np.isnan(out)  # a zero offset makes its row inf/inf
     out[hit] = vals[hit][np.isinf(q[hit])]
     return out.reshape(x.shape)
+
+
+def _evaluator(c):
+    """x -> sum c_k T_k(x) at real points, the kernel of ChebFun.eval, for a
+    series evaluated at several point sets: from _EVAL_CROSSOVER coefficients
+    on, its grid step runs on the first call only."""
+    ext = None
+
+    def ev(x):
+        nonlocal ext
+        arr = np.asarray(x, dtype=float)
+        scalar = arr.ndim == 0
+        arr = np.atleast_1d(arr)
+        bad = ~(np.abs(arr) <= 1.0 + _EVAL_SLACK)  # catches NaN too
+        if np.any(bad):
+            worst = float(arr[bad][0])
+            raise EvalDomainError(f"evaluation point {worst!r} outside [-1, 1]")
+        arr = np.clip(arr, -1.0, 1.0)
+        if len(c) < _EVAL_CROSSOVER:
+            out = _clenshaw(c, arr)
+        else:
+            if ext is None:
+                ext = _interp_grid(c)
+            out = _interp_points(ext, arr)
+        return float(out[0]) if scalar else out
+
+    return ev
 
 
 def _theta_eval(c, theta):
@@ -267,16 +305,7 @@ class ChebFun:
         points; above it FFT grid values interpolated in arccos(x),
         O(m log m + _STENCIL*N) (see the module docstring).
         """
-        arr = np.asarray(x, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        bad = ~(np.abs(arr) <= 1.0 + _EVAL_SLACK)  # catches NaN too
-        if np.any(bad):
-            worst = float(arr[bad][0])
-            raise EvalDomainError(f"evaluation point {worst!r} outside [-1, 1]")
-        c, arr = self.coeffs, np.clip(arr, -1.0, 1.0)
-        out = _clenshaw(c, arr) if len(c) < _EVAL_CROSSOVER else _interp(c, arr)
-        return float(out[0]) if scalar else out
+        return _evaluator(self.coeffs)(x)
 
     def eval_complex(self, z):
         """Clenshaw evaluation at complex points; the values continue the

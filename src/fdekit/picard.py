@@ -8,9 +8,24 @@ r0, of
 Starting from the zero function, the iterates converge geometrically with
 ratio q = ||a||_1 M'(r0) < 1; the stopping rule converts the a-posteriori
 bound ||u - f_n|| <= q/(1-q) ||f_n - f_{n-1}|| into a sup-norm tolerance.
-Each iterate is rebuilt as a fresh adaptive series, every iterate is checked
-against the invariant ball, and the returned solution carries the increment
-history and an equation residual measured on a dense grid.
+Each iterate is rebuilt as a fresh adaptive series, and the returned solution
+carries the increment history and an equation residual measured on a dense
+grid.
+
+Every iterate is checked against the invariant ball by an upper bound first:
+sum |c_k| over its Chebyshev coefficients, rounded up, bounds its sup on
+[-1, 1] since |T_k| <= 1.  Only when that bound exceeds r0 + BALL_SLACK is
+the sup norm computed, and the iterate escapes only if its sup norm exceeds
+r0 + BALL_SLACK too.  Inside the ball, the one sup norm per iterate is that
+of the increment.
+
+The data a, clamped psi and b do not change between iterates, and every
+adaptive build samples the same Chebyshev grids, so one solve keeps their
+values per grid size (``_samples``, see _data) and drops them on return;
+residual reads the 2049-point grid from the same store.  Each iterate also
+takes the FFT grid step of its own evaluation once, not once per grid its
+build samples.  Both are exact reuses: a solve returns the same bits as
+repeated apply_T(f, p).
 """
 
 from __future__ import annotations
@@ -21,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conditions
-from .chebfun import ChebFun, _grid_values, _pts_desc, build
+from .chebfun import ChebFun, _evaluator, _grid_values, _pts_desc, build
 from .problem import clamp_unit
 
 __all__ = [
@@ -37,6 +52,7 @@ __all__ = [
 
 RESIDUAL_GRID = 2048  # 2049 Chebyshev points
 BALL_SLACK = 1e-10
+_EPS = np.finfo(float).eps
 _FORCED_Q = 0.5  # stopping heuristic when running outside the theorem
 
 
@@ -82,16 +98,19 @@ class Solution:
         }
 
 
-def apply_T(f, p):
+def apply_T(f, p, *, _samples=None):
     """One application of the integral operator to a ChebFun iterate.
 
     The integrand t -> a(t) P(f(psi(t))) + b(t) is rebuilt adaptively at the
     problem's series tolerance; psi outputs are clamped into [-1, 1] before
-    composition.  The result satisfies T(f)(d) = c to roundoff.
+    composition.  The result satisfies T(f)(d) = c to roundoff.  _samples is
+    solve's store of data samples (see _data); without it every point set is
+    evaluated afresh.
     """
+    ev = _evaluator(f.coeffs)
 
     def integrand(t):
-        return _rhs(f, p, np.atleast_1d(np.asarray(t, dtype=float)))
+        return _rhs(ev, p, np.atleast_1d(np.asarray(t, dtype=float)), _samples)
 
     g = build(integrand, p.cheb_tol, p.max_degree)
     u = g.antiderivative()
@@ -136,13 +155,14 @@ def solve(p, report=None, *, force=False, keep_iterates=False):
         threshold = min(threshold, st * (1.0 - q))
 
     f = ChebFun(np.zeros(1))
+    samples = {}
     iterates = [f] if keep_iterates else None
     increments = []
     converged = False
     n_req = None
     n = 0
     for n in range(1, p.max_iter + 1):
-        fn = apply_T(f, p)
+        fn = apply_T(f, p, _samples=samples)
         inc = (fn - f).sup_norm()
         increments.append(inc)
         _check_ball(fn, r0, n + 1)
@@ -162,7 +182,7 @@ def solve(p, report=None, *, force=False, keep_iterates=False):
         increments=increments,
         q_used=q,
         r0_used=r0,
-        residual_sup=residual(f, p),
+        residual_sup=residual(f, p, _samples=samples),
         converged=converged,
         out_of_theorem=out_of_theorem,
         n_req=n_req,
@@ -172,6 +192,12 @@ def solve(p, report=None, *, force=False, keep_iterates=False):
 
 
 def _check_ball(f, r0, index):
+    """Raise BallEscapeError when sup |f| > r0 + BALL_SLACK.  The rounded-up
+    coefficient sum bounds the sup from above, so an iterate it keeps inside
+    the ball is inside; only otherwise does the sup norm, a lower bound, run
+    and decide."""
+    if _coeff_bound(f.coeffs) <= r0 + BALL_SLACK:
+        return
     s = f.sup_norm()
     if s > r0 + BALL_SLACK:
         raise BallEscapeError(
@@ -179,19 +205,45 @@ def _check_ball(f, r0, index):
         )
 
 
-def residual(u, p):
+def _coeff_bound(c):
+    """sum |c_k| rounded up, an upper bound of sup |sum c_k T_k| on [-1, 1]:
+    fsum rounds correctly, and the factor 1 + (len(c) + 1) eps covers that
+    rounding and the product's own."""
+    return math.fsum(np.abs(c).tolist()) * (1.0 + (len(c) + 1) * _EPS)
+
+
+def residual(u, p, *, _samples=None):
     """Sup over a 2049-point Chebyshev grid of |u' - a * P(u o psi) - b|,
-    with u' on the grid from one FFT of its coefficients."""
+    with u' on the grid from one FFT of its coefficients.  _samples as in
+    apply_T."""
     du = _grid_values(u.differentiate().coeffs, RESIDUAL_GRID)
-    return float(np.max(np.abs(du - _rhs(u, p, _pts_desc(RESIDUAL_GRID)))))
+    rhs = _rhs(u.eval, p, _pts_desc(RESIDUAL_GRID), _samples)
+    return float(np.max(np.abs(du - rhs)))
 
 
 def defect(u, p, x):
     """Pointwise equation defect u'(x) - (a P(u o psi) + b)(x) at points x."""
-    return u.differentiate().eval(x) - _rhs(u, p, x)
+    return u.differentiate().eval(x) - _rhs(u.eval, p, x)
 
 
-def _rhs(f, p, x):
-    """(a P(f o psi) + b)(x), with psi clamped into [-1, 1]."""
+def _rhs(ev, p, x, samples=None):
+    """(a P(f o psi) + b)(x), with psi clamped into [-1, 1] and ev evaluating
+    f at real points."""
+    a, pv, b = _data(p, x, samples)
+    return a * p.P.eval(ev(pv)) + b
+
+
+def _data(p, x, samples):
+    """a(x), clamp_unit(psi(x)) and b(x).  samples, when given, is one solve's
+    store: the first point set of each size is kept under its size (for
+    apply_T, the Chebyshev grids build samples), and the same points asked
+    again are read back; any other point set is evaluated afresh."""
+    if samples is not None:
+        kept = samples.get(len(x))
+        if kept is not None and np.array_equal(kept[0], x):
+            return kept[1:]
     pv = clamp_unit(p.psi.eval_real(x))
-    return p.a.eval_real(x) * p.P.eval(f.eval(pv)) + p.b.eval_real(x)
+    vals = (p.a.eval_real(x), pv, p.b.eval_real(x))
+    if samples is not None:
+        samples.setdefault(len(x), (x, *vals))
+    return vals

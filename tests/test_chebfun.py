@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as npcheb
 
+from fdekit import chebfun
 from fdekit.chebfun import (
     DEFAULT_TOL,
     _EVAL_CROSSOVER,
@@ -14,6 +15,7 @@ from fdekit.chebfun import (
     EvalDomainError,
     ResolutionError,
     _clenshaw,
+    _evaluator,
     _fft_size,
     _grid_values,
     _pts_desc,
@@ -495,3 +497,19 @@ class TestInterpolatedEval:
         assert np.array_equal(u.eval(x), u.eval(x.ravel()).reshape(3, 4))
         empty = u.eval(np.array([]))
         assert empty.shape == (0,) and empty.dtype == float
+
+    def test_evaluator_takes_the_grid_step_once(self, monkeypatch):
+        u = self.series()
+        xs = [np.linspace(-1, 1, 7), _pts_desc(64), np.array(0.3)]
+        want = [u.eval(x) for x in xs]
+        calls = []
+        grid = chebfun._interp_grid
+        monkeypatch.setattr(chebfun, "_interp_grid", lambda c: calls.append(1) or grid(c))
+        ev = _evaluator(u.coeffs)
+        assert calls == []
+        got = [ev(x) for x in xs]
+        assert len(calls) == 1
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w) and type(g) is type(w)
+        with pytest.raises(EvalDomainError):
+            ev(1.0 + 2.0 * _EVAL_SLACK)

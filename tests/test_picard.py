@@ -1,13 +1,16 @@
 import dataclasses
+import re
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fdekit import conditions, picard
 from fdekit.chebfun import ChebFun, _clenshaw, _pts_desc, build
 from fdekit.cli import example1_doc, example2_doc, load_problem
-from fdekit.expr import parse
+from fdekit.expr import Expr, parse
 from fdekit.picard import ConditionFailure, apply_T, residual, solve
 from fdekit.problem import Polynomial, Problem
 from _utils import (
@@ -220,3 +223,103 @@ class TestResidual:
         want = np.max(np.abs(_clenshaw(u.differentiate().coeffs, x) - rhs))
         scale = np.sum(np.arange(u.degree + 1) * np.abs(u.coeffs))
         assert abs(residual(u, p) - want) <= 1e-13 * scale
+
+
+def oscillatory_problem(seed):
+    """A passing instance whose solution has degree about 2000: a = A cos(w t),
+    b = B sin(v t), psi = sin(kappa t), P = t^2, jittered by the seed."""
+    rng = np.random.default_rng(seed)
+    return load_problem(
+        {"k": 1.0, "d": 0.0, "c": float(1e-3 * rng.uniform(0.8, 1.2)), "P": [0.0, 0.0, 1.0],
+         "a": f"({0.2 * rng.uniform(0.98, 1.02)!r})*cos({55.0 * rng.uniform(0.95, 1.05)!r}*t)",
+         "b": f"({0.01 * rng.uniform(0.95, 1.05)!r})*sin({33.0 * rng.uniform(0.95, 1.05)!r}*t)",
+         "psi": f"sin({7.0 * rng.uniform(0.95, 1.05)!r}*t)"}
+    )
+
+
+def cancelling_series():
+    # x - T_3(x) = 4x - 4x^3: sum |c_k| = 2, sup = 8 / (3 sqrt(3)) ~ 1.5396
+    return ChebFun([0.0, 1.0, 0.0, -1.0])
+
+
+class TestBallCheck:
+    def count_sup_norms(self, monkeypatch):
+        calls = []
+        sup = ChebFun.sup_norm
+        monkeypatch.setattr(ChebFun, "sup_norm", lambda self: calls.append(1) or sup(self))
+        return calls
+
+    def test_coefficient_sum_inside_skips_the_sup_norm(self, monkeypatch):
+        calls = self.count_sup_norms(monkeypatch)
+        picard._check_ball(cancelling_series(), 2.0, 3)
+        assert calls == []
+
+    def test_cancellation_falls_back_to_the_sup_norm(self, monkeypatch):
+        f = cancelling_series()
+        r0 = 1.6
+        assert picard._coeff_bound(f.coeffs) > r0 + picard.BALL_SLACK >= f.sup_norm()
+        calls = self.count_sup_norms(monkeypatch)
+        picard._check_ball(f, r0, 3)
+        assert calls == [1]
+
+    def test_escape_raises_with_the_sup_norm_message(self):
+        f = cancelling_series()
+        r0 = 1.5
+        msg = f"iterate 7 has sup norm {f.sup_norm()!r} > invariant radius {r0!r}"
+        with pytest.raises(picard.BallEscapeError, match=f"^{re.escape(msg)}$"):
+            picard._check_ball(f, r0, 7)
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(degree=st.integers(0, 4096), seed=st.integers(0, 2**32 - 1),
+           decay=st.floats(0.0, 20.0), signs=st.booleans())
+    @example(degree=4096, seed=0, decay=0.0, signs=False)  # equal terms peak at x = 1
+    @example(degree=0, seed=1, decay=0.0, signs=True)
+    def test_coefficient_sum_bounds_the_sup_norm(self, degree, seed, decay, signs):
+        rng = np.random.default_rng(seed)
+        c = np.exp(-decay * np.arange(degree + 1) / (degree + 1))
+        if signs:
+            c *= rng.standard_normal(degree + 1)
+        assert picard._coeff_bound(c) >= ChebFun(c).sup_norm()
+
+
+class TestSampleReuse:
+    def test_one_sup_norm_per_iterate_and_one_data_sample_per_grid(self, monkeypatch):
+        p = load_problem(example2_doc())
+        rep = conditions.analyze(p)
+        sups, evals = [], Counter()
+        sup, eval_real = ChebFun.sup_norm, Expr.eval_real
+        monkeypatch.setattr(ChebFun, "sup_norm", lambda self: sups.append(1) or sup(self))
+
+        def counted(self, t):
+            evals[id(self), np.size(t)] += 1
+            return eval_real(self, t)
+
+        monkeypatch.setattr(Expr, "eval_real", counted)
+        sol = solve(p, rep)
+        assert sol.iterations >= 3
+        assert len(sups) == sol.iterations
+        assert max(evals.values()) == 1
+        assert {key[0] for key in evals} == {id(p.a), id(p.b), id(p.psi)}
+        # Chebyshev grids build sampled, and the residual grid
+        sizes = {key[1] for key in evals}
+        assert picard.RESIDUAL_GRID + 1 in sizes
+        assert all(n - 1 >= 16 and (n - 1) & (n - 2) == 0 for n in sizes)
+
+    @pytest.mark.parametrize("case", ["example1", "example2", "oscillatory"])
+    def test_reuse_is_exact(self, case):
+        p = {"example1": lambda: load_problem(example1_doc()),
+             "example2": lambda: load_problem(example2_doc()),
+             "oscillatory": lambda: oscillatory_problem(11)}[case]()
+        rep = conditions.analyze(p)
+        assert rep.ok
+        sol = solve(p, rep)
+        if case == "oscillatory":
+            assert sol.u.degree > 128
+        f, increments = ChebFun(np.zeros(1)), []
+        for _ in range(sol.iterations):
+            fn = apply_T(f, p)
+            increments.append((fn - f).sup_norm())
+            f = fn
+        assert np.array_equal(sol.u.coeffs, f.coeffs)
+        assert sol.increments == increments
+        assert sol.residual_sup == residual(f, p)
