@@ -259,16 +259,6 @@ def _estimate_rho(c):
     return max(1.0, (mid / tail) ** (2.0 / m))
 
 
-def _sample(f, x):
-    try:
-        v = np.asarray(f(x), dtype=float)
-        if v.shape == x.shape:
-            return v
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(f(xi)) for xi in x])
-
-
 class ChebFun:
     """Immutable truncated Chebyshev series on [-1, 1]."""
 
@@ -426,15 +416,19 @@ def build(f, tol=DEFAULT_TOL, max_degree=MAX_DEGREE):
     Samples at Chebyshev grids of degree 16, 32, ... up to max_degree;
     converged when the last two raw coefficients fall below tol relative to
     the largest, after which the trailing coefficients below tolerance are
-    trimmed.  Raises ResolutionError if the degree cap is reached (the
-    typical symptom of a non-smooth input).
+    trimmed.  f must be vectorised: called on the array of grid points, it
+    returns an array of the same shape, else ChebError.  Raises
+    ResolutionError if the degree cap is reached (the typical symptom of a
+    non-smooth input).
     """
     if not (TOL_RANGE[0] <= tol <= TOL_RANGE[1]):
         raise ValueError(f"tol {tol!r} outside [1e-15, 1e-3]")
     n = 16
     while True:
         x = _pts_desc(n)
-        v = _sample(f, x)
+        v = np.asarray(f(x), dtype=float)
+        if v.shape != x.shape:
+            raise ChebError(f"build needs a vectorised f: shape {v.shape} for {len(x)} points")
         if not np.all(np.isfinite(v)):
             raise ResolutionError("sampled a non-finite value")
         c = _vals_to_coeffs(v)

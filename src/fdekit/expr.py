@@ -13,14 +13,16 @@ plain decimal and scientific notation.  Whitespace is insignificant.
 
 Parsed expressions are immutable; evaluation is pure and vectorised over
 numpy arrays, at real or complex points.  Complex evaluation uses principal
-branches and rejects ``abs``.
+branches and rejects ``abs``.  A DomainError quotes the failing operation or
+call as the user wrote it: the parser keeps each node's source text, and
+there is no printer.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,7 +62,8 @@ class EvalError(ExprError):
 
 
 class DomainError(EvalError):
-    """Evaluation left the domain of an operation (names the offending node)."""
+    """Evaluation left the domain of an operation (quotes the offending
+    node's source text)."""
 
 
 class OverflowEvalError(EvalError):
@@ -90,17 +93,23 @@ class Neg:
     child: object
 
 
+# BinOp and Call keep their source text, which DomainError messages quote;
+# it takes no part in equality.
+
+
 @dataclass(frozen=True)
 class BinOp:
     op: str
     left: object
     right: object
+    src: str = field(default="", compare=False)
 
 
 @dataclass(frozen=True)
 class Call:
     func: str
     arg: object
+    src: str = field(default="", compare=False)
 
 
 # --- tokenizer ------------------------------------------------------------
@@ -134,6 +143,7 @@ class _Parser:
         self.src = src
         self.toks = _tokenize(src)
         self.i = 0
+        self.end = 0  # offset just past the last token read
 
     def _peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -142,6 +152,7 @@ class _Parser:
         tok = self._peek()
         if tok is not None:
             self.i += 1
+            self.end = tok[2] + len(tok[1])
         return tok
 
     def _offset(self):
@@ -157,23 +168,28 @@ class _Parser:
             raise ParseError(tok[2], f"unexpected token {tok[1]!r}")
         return node
 
+    def _text(self, start):
+        return self.src[start : self.end]
+
     def expr(self):
+        start = self._offset()
         node = self.term()
         while True:
             tok = self._peek()
             if tok is not None and tok[1] in ("+", "-"):
                 self._next()
-                node = BinOp(tok[1], node, self.term())
+                node = BinOp(tok[1], node, self.term(), self._text(start))
             else:
                 return node
 
     def term(self):
+        start = self._offset()
         node = self.unary()
         while True:
             tok = self._peek()
             if tok is not None and tok[1] in ("*", "/"):
                 self._next()
-                node = BinOp(tok[1], node, self.unary())
+                node = BinOp(tok[1], node, self.unary(), self._text(start))
             else:
                 return node
 
@@ -185,11 +201,12 @@ class _Parser:
         return self.power()
 
     def power(self):
+        start = self._offset()
         base = self.atom()
         tok = self._peek()
         if tok is not None and tok[1] == "^":
             self._next()
-            return BinOp("^", base, self.unary())
+            return BinOp("^", base, self.unary(), self._text(start))
         return base
 
     def atom(self):
@@ -211,7 +228,7 @@ class _Parser:
                 self._next()
                 arg = self.expr()
                 self._expect_close()
-                return Call(text, arg)
+                return Call(text, arg, self._text(pos))
             raise ParseError(pos, f"unknown identifier {text!r}")
         if text == "(":
             node = self.expr()
@@ -224,54 +241,6 @@ class _Parser:
         if tok is None or tok[1] != ")":
             raise ParseError(self._offset(), "unbalanced parenthesis")
         self._next()
-
-
-# --- printing -------------------------------------------------------------
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
-
-
-def _fmt(node):
-    """Render a node; returns (text, precedence)."""
-    if isinstance(node, Num):
-        return repr(node.value), _PREC["atom"]
-    if isinstance(node, Const):
-        return node.name, _PREC["atom"]
-    if isinstance(node, Var):
-        return "t", _PREC["atom"]
-    if isinstance(node, Call):
-        inner, _ = _fmt(node.arg)
-        return f"{node.func}({inner})", _PREC["atom"]
-    if isinstance(node, Neg):
-        text, prec = _fmt(node.child)
-        if prec < _PREC["neg"]:
-            text = f"({text})"
-        return f"-{text}", _PREC["neg"]
-    if isinstance(node, BinOp):
-        op = node.op
-        p = _PREC[op]
-        lt, lp = _fmt(node.left)
-        rt, rp = _fmt(node.right)
-        if op == "^":
-            # right associative: parenthesise a non-atomic base
-            if lp < _PREC["atom"]:
-                lt = f"({lt})"
-            if rp < p:
-                rt = f"({rt})"
-        else:
-            if lp < p:
-                lt = f"({lt})"
-            # parenthesise right children of equal precedence so the
-            # reparsed tree is structurally identical (floats do not
-            # reassociate)
-            if rp <= p:
-                rt = f"({rt})"
-        return f"{lt}{op}{rt}", p
-    raise TypeError(f"not an AST node: {node!r}")
-
-
-def _node_str(node):
-    return _fmt(node)[0]
 
 
 # --- evaluation -----------------------------------------------------------
@@ -316,7 +285,7 @@ def _eval(node, t, cplx):
             return left * right
         if op == "/":
             if np.any(right == 0):
-                raise DomainError(f"division by zero in '{_node_str(node)}'")
+                raise DomainError(f"division by zero in '{node.src}'")
             return left / right
     raise TypeError(f"not an AST node: {node!r}")
 
@@ -326,24 +295,24 @@ def _eval_call(node, arg, cplx):
     if fn == "abs":
         if cplx:
             raise DomainError(
-                f"'{_node_str(node)}': abs is not supported in complex evaluation"
+                f"'{node.src}': abs is not supported in complex evaluation"
             )
         return np.abs(arg)
     if fn == "ln":
         if cplx:
             if np.any(arg == 0):
-                raise DomainError(f"ln of zero in '{_node_str(node)}'")
+                raise DomainError(f"ln of zero in '{node.src}'")
         elif np.any(arg <= 0):
             worst = float(np.min(np.real(arg)))
             raise DomainError(
-                f"ln of non-positive value ({worst:g}) in '{_node_str(node)}'"
+                f"ln of non-positive value ({worst:g}) in '{node.src}'"
             )
         return np.log(arg)
     if fn == "sqrt":
         if not cplx and np.any(arg < 0):
             worst = float(np.min(np.real(arg)))
             raise DomainError(
-                f"sqrt of negative value ({worst:g}) in '{_node_str(node)}'"
+                f"sqrt of negative value ({worst:g}) in '{node.src}'"
             )
         return np.sqrt(arg)
     return getattr(np, fn)(arg)
@@ -353,18 +322,18 @@ def _eval_pow(node, base, t, cplx):
     n = _int_literal_exponent(node.right)
     if n is not None:
         if n < 0 and np.any(base == 0):
-            raise DomainError(f"zero base with negative exponent in '{_node_str(node)}'")
+            raise DomainError(f"zero base with negative exponent in '{node.src}'")
         return base ** n
     expo = _eval(node.right, t, cplx)
     if cplx:
         if np.any(base == 0):
-            raise DomainError(f"zero base in '{_node_str(node)}'")
+            raise DomainError(f"zero base in '{node.src}'")
         return np.exp(expo * np.log(base))
     if np.any(base <= 0):
         worst = float(np.min(np.real(base)))
         raise DomainError(
             f"power with non-positive base ({worst:g}) and non-integer exponent "
-            f"in '{_node_str(node)}'"
+            f"in '{node.src}'"
         )
     return np.power(base, expo)
 
@@ -428,13 +397,6 @@ class Expr:
         """Whether the tree is built only from entire operations (see
         `_is_entire`), so the expression is holomorphic on all of C."""
         return _is_entire(self.root)
-
-    def to_string(self):
-        """Deterministic printed form; reparsing yields an identical tree."""
-        return _node_str(self.root)
-
-    def __str__(self):
-        return self.to_string()
 
 
 def parse(src):

@@ -50,6 +50,7 @@ SLOPE_ANALYTIC_CUTOFF = 1.05
 MAX_DERIVATIVES = 12
 MAX_EK_LEVELS = 10000
 MAX_EK_DENSITY = 4096
+PROBE_DENSITY = 64  # stadium_inclusion_probe points per boundary piece
 _EK_CHUNK = 1 << 16  # points per psi evaluation in check_ek (plus one level)
 _EPS = np.finfo(float).eps
 
@@ -345,7 +346,7 @@ class ProbeReport:
     levels: list = field(default_factory=list)
 
 
-def stadium_inclusion_probe(iterates, r0, k, s, C, n_range, density=64):
+def stadium_inclusion_probe(iterates, r0, k, s, C, n_range):
     """Check that the analytic continuation of iterate n maps the level-n
     stadium of scale s into the interval [-r0, r0] fattened by C s n^(-1/k).
 
@@ -380,7 +381,7 @@ def stadium_inclusion_probe(iterates, r0, k, s, C, n_range, density=64):
     worst = 0.0
     for n in n_range:
         radius = s_used * n ** (-1.0 / k)
-        pts = _stadium_points(radius, density)
+        pts = _stadium_points(radius, PROBE_DENSITY)
         vals = iterates[n - 1].eval_complex(pts)
         dist = interval_distance(vals, half_width=r0)
         allowed = C * radius

@@ -108,11 +108,7 @@ def apply_T(f, p, *, _samples=None):
     evaluated afresh.
     """
     ev = _evaluator(f.coeffs)
-
-    def integrand(t):
-        return _rhs(ev, p, np.atleast_1d(np.asarray(t, dtype=float)), _samples)
-
-    g = build(integrand, p.cheb_tol, p.max_degree)
+    g = build(lambda t: _rhs(ev, p, t, _samples), p.cheb_tol, p.max_degree)
     u = g.antiderivative()
     shift = u.eval(p.d) - p.c
     cc = u.coeffs.copy()

@@ -5,15 +5,18 @@ A Problem packages the right-hand side data of
     y'(x) = a(x) * P(y(psi(x))) + b(x),    y(d) = c,    x in [-1, 1],
 
 together with the regularity index k, an optional analyticity-width hint mu,
-and the numerical tolerances.  The deviating map psi must send [-1, 1] into
-itself; validation checks this on a dense grid and reports per-check results
-rather than raising.
+and the numerical tolerances.  Construction owns every rule on these values:
+it takes them raw (as a problem file holds them), converts k, d, c, mu and
+the solver settings, and raises ProblemError on the first one out of range.
+The deviating map psi must send [-1, 1] into itself; validation checks this
+on a dense grid and reports per-check results rather than raising.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -77,8 +80,11 @@ class Polynomial:
 
     @classmethod
     def from_coeffs(cls, coeffs):
-        """Build from any coefficient sequence, trimming trailing zeros."""
-        c = [float(x) for x in coeffs]
+        """Build from a non-empty sequence of numbers (not booleans),
+        trimming trailing zeros."""
+        c = [_number(x) for x in coeffs]
+        if not c or None in c:
+            raise ProblemError('"P" must be a non-empty array of numbers')
         while len(c) > 1 and c[-1] == 0.0:
             c.pop()
         return cls(tuple(c))
@@ -131,9 +137,9 @@ def _horner(coeffs, x):
 
 
 def _number(x):
-    """A JSON number (not a boolean) as a float, else None; integers too
-    large for a float become inf."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
+    """A real number (not a boolean; numpy scalars included) as a float,
+    else None; integers too large for a float become inf."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
         return None
     try:
         return float(x)
@@ -191,9 +197,11 @@ class Problem:
     """One functional differential equation instance.
 
     Treated as immutable after construction; all solver entry points take a
-    Problem by value and never mutate it.  The solver settings must satisfy
-    SOLVER_RULES (the error names the problem-file key); construction stores
-    them as float or int.
+    Problem by value and never mutate it.  k, d, c and mu may be given as
+    any JSON number (not a boolean) and are stored as floats: k finite and
+    positive, d in [-1, 1], c finite, mu None or positive and finite.  The
+    solver settings must satisfy SOLVER_RULES (the error names the
+    problem-file key); construction stores them as float or int.
     """
 
     a: Expr
@@ -210,39 +218,36 @@ class Problem:
     max_degree: int = MAX_DEGREE
 
     def __post_init__(self):
-        for name in ("k", "d", "c"):
-            if not math.isfinite(float(getattr(self, name))):
-                raise ProblemError(f"{name} must be finite")
-        if self.mu is not None and not 0 < self.mu < math.inf:
-            raise ProblemError("mu must be positive and finite")
+        raw = {"k": self.k, "d": self.d, "c": self.c}
+        for name, value in raw.items():
+            number = _number(value)
+            if number is None:
+                raise ProblemError(f'"{name}" must be a number')
+            setattr(self, name, number)
+        # messages quote the value as given: 0, not 0.0
+        if self.k <= 0:
+            raise ProblemError(f'"k" must be positive (value {raw["k"]!r})')
+        if not -1.0 <= self.d <= 1.0:
+            raise ProblemError(f"d outside [-1,1] (value {raw['d']!r})")
+        if self.mu is not None:
+            self.mu = _number(self.mu)
+            if self.mu is None or self.mu <= 0:
+                raise ProblemError('"mu" must be a positive number')
         for key, (name, *_) in SOLVER_RULES.items():
             setattr(self, name, _setting(key, getattr(self, name)))
+        for name in ("k", "c"):  # the range test on d rejects inf and nan
+            if not math.isfinite(getattr(self, name)):
+                raise ProblemError(f"{name} must be finite")
+        if self.mu is not None and not self.mu < math.inf:
+            raise ProblemError("mu must be positive and finite")
 
     def validate(self):
         """Range and well-posedness checks; failures are reported, not raised."""
-        checks = []
-
-        ok_d = -1.0 <= self.d <= 1.0
-        checks.append(
-            CheckResult(
-                "d_in_domain",
-                ok_d,
-                "error",
-                "d inside [-1, 1]" if ok_d else f"d outside [-1,1] (value {self.d!r})",
-                worst_value=self.d,
-            )
-        )
-
-        ok_k = self.k > 0
-        checks.append(
-            CheckResult(
-                "k_positive",
-                ok_k,
-                "error",
-                "k > 0" if ok_k else f"k must be positive (value {self.k!r})",
-                worst_value=self.k,
-            )
-        )
+        # construction has checked d and k; the report still lists them
+        checks = [
+            CheckResult("d_in_domain", True, "error", "d inside [-1, 1]", worst_value=self.d),
+            CheckResult("k_positive", True, "error", "k > 0", worst_value=self.k),
+        ]
 
         grid = _pts_desc(VALIDATION_GRID)
         try:

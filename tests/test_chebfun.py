@@ -11,6 +11,7 @@ from fdekit.chebfun import (
     _EVAL_CROSSOVER,
     _EVAL_SLACK,
     _OVERSAMPLE,
+    ChebError,
     ChebFun,
     EvalDomainError,
     ResolutionError,
@@ -67,6 +68,11 @@ class TestBuild:
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             build(np.exp, tol=1e-2)
+
+    @pytest.mark.parametrize("f", [lambda t: 1.0, lambda t: t[:-1], lambda t: np.outer(t, t)])
+    def test_non_vectorised_function_rejected(self, f):
+        with pytest.raises(ChebError, match="build needs a vectorised f"):
+            build(f)
 
     def test_trailing_coefficient_above_threshold(self):
         for f in (np.exp, lambda t: 2.0**t, lambda t: np.sin(np.pi * t)):

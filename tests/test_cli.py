@@ -94,6 +94,25 @@ class TestCheck:
         assert code == EXIT_INPUT
         assert "d outside [-1,1]" in err
 
+    # one bad field -> the one stderr line; raw values print as given
+    BAD_VALUES = {
+        "k-zero": ({"k": 0}, 'error: "k" must be positive (value 0)\n'),
+        "d-two": ({"d": 2}, "error: d outside [-1,1] (value 2)\n"),
+        "mu-zero": ({"mu": 0}, 'error: "mu" must be a positive number\n'),
+        "mu-string": ({"mu": "x"}, 'error: "mu" must be a positive number\n'),
+        "P-string-entry": ({"P": ["a"]}, 'error: "P" must be a non-empty array of numbers\n'),
+        "tol-negative": (
+            {"solver": {"tol": -1}},
+            'error: solver "tol" must be a finite positive number\n',
+        ),
+    }
+
+    @pytest.mark.parametrize("change,line", BAD_VALUES.values(), ids=BAD_VALUES.keys())
+    def test_bad_value_exact_message(self, tmp_path, capsys, change, line):
+        code = cli.main(["check", write_json(tmp_path, {**example2_doc(), **change})])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (EXIT_INPUT, "", line)
+
     def test_hypothesis_failure_exit_2(self, tmp_path, capsys):
         doc = {"k": 1.0, "d": 0.0, "c": 5.0, "P": [0.0, 0.0, 1.0],
                "a": "0.5", "b": "0", "psi": "t"}

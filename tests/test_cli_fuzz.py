@@ -1,10 +1,12 @@
 """Fuzz test of the exit-code contract: every problem document ends in 0, 2,
-3 or 4 from check, solve and ek, and never in an exception."""
+3 or 4 from check, solve and ek, and never in an exception.  Every quoted
+expression in an error line is text the document holds."""
 
 import contextlib
 import io
 import json
 import math
+import re
 
 import pytest
 
@@ -14,24 +16,34 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from fdekit import cli  # noqa: E402
 
 ATOMS = st.sampled_from(["t", "0", "1", "2", "0.5", "-1", "pi", "0.001", "100", "1e300"])
+GAP = st.sampled_from(["", " ", "  "])
 
 
-def _call(name):
-    return lambda x: f"{name}({x})"
+def _spaced(draw, *parts):
+    """The parts joined, each one followed by a drawn run of spaces."""
+    return "".join(part + draw(GAP) for part in parts)
 
 
-def _infix(op):
-    return lambda pair: f"({pair[0]}){op}({pair[1]})"
+@st.composite
+def _call(draw, inner, name):
+    return _spaced(draw, name, "(", draw(inner), ")")
+
+
+@st.composite
+def _infix(draw, inner, op):
+    return _spaced(draw, "(", draw(inner), ")", op, "(", draw(inner), ")")
 
 
 EXPRESSIONS = st.recursive(
     ATOMS,
     lambda inner: st.one_of(
-        *(inner.map(_call(f)) for f in ("abs", "ln", "sqrt", "sin")),
-        *(st.tuples(inner, inner).map(_infix(op)) for op in ("/", "^", "*", "+", "-")),
+        *(_call(inner, f) for f in ("abs", "ln", "sqrt", "sin")),
+        *(_infix(inner, op) for op in ("/", "^", "*", "+", "-")),
     ),
     max_leaves=6,
 )
+# the quoted node in a DomainError line, e.g. "ln of zero in 'ln( t)'"
+QUOTED = re.compile(r"^error: (?:.* in '([^']*)'|'([^']*)': abs is not supported)")
 
 SMALL = st.floats(-2.0, 2.0) | st.integers(-3, 3)
 # values that are out of range or not numbers for every numeric field
@@ -98,6 +110,12 @@ def test_exit_code_contract(tmp_path_factory, doc):
     path = tmp_path_factory.mktemp("fuzz") / "prob.json"
     path.write_text(json.dumps(doc))
     for command, *flags in (["check"], ["solve"], ["ek", "--pmax", "3", "--density", "16"]):
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = cli.main([command, str(path), *flags])
         assert code in (0, 2, 3, 4), (command, doc)
+        for line in err.getvalue().splitlines():
+            quoted = QUOTED.match(line)
+            if quoted:
+                text = quoted.group(1) or quoted.group(2)
+                assert any(text in doc[key] for key in ("a", "b", "psi")), (line, doc)

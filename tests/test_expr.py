@@ -52,6 +52,7 @@ class TestParse:
 
     def test_deterministic(self):
         assert parse("1+2*t").root == parse("1+2*t").root
+        assert parse("1+2*t").root == parse("1 + 2*t").root  # source text is not compared
 
     def test_scientific_notation(self):
         assert parse("1.5e-3").eval_real(0.0) == 1.5e-3
@@ -153,18 +154,29 @@ class TestInvariants:
                 assert cv.imag == 0.0
                 assert abs(cv.real - rv) <= 4 * math.ulp(max(abs(rv), 1e-300))
 
-    def test_print_roundtrip_evaluates_identically(self):
-        rng = np.random.default_rng(42)
-        pts = rng.uniform(-1.0, 1.0, 100)
-        for src in self.SOURCES + ["-(t+1)*(t-1)", "2^-t", "t^2^t"]:
-            e = parse(src)
-            e2 = parse(e.to_string())
-            for t in pts:
-                try:
-                    want = e.eval_real(float(t))
-                except DomainError:
-                    continue
-                assert e2.eval_real(float(t)) == want
+    # (source, complex evaluation, point, message): every DomainError quotes
+    # the failing node's text exactly as written, spacing included
+    DOMAIN_ERRORS = [
+        ("2*t + 1/(t - 0.5)", False, 0.5, "division by zero in '1/(t - 0.5)'"),
+        ("2*t + 1/(t - 0.5)", True, 0.5, "division by zero in '1/(t - 0.5)'"),
+        ("ln(t-2)", False, 0.0, "ln of non-positive value (-2) in 'ln(t-2)'"),
+        ("ln(t-2)", True, 2.0, "ln of zero in 'ln(t-2)'"),
+        ("sqrt(t - 3)", False, 0.0, "sqrt of negative value (-3) in 'sqrt(t - 3)'"),
+        ("(t-1)^-1", False, 1.0, "zero base with negative exponent in '(t-1)^-1'"),
+        ("(t-1)^-1", True, 1.0, "zero base with negative exponent in '(t-1)^-1'"),
+        ("0^t", False, 0.5,
+         "power with non-positive base (0) and non-integer exponent in '0^t'"),
+        ("0^t", True, 0.5, "zero base in '0^t'"),
+        ("abs(t)", True, 0.5, "'abs(t)': abs is not supported in complex evaluation"),
+    ]
+
+    @pytest.mark.parametrize("src,cplx,t,message", DOMAIN_ERRORS)
+    def test_domain_error_quotes_source_verbatim(self, src, cplx, t, message):
+        e = parse(src)
+        with pytest.raises(DomainError) as ei:
+            e.eval_complex(complex(t)) if cplx else e.eval_real(t)
+        assert str(ei.value) == message
+        assert message.split("'")[1] in src
 
     def test_precedence_properties(self):
         rng = np.random.default_rng(7)

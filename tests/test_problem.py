@@ -125,8 +125,8 @@ class TestValidate:
         assert make_problem(psi=parse("t")).validate().ok
 
     def test_d_out_of_range(self):
-        rep = make_problem(d=1.5).validate()
-        assert not rep.ok
+        with pytest.raises(ProblemError, match=r"^d outside \[-1,1\] \(value 1.5\)$"):
+            make_problem(d=1.5)
 
     def test_degree_one_is_warning_not_failure(self):
         rep = make_problem(P=Polynomial.from_coeffs([0.0, 1.0])).validate()
@@ -148,6 +148,48 @@ class TestValidate:
             make_problem(mu=0.0)
         with pytest.raises(ProblemError, match="mu must be positive and finite"):
             make_problem(mu=math.inf)
+
+
+class TestConstruction:
+    # field -> raw value -> the error, which quotes the value as given
+    REJECTED = [
+        ("k", 0, '"k" must be positive (value 0)'),
+        ("k", -1.5, '"k" must be positive (value -1.5)'),
+        ("k", -math.inf, '"k" must be positive (value -inf)'),
+        *[(name, value, f'"{name}" must be a number')
+          for name in ("k", "d", "c") for value in (True, "1")],
+        *[("mu", value, '"mu" must be a positive number') for value in (True, "1")],
+        ("d", 1.5, "d outside [-1,1] (value 1.5)"),
+        ("d", -2, "d outside [-1,1] (value -2)"),
+        ("d", math.nan, "d outside [-1,1] (value nan)"),
+        ("mu", 0, '"mu" must be a positive number'),
+        ("mu", -0.5, '"mu" must be a positive number'),
+        ("k", math.inf, "k must be finite"),
+        ("c", math.nan, "c must be finite"),
+        ("mu", math.nan, "mu must be positive and finite"),
+    ]
+
+    @pytest.mark.parametrize("name,value,message", REJECTED)
+    def test_rejected_value(self, name, value, message):
+        with pytest.raises(ProblemError) as ei:
+            make_problem(**{name: value})
+        assert str(ei.value) == message
+
+    def test_numbers_are_stored_as_floats(self):
+        p = make_problem(k=2, d=-1, c=0, mu=1)
+        assert [(type(v), v) for v in (p.k, p.d, p.c, p.mu)] == [
+            (float, 2.0), (float, -1.0), (float, 0.0), (float, 1.0)
+        ]
+
+    def test_numpy_numbers_accepted(self):
+        p = make_problem(k=np.int64(2), d=np.float32(0.5), c=np.float64(0))
+        assert (p.k, p.d, p.c) == (2.0, 0.5, 0.0)
+        assert Polynomial.from_coeffs(np.array([0, 0, 1])).coeffs == (0.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("coeffs", [[], ["a"], ["1.5"], [1.0, True], [None]])
+    def test_polynomial_rejects_non_numbers(self, coeffs):
+        with pytest.raises(ProblemError, match='^"P" must be a non-empty array of numbers$'):
+            Polynomial.from_coeffs(coeffs)
 
 
 class TestClamp:
