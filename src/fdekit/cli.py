@@ -234,7 +234,7 @@ def cmd_solve(path, tol=None, max_iter=None, out=None, force=False, require_ek=F
     code, csv_error = EXIT_HYPOTHESIS, None
     ek_ok = True
     if require_ek:
-        ek = gevrey.check_ek(prob.psi, prob.k, [0.1, 0.5, 0.9], 20, density=64)
+        ek = gevrey.check_ek(prob.psi, prob.k, gevrey.DEFAULT_SCALES, 20, density=64)
         report["diagnostics"] = {"ek": ek}
         ek_ok = ek.passed
 
@@ -418,7 +418,7 @@ def _reproduce_one(name, lines):
          f"sup={sup!r} r0={sol.r0_used!r}")
     )
 
-    ek = gevrey.check_ek(prob.psi, prob.k, [0.1, 0.5, 0.9], 100, density=128)
+    ek = gevrey.check_ek(prob.psi, prob.k, gevrey.DEFAULT_SCALES, 100, density=128)
     checks.append(
         ("deviating-map inclusion check passes", ek.passed,
          f"worst ratio={ek.worst_ratio!r}")
@@ -509,7 +509,7 @@ def _parser():
 
     p_ek = sub.add_parser("ek", help="deviating-map stadium inclusion check")
     p_ek.add_argument("path")
-    p_ek.add_argument("--A", type=_scales, default=[0.1, 0.5, 0.9],
+    p_ek.add_argument("--A", type=_scales, default=gevrey.DEFAULT_SCALES,
                       help="comma-separated fattening scales")
     p_ek.add_argument("--pmax", type=int, default=100)
     p_ek.add_argument("--density", type=int, default=128)

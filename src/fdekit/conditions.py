@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .chebfun import build
+from .chebfun import ResolutionError, build
 
 __all__ = [
     "ConditionsReport",
@@ -69,25 +69,23 @@ class ConditionsReport:
         return self.cond1_ok and self.cond2_ok
 
 
-def _build_a(p):
-    return build(lambda t: p.a.eval_real(t), p.cheb_tol, p.max_degree)
-
-
-def _build_source(p):
-    p0 = p.P.eval(0.0)
-    return build(
-        lambda t: p.b.eval_real(t) + p0 * p.a.eval_real(t), p.cheb_tol, p.max_degree
-    )
-
-
 def a_l1_norm(p):
     """||a||_1 from the adaptive series representation."""
-    return _build_a(p).l1_norm()
+    return _l1_norm(p, "a", p.a.eval_real)
 
 
 def source_mass(p):
     """||b + P(0) a||_1 from the adaptive series representation."""
-    return _build_source(p).l1_norm()
+    p0 = p.P.eval(0.0)
+    return _l1_norm(p, "b + P(0) a", lambda t: p.b.eval_real(t) + p0 * p.a.eval_real(t))
+
+
+def _l1_norm(p, name, f):
+    """||f||_1 of the data function called name; a ResolutionError names it."""
+    try:
+        return build(f, p.cheb_tol, p.max_degree).l1_norm()
+    except ResolutionError as exc:
+        raise ResolutionError(f'"{name}": {exc}') from exc
 
 
 def check_condition1(p, a_l1):

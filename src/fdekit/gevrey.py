@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 EK_PASS_SLACK = 1e-12
+DEFAULT_SCALES = (0.1, 0.5, 0.9)  # fattening scales of ek, solve --require-ek, reproduce
 SLOPE_ANALYTIC_CUTOFF = 1.05
 MAX_DERIVATIVES = 12
 MAX_EK_LEVELS = 10000

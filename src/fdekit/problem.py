@@ -138,13 +138,13 @@ def _horner(coeffs, x):
 
 def _number(x):
     """A real number (not a boolean; numpy scalars included) as a float,
-    else None; integers too large for a float become inf."""
+    else None; integers too large for a float become inf of their sign."""
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
         return None
     try:
         return float(x)
-    except OverflowError:
-        return math.inf
+    except OverflowError:  # math.copysign(math.inf, x) would overflow too
+        return math.inf if x > 0 else -math.inf
 
 
 def _setting(key, value):

@@ -105,6 +105,18 @@ class TestCheck:
             {"solver": {"tol": -1}},
             'error: solver "tol" must be a finite positive number\n',
         ),
+        # integers beyond the float range keep their sign
+        "k-negative-huge": ({"k": -10**400}, f'error: "k" must be positive (value {-10**400})\n'),
+        "mu-negative-huge": ({"mu": -10**400}, 'error: "mu" must be a positive number\n'),
+        # a pole between the Chebyshev nodes: the error names the data series
+        "a-pole": (
+            {"a": "2*ln(2)*2^t + 1/(t - 0.5)"},
+            'error: "a": not resolved at degree 32768 (relative tail 4.695e-01)\n',
+        ),
+        "b-pole": (
+            {"b": "(301*ln(2)/150)*2^t + 1/(t - 0.5)"},
+            'error: "b + P(0) a": not resolved at degree 32768 (relative tail 4.999e-01)\n',
+        ),
     }
 
     @pytest.mark.parametrize("change,line", BAD_VALUES.values(), ids=BAD_VALUES.keys())
