@@ -259,14 +259,20 @@ class TestBallCheck:
         # upper bound sum |c_k| = 2
         f = cancelling_series()
         r0 = 1.6
+        assert picard._coeff_bound(f.coeffs) > r0 + picard.BALL_SLACK >= f.sup_norm()
+        calls = self.count_sup_norms(monkeypatch)
+        with pytest.raises(picard.BallEscapeError):
+            picard._check_ball(f, r0, 3)
+        assert calls == []
+
+    def test_escape_raises_with_the_coefficient_bound_message(self):
+        f = cancelling_series()
+        r0 = 1.5
         bound = picard._coeff_bound(f.coeffs)
-        assert bound > r0 + picard.BALL_SLACK >= f.sup_norm()
         assert type(bound) is float
         msg = f"iterate 7 has coefficient bound {bound!r} > invariant radius {r0!r}"
-        calls = self.count_sup_norms(monkeypatch)
         with pytest.raises(picard.BallEscapeError, match=f"^{re.escape(msg)}$"):
             picard._check_ball(f, r0, 7)
-        assert calls == []
 
     @settings(max_examples=60, deadline=None, database=None, derandomize=True)
     @given(degree=st.integers(0, 4096), seed=st.integers(0, 2**32 - 1),
