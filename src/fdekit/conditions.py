@@ -11,8 +11,8 @@ positive roots r0 < theta < r1; the closed sup-norm ball of radius r0 is
 invariant for the integral operator, which contracts on it with constant
 q = ||a||_1 * M'(r0) < 1.
 
-All roots are found by bracketed bisection (monotonicity keeps the bracket
-valid) followed by one Newton polish step; verdicts use exact floating
+Each root is one of a convex function, reached by Newton's method from a
+point where that function is positive; verdicts use exact floating
 comparisons and the report carries the slack of every inequality.
 """
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .chebfun import ResolutionError, build
+from .chebfun import DEFAULT_TOL, ResolutionError, build
 
 __all__ = [
     "ConditionsReport",
@@ -37,6 +37,7 @@ __all__ = [
 THETA_RESIDUAL_TOL = 1e-12
 ROOT_RESIDUAL_TOL = 1e-11
 _BRACKET_CAP = 2.0**60
+_NEWTON_CAP = 200
 
 
 class ConditionsError(Exception):
@@ -61,7 +62,7 @@ class ConditionsReport:
     q: float | None = None
     slacks: dict = field(default_factory=dict)
     brackets: dict = field(default_factory=dict)
-    cheb_tol: float = 1e-13
+    cheb_tol: float = DEFAULT_TOL
     error: str | None = None
 
     @property
@@ -97,13 +98,13 @@ def check_condition1(p, a_l1):
 def compute_theta(p, a_l1):
     """Unique positive root of ||a||_1 * M'(r) = 1.
 
-    Bracketed by doubling from 1, bisected to width 1e-14, then one Newton
-    polish; the returned theta satisfies |  ||a||_1 M'(theta) - 1 | <= 1e-12.
+    Newton runs down the convex g(r) = ||a||_1 M'(r) - 1 from the first of
+    1, 2, 4, ... where g > 0; |g(theta)| <= 1e-12 is checked.
     """
     if a_l1 == 0.0:
         raise ThetaUndefinedError("theta undefined: ||a||_1 = 0")
     P = p.P
-    if P.degree < 2 or all(c == 0.0 for c in P.coeffs[2:]):
+    if P.degree < 2:
         raise ThetaUndefinedError("theta undefined (degenerate polynomial)")
     lhs0 = a_l1 * P.majorant_deriv_eval(0.0)
     if not lhs0 < 1.0:
@@ -117,7 +118,7 @@ def compute_theta(p, a_l1):
     def gp(r):
         return a_l1 * P.majorant_second_deriv_eval(r)
 
-    theta, _ = _monotone_root(g, gp, 0.0, 1.0, 1e-14, "threshold")
+    theta = _convex_root(g, gp, _first_positive(g, 1.0, "threshold"), "threshold")
     if abs(g(theta)) > THETA_RESIDUAL_TOL:
         raise ConditionsError(
             f"threshold root residual {g(theta)!r} exceeds {THETA_RESIDUAL_TOL}"
@@ -142,10 +143,10 @@ def localize_radii(p, theta, a_l1, cond2_lhs):
     H(r) = a_l1 M(r) + cond2_lhs - r, where a_l1 = ||a||_1 and
     cond2_lhs = ||b + P(0)a||_1 + |c|.
 
-    H decreases strictly on [0, theta] and increases after, so both roots are
-    bisected inside guaranteed brackets (to width 1e-13, plus one Newton
-    polish each).  Returns (r0, r1, certificates) where certificates record
-    the sign-change brackets.
+    H is convex, decreases strictly on [0, theta] and increases after, so
+    Newton runs up to r0 from 0 and down to r1 from the first of 2 theta,
+    4 theta, ... where H > 0.  Returns (r0, r1, certificates) where
+    certificates record the sign-change brackets.
     """
     P = p.P
 
@@ -163,8 +164,9 @@ def localize_radii(p, theta, a_l1, cond2_lhs):
         )
     if h0 <= 0.0:
         raise ConditionsError("internal: H(0) <= 0 although the lhs is positive")
-    r0, _ = _monotone_root(H, Hp, 0.0, theta, 1e-13, "lower-root")
-    r1, hi = _monotone_root(H, Hp, theta, 2.0 * theta, 1e-13, "upper-root")
+    r0 = _convex_root(H, Hp, 0.0, "lower-root")
+    hi = _first_positive(H, 2.0 * theta, "upper-root")
+    r1 = _convex_root(H, Hp, hi, "upper-root")
 
     for name, val in (("r0", r0), ("r1", r1)):
         if abs(H(val)) > ROOT_RESIDUAL_TOL:
@@ -178,38 +180,32 @@ def localize_radii(p, theta, a_l1, cond2_lhs):
     return r0, r1, certificates
 
 
-def _monotone_root(f, fp, lo, hi, width, name):
-    """The root of f in a bracket [lo, hi] where f is monotone, f(lo) != 0.
-
-    Doubles hi until f changes sign on [lo, hi] (at most _BRACKET_CAP times
-    its start), bisects to `width` keeping the endpoint whose sign matches (a
-    zero at the midpoint replaces hi; the bisection also stops once the ends
-    are adjacent floats), then takes one Newton step, kept only inside the
-    bracket and only if it does not increase |f|.  Returns (root, hi) with hi
-    the final bracket end.
-    """
-    s = 1.0 if f(lo) > 0.0 else -1.0  # s*f falls from positive to <= 0
-    cap = _BRACKET_CAP * hi
-    while s * f(hi) >= 0.0:
-        hi *= 2.0
-        if hi > cap:
+def _first_positive(f, x, name):
+    """The first of x, 2x, 4x, ... (at most _BRACKET_CAP times x) where f > 0."""
+    cap = _BRACKET_CAP * x
+    while f(x) <= 0.0:
+        x *= 2.0
+        if x > cap:
             raise ConditionsError(f"{name} bracket expansion failed")
-    a, b = lo, hi
-    while b - a > width:
-        mid = 0.5 * (a + b)
-        if mid in (a, b):
-            break
-        if s * f(mid) > 0.0:
-            a = mid
-        else:
-            b = mid
-    r = 0.5 * (a + b)
-    slope = fp(r)
-    if slope != 0.0:
-        cand = r - f(r) / slope
-        if lo < cand < hi and abs(f(cand)) <= abs(f(r)):
-            r = cand
-    return r, hi
+    return x
+
+
+def _convex_root(f, fp, x, name):
+    """The root of a convex f that Newton's method reaches from x, f(x) > 0.
+
+    The tangent lies below f, so a step passes the root only by rounding;
+    no bracket is kept.  Stops at the first x where f <= 0, a step leaves x
+    unchanged or the slope is 0, and raises after _NEWTON_CAP steps.
+    """
+    for _ in range(_NEWTON_CAP):
+        fx = f(x)
+        if fx <= 0.0:
+            return x
+        slope = fp(x)
+        if slope == 0.0 or x - fx / slope == x:
+            return x
+        x -= fx / slope
+    raise ConditionsError(f"{name}: no convergence in {_NEWTON_CAP} Newton steps")
 
 
 def analyze(p):

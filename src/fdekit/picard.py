@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conditions
-from .chebfun import ChebFun, _evaluator, _grid_values, _pts_desc, build
+from .chebfun import ChebFun, ResolutionError, _evaluator, _grid_values, _pts_desc, build
 from .problem import clamp_unit
 
 __all__ = [
@@ -125,11 +125,10 @@ def solve(p, report=None, *, force=False, keep_iterates=False):
     Requires a passing ConditionsReport (computed if not supplied) unless
     force=True, which runs outside the hypothesis window with the heuristic
     radius 2*(||b + P(0)a||_1 + |c|) for ball monitoring and marks the
-    result out_of_theorem.  The tolerance and iteration cap are the
-    problem's solve_tol and max_iter; run dataclasses.replace(p, ...) to
-    change them.  Iteration stops once the increment's coefficient bound is
-    at most solve_tol * (1 - q).  A ball-escape raises; hitting max_iter
-    returns converged=False.  keep_iterates keeps f_1, f_2, ... on the Solution.
+    result out_of_theorem.  Iteration stops once the increment's coefficient
+    bound is at most p.solve_tol * (1 - q); p.max_iter steps without that
+    return converged=False.  A ball-escape or an unresolved iterate raises,
+    naming the iterate.  keep_iterates keeps f_1, f_2, ... on the Solution.
     """
     st = p.solve_tol
 
@@ -160,7 +159,10 @@ def solve(p, report=None, *, force=False, keep_iterates=False):
     n_req = None
     n = 0
     for n in range(1, p.max_iter + 1):
-        fn = apply_T(f, p, _samples=samples)
+        try:
+            fn = apply_T(f, p, _samples=samples)
+        except ResolutionError as exc:
+            raise ResolutionError(f'iterate {n + 1}: "a P(f o psi) + b": {exc}') from exc
         inc = _coeff_bound((fn - f).coeffs)
         increments.append(inc)
         _check_ball(fn, r0, n + 1)

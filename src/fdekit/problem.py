@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .chebfun import MAX_DEGREE, TOL_RANGE, _pts_desc, build
+from .chebfun import DEFAULT_TOL, MAX_DEGREE, TOL_RANGE, _pts_desc, build
 from .expr import Expr
 
 __all__ = [
@@ -212,7 +212,7 @@ class Problem:
     d: float
     c: float
     mu: float | None = None
-    cheb_tol: float = 1e-13
+    cheb_tol: float = DEFAULT_TOL
     solve_tol: float = 1e-12
     max_iter: int = 200
     max_degree: int = MAX_DEGREE

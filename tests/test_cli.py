@@ -272,6 +272,26 @@ class TestSolve:
         cli.main([command, write_json(tmp_path, example2_doc()), "--force"])
         assert capsys.readouterr().err == ""  # the hypotheses hold: not forced
 
+    # the hypotheses hold, but the third iterate's integrand needs more than
+    # the 64 coefficients allowed
+    ROUGH = {"k": 1.0, "d": 0.0, "c": 0.01, "P": [0.0, 0.0, 1.0], "a": "0.2",
+             "b": "0.1", "psi": "sin(40*t)", "solver": {"max_degree": 64}}
+
+    def test_unresolved_iterate_passes_check(self, tmp_path, capsys):
+        code, _ = run(capsys, ["check", write_json(tmp_path, self.ROUGH)])
+        assert code == EXIT_OK
+
+    @pytest.mark.parametrize("command", ["solve", "gevrey"])
+    def test_unresolved_iterate_is_named(self, tmp_path, capsys, command):
+        code = cli.main([command, write_json(tmp_path, self.ROUGH)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        assert captured.err == (
+            'error: iterate 3: "a P(f o psi) + b": '
+            "not resolved at degree 64 (relative tail 2.199e-03)\n"
+        )
+
     def test_require_ek_blocks_bad_deviation(self, tmp_path, capsys):
         # psi = t^2 maps into [0,1] but fails the stadium inclusion sampling
         # for k=1 near the right endpoint (squaring pushes points outward)

@@ -203,8 +203,8 @@ class TestAnalyze:
         assert "degenerate" in rep.error
 
     def test_roots_where_float_spacing_exceeds_the_width(self):
-        # theta = 500 and r1 ~ 1000, where adjacent floats lie further apart
-        # than the 1e-14 and 1e-13 bisection widths; bisection must stop
+        # theta = 500 and r1 ~ 1000, where adjacent floats lie 1e-13 or more
+        # apart; Newton must stop once f <= 0 or a step leaves x unchanged
         p = simple_problem("0.0005", [0.0, 0.0, 1.0], c=0.01)
         rep = conditions.analyze(p)
         assert rep.ok
@@ -230,3 +230,38 @@ class TestAnalyze:
             lo1, hi1, h_lo1, h_hi1 = rep.brackets["r1_bracket"]
             assert h_lo0 > 0 > h_hi0 and lo0 <= rep.r0 <= hi0
             assert h_lo1 < 0 < h_hi1 and lo1 <= rep.r1 <= hi1
+
+
+class TestConvexRoot:
+    @pytest.mark.parametrize("delta", [1e-2, 1e-8, 1e-12, 1e-15, 3e-16])
+    def test_near_double_roots(self, delta):
+        # H(r) = r^2 + c - r with roots (1 -+ sqrt(1 - 4c))/2 on both sides
+        # of theta = 1/2, which merge as c -> 1/4
+        p = simple_problem("0.5", [0.0, 0.0, 1.0], c=0.25 * (1.0 - delta))
+        rep = conditions.analyze(p)
+        assert rep.ok, rep.error
+        assert 0.0 < rep.r0 < rep.theta < rep.r1
+        for r in (rep.r0, rep.r1):
+            H = rep.a_l1 * p.P.majorant_eval(r) + rep.cond2_lhs - r
+            assert abs(H) <= conditions.ROOT_RESIDUAL_TOL
+
+    @pytest.mark.parametrize("doc", [example1_doc, example2_doc])
+    def test_majorant_evaluations_per_analyze(self, doc, monkeypatch):
+        p = load_problem(doc())
+        calls = []
+        majorant = Polynomial._majorant
+
+        def counted(self, x, r):
+            calls.append(r)
+            return majorant(self, x, r)
+
+        monkeypatch.setattr(Polynomial, "_majorant", counted)
+        assert conditions.analyze(p).ok
+        assert len(calls) <= 60
+
+    def test_zero_slope_returns(self):
+        assert conditions._convex_root(lambda x: 1.0, lambda x: 0.0, 0.5, "flat") == 0.5
+
+    def test_no_root_raises_at_the_cap(self):
+        with pytest.raises(conditions.ConditionsError, match="no convergence"):
+            conditions._convex_root(lambda x: x * x + 1.0, lambda x: 2.0 * x, 0.5, "no-root")
