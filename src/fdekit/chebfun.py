@@ -5,7 +5,8 @@ relative truncation tolerance.  Construction samples the function at
 second-kind Chebyshev points with the degree doubling until the tail of the
 coefficient vector falls below tolerance, then trims.  Calculus is done on
 coefficients, and the sup norm and integral of |u| refine FFT grid values by
-Newton steps in arccos(x), so all of these are spectrally accurate.
+Newton steps in arccos(x) (the integral then adds |U(b) - U(a)| over the
+pieces between sign changes), so all of these are spectrally accurate.
 
 Real evaluation of a series with m + 1 coefficients at N points has two
 kernels.  Below _EVAL_CROSSOVER coefficients it is the Clenshaw recurrence,
@@ -264,7 +265,7 @@ class ChebFun:
 
     __slots__ = ("coeffs", "ellipse_hint", "grid_size")
 
-    def __init__(self, coeffs, ellipse_hint=None):
+    def __init__(self, coeffs, ellipse_hint=None, grid_size=None):
         c = np.array(coeffs, dtype=float)
         if c.ndim != 1 or len(c) == 0:
             raise ValueError("coefficients must be a non-empty 1-d array")
@@ -275,7 +276,7 @@ class ChebFun:
         self.ellipse_hint = (
             _estimate_rho(c) if ellipse_hint is None else float(ellipse_hint)
         )
-        self.grid_size = None
+        self.grid_size = grid_size  # points build sampled last, else None
 
     # -- basic queries ------------------------------------------------------
 
@@ -343,8 +344,6 @@ class ChebFun:
         largest |u| evaluated is a lower bound of the sup, ~1e-14 relative.
         """
         c = self.coeffs
-        if len(c) == 1:
-            return abs(float(c[0]))
         ng = _fft_size(max(8 * len(c), 64))
         v = _grid_values(c, ng)
         va = np.abs(v)
@@ -364,14 +363,14 @@ class ChebFun:
         """Integral of |u| over [-1, 1].
 
         Sign changes of FFT values on a Chebyshev grid of size >= 16*(degree+1)
-        are refined by bracketed Newton steps in theta = arccos(x), then |u| is
-        integrated piecewise via signed antiderivative differences.
+        are refined by bracketed Newton steps in theta = arccos(x); each piece
+        between them adds |U(b) - U(a)|, U the antiderivative.
         """
         return self.abs_integral(-1.0, 1.0)
 
     def abs_integral(self, lo, hi):
-        """Integral of |u| over [lo, hi] within [-1, 1], on the cells of the
-        l1_norm grid that cover [lo, hi]; roots outside it clip to its ends."""
+        """Integral of |u| over [lo, hi] within [-1, 1] as in l1_norm, on the
+        cells of its grid that cover [lo, hi]; roots outside it clip to its ends."""
         if hi < lo:
             lo, hi = hi, lo
         c = self.coeffs
@@ -386,11 +385,8 @@ class ChebFun:
         a, b = th[br], th[br + 1]
         roots = _newton(c, a - v[br] * (b - a) / (v[br + 1] - v[br]), a, b, sv[br], 0)[0]
         bps = np.unique(np.clip(np.concatenate([ends, th[v == 0.0], roots]), *ends))
-        # U at the breakpoints; d/dtheta U(cos theta) = -sin(theta) u signs midpoints
-        pts = np.concatenate([bps, 0.5 * (bps[:-1] + bps[1:])])
-        uv, du = _theta_eval(self.antiderivative().coeffs, pts)[:2]
-        piece = uv[: len(bps) - 1] - uv[1 : len(bps)]  # theta ascends, x descends
-        return max(math.fsum(np.where(du[len(bps):] <= 0.0, piece, -piece)), 0.0)
+        uv = _theta_eval(self.antiderivative().coeffs, bps)[0]
+        return math.fsum(np.abs(np.diff(uv)))
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -404,10 +400,7 @@ class ChebFun:
 
 
 def _trim(c, thresh):
-    keep = np.nonzero(np.abs(c) >= thresh)[0]
-    if len(keep) == 0:
-        return np.zeros(1)
-    return c[: keep[-1] + 1].copy()
+    return c[: np.nonzero(np.abs(c) >= thresh)[0][-1] + 1]
 
 
 def build(f, tol=DEFAULT_TOL, max_degree=MAX_DEGREE):
@@ -433,18 +426,13 @@ def build(f, tol=DEFAULT_TOL, max_degree=MAX_DEGREE):
             raise ResolutionError("sampled a non-finite value")
         c = _vals_to_coeffs(v)
         maxc = float(np.max(np.abs(c)))
-        if maxc == 0.0:
-            u = ChebFun(np.zeros(1))
-            u.grid_size = n + 1
-            return u
         tail = max(abs(float(c[-1])), abs(float(c[-2])))
-        if tail <= tol * maxc:
-            u = ChebFun(_trim(c, tol * maxc))
-            u.grid_size = n + 1
-            return u
+        if tail <= tol * maxc:  # the zero function too
+            break
         if n >= max_degree:
             raise ResolutionError(
                 f"not resolved at degree {max_degree} "
                 f"(relative tail {tail / maxc:.3e})"
             )
         n *= 2
+    return ChebFun(_trim(c, tol * maxc) if maxc > 0.0 else np.zeros(1), grid_size=n + 1)

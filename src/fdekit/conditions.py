@@ -145,7 +145,8 @@ def localize_radii(p, theta, a_l1, cond2_lhs):
 
     H is convex, decreases strictly on [0, theta] and increases after, so
     Newton runs up to r0 from 0 and down to r1 from the first of 2 theta,
-    4 theta, ... where H > 0.  Returns (r0, r1, certificates) where
+    4 theta, ... where H > 0.  |H| at each root must be at most
+    ROOT_RESIDUAL_TOL * max(1, r).  Returns (r0, r1, certificates) where
     certificates record the sign-change brackets.
     """
     P = p.P
@@ -169,10 +170,9 @@ def localize_radii(p, theta, a_l1, cond2_lhs):
     r1 = _convex_root(H, Hp, hi, "upper-root")
 
     for name, val in (("r0", r0), ("r1", r1)):
-        if abs(H(val)) > ROOT_RESIDUAL_TOL:
-            raise ConditionsError(
-                f"{name} residual {H(val)!r} exceeds {ROOT_RESIDUAL_TOL}"
-            )
+        tol = ROOT_RESIDUAL_TOL * max(1.0, val)  # an ulp of r moves H by ~ulp(r)
+        if abs(H(val)) > tol:
+            raise ConditionsError(f"{name} residual {H(val)!r} exceeds {tol!r}")
     certificates = {
         "r0_bracket": (0.0, theta, h0, htheta),
         "r1_bracket": (theta, hi, htheta, H(hi)),
@@ -209,8 +209,8 @@ def _convex_root(f, fp, x, name):
 
 
 def analyze(p):
-    """Run every hypothesis check and localisation step; always returns a
-    ConditionsReport (failed stages leave later fields as None)."""
+    """Run every hypothesis check and localisation step into a ConditionsReport
+    (failed stages leave later fields None); a failing root search raises."""
     a_l1 = a_l1_norm(p)
     cond1_lhs, cond1_ok = check_condition1(p, a_l1=a_l1)
     report = ConditionsReport(
@@ -225,7 +225,7 @@ def analyze(p):
         return report
     try:
         theta = compute_theta(p, a_l1=a_l1)
-    except ConditionsError as exc:
+    except ThetaUndefinedError as exc:
         report.error = str(exc)
         return report
     report.theta = theta

@@ -172,26 +172,21 @@ class _Parser:
         return self.src[start : self.end]
 
     def expr(self):
-        start = self._offset()
-        node = self.term()
-        while True:
-            tok = self._peek()
-            if tok is not None and tok[1] in ("+", "-"):
-                self._next()
-                node = BinOp(tok[1], node, self.term(), self._text(start))
-            else:
-                return node
+        return self._infix(("+", "-"), self.term)
 
     def term(self):
+        return self._infix(("*", "/"), self.unary)
+
+    def _infix(self, ops, operand):
+        """operand (op operand)* with each op in ops, grouped to the left."""
         start = self._offset()
-        node = self.unary()
+        node = operand()
         while True:
             tok = self._peek()
-            if tok is not None and tok[1] in ("*", "/"):
-                self._next()
-                node = BinOp(tok[1], node, self.unary(), self._text(start))
-            else:
+            if tok is None or tok[1] not in ops:
                 return node
+            self._next()
+            node = BinOp(tok[1], node, operand(), self._text(start))
 
     def unary(self):
         tok = self._peek()
@@ -369,29 +364,24 @@ class Expr:
 
     def eval_real(self, t):
         """Evaluate at real t (scalar or ndarray).  Rejects non-finite results."""
-        arr = np.asarray(t, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("evaluation point is not finite")
-        with np.errstate(all="ignore"):
-            out = np.asarray(_eval(self.root, arr, False), dtype=float)
-        if not np.all(np.isfinite(out)):
-            raise OverflowEvalError(f"non-finite value while evaluating '{self.src}'")
-        return float(out[0]) if scalar else out
+        return self._evaluate(t, float)
 
     def eval_complex(self, z):
         """Evaluate at complex z (scalar or ndarray) using principal branches."""
-        arr = np.asarray(z, dtype=complex)
+        return self._evaluate(z, complex)
+
+    def _evaluate(self, t, kind):
+        """Values at t as kind (float or complex), a kind for 0-d t."""
+        arr = np.asarray(t, dtype=kind)
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
         if not np.all(np.isfinite(arr)):
             raise DomainError("evaluation point is not finite")
         with np.errstate(all="ignore"):
-            out = np.asarray(_eval(self.root, arr, True), dtype=complex)
+            out = np.asarray(_eval(self.root, arr, kind is complex), dtype=kind)
         if not np.all(np.isfinite(out)):
             raise OverflowEvalError(f"non-finite value while evaluating '{self.src}'")
-        return complex(out[0]) if scalar else out
+        return kind(out[0]) if scalar else out
 
     def is_entire(self):
         """Whether the tree is built only from entire operations (see

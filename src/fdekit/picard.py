@@ -13,7 +13,7 @@ carries the increment history and an equation residual measured on a dense
 grid.
 
 The loop measures with one norm: sum |c_k| over the Chebyshev coefficients,
-rounded up (_coeff_bound), which bounds the sup on [-1, 1] from above since
+rounded up (coeff_bound), which bounds the sup on [-1, 1] from above since
 |T_k| <= 1.  An iterate whose bound exceeds r0 + BALL_SLACK escapes the
 invariant ball, and the recorded increment of f_n is the bound of
 f_n - f_{n-1}, so neither the ball check nor the stopping rule rests on a
@@ -45,6 +45,7 @@ __all__ = [
     "BallEscapeError",
     "ConditionFailure",
     "apply_T",
+    "coeff_bound",
     "solve",
     "residual",
     "defect",
@@ -71,7 +72,7 @@ class ConditionFailure(PicardError):
 @dataclass
 class Solution:
     """increments[n-1] is the rounded-up sum |c_k| of f_{n+1} - f_n
-    (_coeff_bound), an upper bound of its sup on [-1, 1]."""
+    (coeff_bound), an upper bound of its sup on [-1, 1]."""
 
     u: ChebFun
     iterations: int
@@ -163,7 +164,7 @@ def solve(p, report=None, *, force=False, keep_iterates=False):
             fn = apply_T(f, p, _samples=samples)
         except ResolutionError as exc:
             raise ResolutionError(f'iterate {n + 1}: "a P(f o psi) + b": {exc}') from exc
-        inc = _coeff_bound((fn - f).coeffs)
+        inc = coeff_bound((fn - f).coeffs)
         increments.append(inc)
         _check_ball(fn, r0, n + 1)
         if keep_iterates:
@@ -194,14 +195,14 @@ def _check_ball(f, r0, index):
     """Raise BallEscapeError when the coefficient bound of f, an upper bound
     of sup |f|, exceeds r0 + BALL_SLACK: every iterate kept is inside the
     ball."""
-    bound = _coeff_bound(f.coeffs)
+    bound = coeff_bound(f.coeffs)
     if bound > r0 + BALL_SLACK:
         raise BallEscapeError(
             f"iterate {index} has coefficient bound {bound!r} > invariant radius {r0!r}"
         )
 
 
-def _coeff_bound(c):
+def coeff_bound(c):
     """sum |c_k| rounded up, an upper bound of sup |sum c_k T_k| on [-1, 1]:
     fsum rounds correctly, and the factor 1 + (len(c) + 1) eps covers that
     rounding and the product's own."""

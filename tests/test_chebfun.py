@@ -53,6 +53,11 @@ class TestBuild:
     def test_zero_function(self):
         u = build(lambda t: 0.0 * t)
         assert u.degree == 0 and u.coeffs[0] == 0.0
+        assert u.grid_size == 17  # converged on the first grid, degree 16
+
+    def test_grid_size_only_from_build(self):
+        assert ChebFun([1.0, 0.5]).grid_size is None
+        assert build(lambda t: np.sin(40 * t)).grid_size == 129  # grids 17, 33, 65, 129
 
     def test_nonsmooth_fails(self):
         with pytest.raises(ResolutionError):

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from fdekit import cli
+from fdekit.chebfun import ChebFun
 from fdekit.cli import (
     EXIT_FAILURE,
     EXIT_HYPOTHESIS,
@@ -453,6 +454,21 @@ class TestReproduce:
         monkeypatch.setattr(cli.gevrey, "check_ek", counted)
         run(capsys, ["reproduce", "all"])
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_ball_line_uses_the_coefficient_bound(self, capsys, monkeypatch, name):
+        doc = example1_doc(**cli.EX1_PARAMS) if name == "example1" else example2_doc()
+        prob = load_problem(doc)
+        sol = cli.picard.solve(prob, cli.conditions.analyze(prob))
+        bound = cli.picard.coeff_bound(sol.u.coeffs)
+        sups = []
+        sup_norm = ChebFun.sup_norm
+        monkeypatch.setattr(ChebFun, "sup_norm", lambda u: sups.append(u) or sup_norm(u))
+        _, out = run(capsys, ["reproduce", name])
+        line = (f"PASS  {name}: iterates inside invariant ball  "
+                f"[bound={bound!r} r0={sol.r0_used!r}]")
+        assert line in out.splitlines()
+        assert sups == []
 
     def test_all_aggregates_both(self, capsys):
         code, out = run(capsys, ["reproduce", "all"])

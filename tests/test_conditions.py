@@ -1,10 +1,11 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from fdekit import conditions
+from fdekit import cli, conditions
 from fdekit.cli import example1_doc, example2_doc, load_problem
 from fdekit.conditions import ThetaUndefinedError
 from fdekit.expr import parse
@@ -230,6 +231,74 @@ class TestAnalyze:
             lo1, hi1, h_lo1, h_hi1 = rep.brackets["r1_bracket"]
             assert h_lo0 > 0 > h_hi0 and lo0 <= rep.r0 <= hi0
             assert h_lo1 < 0 < h_hi1 and lo1 <= rep.r1 <= hi1
+
+
+# Weakly nonlinear data: ||a||_1 small puts theta and r1 far out, up to ~1e13,
+# where one ulp of r moves H by more than 1e-11.
+WEAK_CASES = {
+    "quadratic-1e-6": {"k": 1.0, "d": 0.0, "c": 0.01, "P": [0.0, 0.0, 1.0],
+                       "a": "1e-6", "b": "0.01", "psi": "sin(t)"},
+    **{f"example2-{a}": {**example2_doc(), "a": a}
+       for a in ("1e-8", "1e-15", "1e-20", "1e-30", "1e-40")},
+}
+
+
+class TestRootResidual:
+    @pytest.mark.parametrize("doc", WEAK_CASES.values(), ids=WEAK_CASES.keys())
+    def test_far_roots_pass_the_scaled_residual_check(self, doc):
+        p = load_problem(doc)
+        rep = conditions.analyze(p)
+        assert rep.ok, rep.error
+        assert 0.0 < rep.r0 < rep.theta < rep.r1
+        for r in (rep.r0, rep.r1):
+            H = rep.a_l1 * p.P.majorant_eval(r) + rep.cond2_lhs - r
+            assert abs(H) <= conditions.ROOT_RESIDUAL_TOL * max(1.0, r)
+
+    def test_far_roots_check_and_solve_exit_0(self, tmp_path, capsys):
+        path = tmp_path / "weak.json"
+        path.write_text(json.dumps(WEAK_CASES["quadratic-1e-6"]))
+        assert cli.main(["check", str(path)]) == cli.EXIT_OK
+        assert cli.main(["solve", str(path)]) == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    def test_message_quotes_the_scaled_tolerance(self, monkeypatch):
+        p = load_problem(WEAK_CASES["quadratic-1e-6"])
+        a_l1 = conditions.a_l1_norm(p)
+        theta = conditions.compute_theta(p, a_l1)
+        convex_root, moved = conditions._convex_root, {}
+
+        def off_root(f, fp, x, name):
+            # r1 moved 1e-6 relative off the root leaves a residual above tolerance
+            r = convex_root(f, fp, x, name)
+            if name == "upper-root":
+                r = moved["r1"] = r * (1.0 + 1e-6)
+            return r
+
+        monkeypatch.setattr(conditions, "_convex_root", off_root)
+        with pytest.raises(conditions.ConditionsError) as exc:
+            conditions.localize_radii(p, theta, a_l1, conditions.source_mass(p) + abs(p.c))
+        tol = conditions.ROOT_RESIDUAL_TOL * moved["r1"]
+        assert tol > 1e5 * conditions.ROOT_RESIDUAL_TOL  # r1 ~ 5e5
+        assert str(exc.value).startswith("r1 residual ")
+        assert str(exc.value).endswith(f" exceeds {tol!r}")
+
+
+# Exit codes of the theta stage: an undefined theta is a hypothesis failure,
+# a root search that breaks down is a numerical one.
+THETA_CASES = {
+    "zero-weight": ({"a": "0"}, cli.EXIT_HYPOTHESIS, ""),
+    "degree-1": ({"P": [0.0, 0.1], "a": "0.5", "b": "0.01"}, cli.EXIT_HYPOTHESIS, ""),
+    "bracket-expansion": ({"a": "1e-60"}, cli.EXIT_FAILURE,
+                          "error: threshold bracket expansion failed\n"),
+}
+
+
+@pytest.mark.parametrize("change,code,err", THETA_CASES.values(), ids=THETA_CASES.keys())
+def test_theta_failure_exit_codes(tmp_path, capsys, change, code, err):
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps({**example2_doc(), **change}))
+    assert cli.main(["check", str(path)]) == code
+    assert capsys.readouterr().err == err
 
 
 class TestConvexRoot:

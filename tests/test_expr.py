@@ -192,6 +192,23 @@ class TestInvariants:
     def test_unary_minus_binds_below_power(self):
         assert parse("-2^2").eval_real(0.0) == -4.0
 
+    def test_minus_and_divide_group_to_the_left(self):
+        root = parse("8-4-2").root
+        assert root == BinOp("-", BinOp("-", Num(8.0), Num(4.0)), Num(2.0))
+        assert (root.left.src, root.src) == ("8-4", "8-4-2")
+        root = parse("8 / 4/2").root
+        assert (root.left.src, root.src) == ("8 / 4", "8 / 4/2")
+        assert parse("8/4/2").eval_real(0.0) == 1.0
+        assert parse("8-4-2").eval_real(0.0) == 2.0
+
+    def test_zero_dimensional_input_gives_a_python_scalar(self):
+        e = parse("t^2 + 1")
+        for t in (0.5, np.float64(0.5), np.array(0.5)):
+            assert type(e.eval_real(t)) is float and e.eval_real(t) == 1.25
+        for z in (0.5j, np.complex128(0.5j), np.array(0.5j)):
+            assert type(e.eval_complex(z)) is complex and e.eval_complex(z) == 0.75
+        assert isinstance(e.eval_real(np.array([0.5])), np.ndarray)
+
 
 # Source -> whether the tree is entire (holomorphic on all of C).
 ENTIRE_CASES = {

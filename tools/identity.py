@@ -1,0 +1,126 @@
+"""Record what the fdekit command line prints, and compare two recordings.
+
+    python3 tools/identity.py record SRC OUT.json [--seed N]
+    python3 tools/identity.py compare A.json B.json
+
+``record`` imports fdekit from the source directory SRC (put first on
+``sys.path``) and runs, in this one process through ``cli.main``, every
+problem of ``perfbench.workloads.generate(w, N)`` for the three benchmark
+workloads under ``check``, ``solve``, ``solve --force``, ``ek`` and
+``gevrey``, plus ``reproduce all|example1|example2``.  Each operation is
+recorded as its exit code, stderr and stdout, with every ``"seconds"``
+value masked, since a report's timing is the only part allowed to change
+between runs.  It reads nothing of ``perfbench/`` but the workload generator.
+
+``compare`` lists every operation whose record differs between two files,
+or is missing from one, and exits 1 if there is any; it exits 0 otherwise.
+Recording the parent and the changed source on the same seeds shows whether
+a change kept every report byte-identical.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import re
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+COMMANDS = (["check"], ["solve"], ["solve", "--force"], ["ek"], ["gevrey"])
+REPRODUCE = ("all", "example1", "example2")
+_SECONDS = re.compile(r'("seconds": )[^,}\n]+')
+
+
+def run(cli, argv):
+    """{code, stderr, stdout} of one cli.main call, "seconds" masked; an
+    exception that escapes main is recorded in place of the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except Exception as exc:
+            code = f"raised {type(exc).__name__}: {exc}"
+    return {"code": code, "stderr": err.getvalue(),
+            "stdout": _SECONDS.sub(r'\1"*"', out.getvalue())}
+
+
+def record(src, seed):
+    """Every operation's record, keyed "workload/problem command"."""
+    sys.path[:0] = [os.path.abspath(src), ROOT]
+    import fdekit.cli as cli
+    from perfbench import workloads
+
+    if not os.path.abspath(cli.__file__).startswith(os.path.abspath(src) + os.sep):
+        raise SystemExit(f"fdekit imported from {cli.__file__}, not from {src}")
+    ops = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for w in workloads.WORKLOADS:
+            for prob in workloads.generate(w, seed)[0]:
+                path = os.path.join(tmp, f"{w}-{prob['id']}.json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    json.dump(prob["doc"], fh)
+                for cmd in COMMANDS:
+                    ops[f"{w}/{prob['id']} {' '.join(cmd)}"] = run(cli, [cmd[0], path, *cmd[1:]])
+    for which in REPRODUCE:
+        ops[f"reproduce {which}"] = run(cli, ["reproduce", which])
+    return ops
+
+
+def compare(a, b):
+    """Lines naming each operation that differs between records a and b."""
+    lines = []
+    for key in sorted(a.keys() | b.keys()):
+        if key not in a or key not in b:
+            lines.append(f"{key}: only in {'A' if key in a else 'B'}")
+            continue
+        for part in ("code", "stderr", "stdout"):
+            if a[key][part] != b[key][part]:
+                where = _first_difference(a[key][part], b[key][part])
+                lines.append(f"{key}: {part} differs{where}")
+    return lines
+
+
+def _first_difference(x, y):
+    if not isinstance(x, str) or not isinstance(y, str):
+        return f" ({x!r} vs {y!r})"
+    xs, ys = x.splitlines(), y.splitlines()
+    i = next((i for i, (p, q) in enumerate(zip(xs, ys)) if p != q), min(len(xs), len(ys)))
+    p, q = (xs[i] if i < len(xs) else "<end>"), (ys[i] if i < len(ys) else "<end>")
+    return f" at line {i + 1}:\n  A: {p.strip()}\n  B: {q.strip()}"
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="mode", required=True)
+    p_rec = sub.add_parser("record", help="run every operation and save its output")
+    p_rec.add_argument("src", help="source directory holding the fdekit package")
+    p_rec.add_argument("out", help="record file to write (JSON)")
+    p_rec.add_argument("--seed", type=int, default=1)
+    p_cmp = sub.add_parser("compare", help="list the operations two records differ in")
+    p_cmp.add_argument("a")
+    p_cmp.add_argument("b")
+    args = parser.parse_args(argv)
+
+    if args.mode == "record":
+        ops = record(args.src, args.seed)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump({"seed": args.seed, "ops": ops}, fh, indent=1)
+        print(f"{len(ops)} operations recorded in {args.out}")
+        return 0
+    docs = []
+    for path in (args.a, args.b):
+        with open(path, encoding="utf-8") as fh:
+            docs.append(json.load(fh)["ops"])
+    lines = compare(*docs)
+    for line in lines:
+        print(line)
+    print(f"{len(lines)} difference(s) over {len(docs[0].keys() | docs[1].keys())} operations")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
