@@ -12,8 +12,8 @@ invariant for the integral operator, which contracts on it with constant
 q = ||a||_1 * M'(r0) < 1.
 
 Each root is one of a convex function, reached by Newton's method from a
-point where that function is positive; verdicts use exact floating
-comparisons and the report carries the slack of every inequality.
+point where that function is positive (0 for r0, _far_start for theta and
+r1); verdicts use exact comparisons and the report carries every slack.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
 
 THETA_RESIDUAL_TOL = 1e-12
 ROOT_RESIDUAL_TOL = 1e-11
-_BRACKET_CAP = 2.0**60
 _NEWTON_CAP = 200
 
 
@@ -98,8 +97,8 @@ def check_condition1(p, a_l1):
 def compute_theta(p, a_l1):
     """Unique positive root of ||a||_1 * M'(r) = 1.
 
-    Newton runs down the convex g(r) = ||a||_1 M'(r) - 1 from the first of
-    1, 2, 4, ... where g > 0; |g(theta)| <= 1e-12 is checked.
+    Newton runs down the convex g(r) = ||a||_1 M'(r) - 1 from x*
+    (_far_start), where g(x*) >= 1; |g(theta)| <= 1e-12 is checked.
     """
     if a_l1 == 0.0:
         raise ThetaUndefinedError("theta undefined: ||a||_1 = 0")
@@ -118,7 +117,7 @@ def compute_theta(p, a_l1):
     def gp(r):
         return a_l1 * P.majorant_second_deriv_eval(r)
 
-    theta = _convex_root(g, gp, _first_positive(g, 1.0, "threshold"), "threshold")
+    theta = _convex_root(g, gp, _far_start(P, a_l1), "threshold")
     if abs(g(theta)) > THETA_RESIDUAL_TOL:
         raise ConditionsError(
             f"threshold root residual {g(theta)!r} exceeds {THETA_RESIDUAL_TOL}"
@@ -144,10 +143,10 @@ def localize_radii(p, theta, a_l1, cond2_lhs):
     cond2_lhs = ||b + P(0)a||_1 + |c|.
 
     H is convex, decreases strictly on [0, theta] and increases after, so
-    Newton runs up to r0 from 0 and down to r1 from the first of 2 theta,
-    4 theta, ... where H > 0.  |H| at each root must be at most
+    Newton runs up to r0 from 0 and down to r1 from x* (_far_start), where
+    H > 0 in exact arithmetic.  |H| at each root must be at most
     ROOT_RESIDUAL_TOL * max(1, r).  Returns (r0, r1, certificates) where
-    certificates record the sign-change brackets.
+    certificates record the brackets (lo, hi, H(lo), H(hi)).
     """
     P = p.P
 
@@ -166,7 +165,7 @@ def localize_radii(p, theta, a_l1, cond2_lhs):
     if h0 <= 0.0:
         raise ConditionsError("internal: H(0) <= 0 although the lhs is positive")
     r0 = _convex_root(H, Hp, 0.0, "lower-root")
-    hi = _first_positive(H, 2.0 * theta, "upper-root")
+    hi = _far_start(P, a_l1)
     r1 = _convex_root(H, Hp, hi, "upper-root")
 
     for name, val in (("r0", r0), ("r1", r1)):
@@ -180,14 +179,13 @@ def localize_radii(p, theta, a_l1, cond2_lhs):
     return r0, r1, certificates
 
 
-def _first_positive(f, x, name):
-    """The first of x, 2x, 4x, ... (at most _BRACKET_CAP times x) where f > 0."""
-    cap = _BRACKET_CAP * x
-    while f(x) <= 0.0:
-        x *= 2.0
-        if x > cap:
-            raise ConditionsError(f"{name} bracket expansion failed")
-    return x
+def _far_start(P, a_l1):
+    """x* = min over j >= 2, P_j != 0, of x_j = (a_l1 |P_j|)^(-1/(j-1)).  The j-th term
+    alone gives a_l1 M'(x_j) >= j > 1 and H(x_j) >= H(0) > 0, so x* lies past theta and r1."""
+    try:
+        return min((a_l1 * abs(c)) ** (-1.0 / (j - 1)) for j, c in enumerate(P.coeffs) if j > 1 and c)
+    except (OverflowError, ZeroDivisionError):
+        raise ConditionsError(f"root search start is not finite (||a||_1 = {a_l1!r})") from None
 
 
 def _convex_root(f, fp, x, name):

@@ -36,6 +36,12 @@ def mass(p):
     return conditions.source_mass(p) + abs(p.c)
 
 
+def far_start(a_l1, P):
+    """The Newton start for theta and r1: min over j >= 2, P_j != 0, of
+    (||a||_1 |P_j|)^(-1/(j-1))."""
+    return min((a_l1 * abs(c)) ** (-1.0 / (j - 1)) for j, c in enumerate(P.coeffs) if j > 1 and c)
+
+
 class TestCondition1:
     def test_quartic_example(self):
         p = load_problem(example2_doc())
@@ -166,6 +172,18 @@ class TestLocalizeRadii:
             assert 0.0 < rep.r0 < rep.theta < rep.r1
             assert rep.q <= 1.0 - 1e-12
 
+    def test_start_from_the_least_of_all_power_terms(self):
+        # x* = min(1, 1e200^(1/3)) = 1; the leading term alone would start
+        # Newton at 2e66, where one step leaves theta a residual of -1
+        p = simple_problem("0.5", [0.0, 0.0, 1.0, 0.0, 1e-200], b_src="0.01", c=0.01)
+        rep = conditions.analyze(p)
+        assert rep.ok, rep.error
+        assert rep.theta == pytest.approx(0.5, rel=1e-15)
+        # H(r) = r^2 + 1e-200 r^4 + 0.03 - r
+        assert rep.r0 == pytest.approx((1 - math.sqrt(0.88)) / 2, rel=1e-12)
+        assert rep.r1 == pytest.approx((1 + math.sqrt(0.88)) / 2, rel=1e-12)
+        assert rep.brackets["r1_bracket"][1] == 1.0
+
     def test_cubic_family_closed_forms_generalize(self):
         # theta = sqrt((N+1)/(6|alpha|)) and lhs = (2 beta/gamma) sinh(gamma)
         # for the power-weight cubic family, including negative alpha
@@ -231,15 +249,16 @@ class TestAnalyze:
             lo1, hi1, h_lo1, h_hi1 = rep.brackets["r1_bracket"]
             assert h_lo0 > 0 > h_hi0 and lo0 <= rep.r0 <= hi0
             assert h_lo1 < 0 < h_hi1 and lo1 <= rep.r1 <= hi1
+            assert hi1 == far_start(rep.a_l1, p.P) and h_hi1 == H(hi1)
 
 
-# Weakly nonlinear data: ||a||_1 small puts theta and r1 far out, up to ~1e13,
+# Weakly nonlinear data: ||a||_1 small puts theta and r1 far out, up to ~8e19,
 # where one ulp of r moves H by more than 1e-11.
 WEAK_CASES = {
     "quadratic-1e-6": {"k": 1.0, "d": 0.0, "c": 0.01, "P": [0.0, 0.0, 1.0],
                        "a": "1e-6", "b": "0.01", "psi": "sin(t)"},
     **{f"example2-{a}": {**example2_doc(), "a": a}
-       for a in ("1e-8", "1e-15", "1e-20", "1e-30", "1e-40")},
+       for a in ("1e-8", "1e-15", "1e-20", "1e-30", "1e-40", "1e-60")},
 }
 
 
@@ -253,6 +272,11 @@ class TestRootResidual:
         for r in (rep.r0, rep.r1):
             H = rep.a_l1 * p.P.majorant_eval(r) + rep.cond2_lhs - r
             assert abs(H) <= conditions.ROOT_RESIDUAL_TOL * max(1.0, r)
+        _, hi, _, h_hi = rep.brackets["r1_bracket"]
+        assert hi == far_start(rep.a_l1, p.P) and rep.r1 <= hi
+        # H(x*) >= the mass exactly; only a mass below the float spacing at
+        # x* (a = 1e-60: 3.02 against 16384) can round H(x*) to <= 0
+        assert h_hi > 0.0 or rep.cond2_lhs < math.ulp(hi)
 
     def test_far_roots_check_and_solve_exit_0(self, tmp_path, capsys):
         path = tmp_path / "weak.json"
@@ -284,12 +308,13 @@ class TestRootResidual:
 
 
 # Exit codes of the theta stage: an undefined theta is a hypothesis failure,
-# a root search that breaks down is a numerical one.
+# a root search that breaks down is a numerical one.  A subnormal ||a||_1
+# with quadratic P puts the Newton start 1/||a||_1 past the float range.
 THETA_CASES = {
     "zero-weight": ({"a": "0"}, cli.EXIT_HYPOTHESIS, ""),
     "degree-1": ({"P": [0.0, 0.1], "a": "0.5", "b": "0.01"}, cli.EXIT_HYPOTHESIS, ""),
-    "bracket-expansion": ({"a": "1e-60"}, cli.EXIT_FAILURE,
-                          "error: threshold bracket expansion failed\n"),
+    "non-finite-start": ({"P": [0, 0, 1], "a": "1e-310"}, cli.EXIT_FAILURE,
+                         "error: root search start is not finite (||a||_1 = 2e-310)\n"),
 }
 
 
@@ -326,7 +351,7 @@ class TestConvexRoot:
 
         monkeypatch.setattr(Polynomial, "_majorant", counted)
         assert conditions.analyze(p).ok
-        assert len(calls) <= 60
+        assert len(calls) == {example1_doc: 44, example2_doc: 48}[doc]
 
     def test_zero_slope_returns(self):
         assert conditions._convex_root(lambda x: 1.0, lambda x: 0.0, 0.5, "flat") == 0.5

@@ -1,5 +1,6 @@
-"""tools/identity.py compare: every operation that differs is listed, and
-the exit code says whether there was any."""
+"""tools/identity.py compare: every operation that differs is listed, then
+every moved report field and text line, and the exit code says whether there
+was any difference."""
 
 import importlib.util
 import json
@@ -50,8 +51,47 @@ def test_every_difference_is_listed(tmp_path, capsys):
         "  A: <end>",
         "  B: error: x",
         "reproduce all: only in A",
+        "field ok: 1 operation(s), not numeric",
         "5 difference(s) over 4 operations",
     ]
+
+
+def report(theta, bracket, text=""):
+    doc = {"conditions": {"theta": theta, "brackets": {"r1_bracket": bracket}}, "q": 0.5}
+    return {"code": 0, "stderr": "", "stdout": text + json.dumps(doc, indent=2) + "\n"}
+
+
+def test_moved_fields_and_text_lines_are_summed_up(tmp_path, capsys):
+    a = write(tmp_path, "a.json", {
+        "paper/ex1-0 check": report(0.5, [0.5, 2.0, -0.25, 1.0]),
+        "paper/ex2-0 check": report(0.25, [0.25, 4.0, -0.5, 2.0]),
+        "reproduce example2": report(0.25, [0.25, 4.0, -0.5, 2.0], "PASS  x  [theta=0.25]\nPASS  y\n"),
+    })
+    b = write(tmp_path, "b.json", {
+        "paper/ex1-0 check": report(0.5 * (1 + 2**-52), [0.5, 1.0, -0.25, 0.5]),
+        "paper/ex2-0 check": report(0.25, [0.25, 4.0, -0.5, 2.0]),
+        "reproduce example2": report(0.25, [0.25, 3.0, -0.5, 2.0], "PASS  x  [theta=0.25]\n"),
+    })
+    assert identity.main(["compare", a, b]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-6:] == [
+        "field conditions.brackets.r1_bracket[]: 2 operation(s), largest relative change 0.5",
+        "field conditions.theta: 1 operation(s), largest relative change 2.2e-16",
+        "text line in 1 operation(s):",
+        "  A: PASS  y",
+        "  B: <end>",
+        "2 difference(s) over 3 operations",
+    ]
+
+
+def test_leaves_without_a_relative_change():
+    # a key in one record only, a list that changed length, a changed type
+    assert identity._moved_fields({"x": 1.0, "y": [1, 2]}, {"y": [1, 2, 3]}, "") == [
+        ("x", None), ("y", None)]
+    assert identity._moved_fields({"x": True}, {"x": 1}, "") == [("x", None)]
+    # NaN equals itself in a report; a zero that changed sign moved by 0
+    assert identity._moved_fields({"x": float("nan")}, {"x": float("nan")}, "") == []
+    assert identity._moved_fields({"x": 0.0}, {"x": -0.0}, "") == [("x", 0.0)]
 
 
 def test_seconds_are_masked():

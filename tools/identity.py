@@ -14,8 +14,12 @@ between runs.  It reads nothing of ``perfbench/`` but the workload generator.
 
 ``compare`` lists every operation whose record differs between two files,
 or is missing from one, and exits 1 if there is any; it exits 0 otherwise.
-Recording the parent and the changed source on the same seeds shows whether
-a change kept every report byte-identical.
+After those lines it sums up what moved in stdout: one line per moved JSON
+field path (list indices collapsed to ``[]``) with the number of operations
+and the largest relative change, then each moved text line (the ``PASS`` and
+``FAIL`` lines of ``reproduce``) with the number of operations.  Recording
+the parent and the changed source on the same seeds shows whether a change
+kept every report byte-identical, and which fields it moved if not.
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import itertools
 import json
+import math
 import os
 import re
 import sys
@@ -33,6 +39,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COMMANDS = (["check"], ["solve"], ["solve", "--force"], ["ek"], ["gevrey"])
 REPRODUCE = ("all", "example1", "example2")
 _SECONDS = re.compile(r'("seconds": )[^,}\n]+')
+_ABSENT = object()  # a key missing from one of two compared JSON objects
 
 
 def run(cli, argv):
@@ -84,6 +91,62 @@ def compare(a, b):
     return lines
 
 
+def moved(a, b):
+    """Lines summing up the stdout of operations present in both records:
+    each moved JSON field path and each moved text line, with the number of
+    operations it moved in."""
+    fields, texts = {}, {}
+    for key in sorted(a.keys() & b.keys()):
+        (text_a, doc_a), (text_b, doc_b) = _split(a[key]["stdout"]), _split(b[key]["stdout"])
+        for path, rel in _moved_fields(doc_a, doc_b, ""):
+            ops, rels = fields.setdefault(path, (set(), []))
+            ops.add(key)
+            rels.append(rel)
+        for pair in itertools.zip_longest(text_a, text_b, fillvalue="<end>"):
+            if pair[0] != pair[1]:
+                texts.setdefault(pair, set()).add(key)
+    lines = []
+    for path, (ops, rels) in sorted(fields.items()):
+        change = "not numeric" if None in rels else f"largest relative change {max(rels):.2g}"
+        lines.append(f"field {path}: {len(ops)} operation(s), {change}")
+    for (x, y), ops in sorted(texts.items()):
+        lines.append(f"text line in {len(ops)} operation(s):\n  A: {x}\n  B: {y}")
+    return lines
+
+
+def _split(stdout):
+    """(text lines, JSON document or None): the lines before the first line
+    that opens a JSON object, and that object."""
+    lines = stdout.splitlines()
+    for i, line in enumerate(lines):
+        if line.startswith("{"):
+            try:
+                return lines[:i], json.loads("\n".join(lines[i:]))
+            except ValueError:
+                break
+    return lines, None
+
+
+def _moved_fields(x, y, path):
+    """(path, relative change, or None if not numeric) of every leaf where
+    the JSON values x and y differ, list indices collapsed to []."""
+    if isinstance(x, dict) and isinstance(y, dict):
+        return [m for k in sorted(x.keys() | y.keys())
+                for m in _moved_fields(x.get(k, _ABSENT), y.get(k, _ABSENT),
+                                       f"{path}.{k}" if path else k)]
+    if isinstance(x, list) and isinstance(y, list) and len(x) == len(y):
+        return [m for u, v in zip(x, y) for m in _moved_fields(u, v, path + "[]")]
+    if x is _ABSENT or y is _ABSENT:
+        return [(path, None)]
+    if json.dumps(x) == json.dumps(y):
+        return []
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y))
+    if numbers and math.isfinite(x) and math.isfinite(y):
+        # both are zero only when a zero changed sign, a change of 0
+        return [(path, abs(x - y) / (max(abs(x), abs(y)) or 1.0))]
+    return [(path, None)]
+
+
 def _first_difference(x, y):
     if not isinstance(x, str) or not isinstance(y, str):
         return f" ({x!r} vs {y!r})"
@@ -116,7 +179,7 @@ def main(argv=None):
         with open(path, encoding="utf-8") as fh:
             docs.append(json.load(fh)["ops"])
     lines = compare(*docs)
-    for line in lines:
+    for line in lines + moved(*docs):
         print(line)
     print(f"{len(lines)} difference(s) over {len(docs[0].keys() | docs[1].keys())} operations")
     return 1 if lines else 0
