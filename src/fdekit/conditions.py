@@ -18,6 +18,7 @@ r1); verdicts use exact comparisons and the report carries every slack.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .chebfun import DEFAULT_TOL, ResolutionError, build
@@ -181,11 +182,16 @@ def localize_radii(p, theta, a_l1, cond2_lhs):
 
 def _far_start(P, a_l1):
     """x* = min over j >= 2, P_j != 0, of x_j = (a_l1 |P_j|)^(-1/(j-1)).  The j-th term
-    alone gives a_l1 M'(x_j) >= j > 1 and H(x_j) >= H(0) > 0, so x* lies past theta and r1."""
+    alone gives a_l1 M'(x_j) >= j > 1 and H(x_j) >= H(0) > 0, so x* lies past theta and r1.
+    A product a_l1 |P_j| that underflows makes x_j overflow (an OverflowError or
+    ZeroDivisionError, taken as inf); one that overflows to inf makes x_j 0.0."""
     try:
-        return min((a_l1 * abs(c)) ** (-1.0 / (j - 1)) for j, c in enumerate(P.coeffs) if j > 1 and c)
+        x = min((a_l1 * abs(c)) ** (-1.0 / (j - 1)) for j, c in enumerate(P.coeffs) if j > 1 and c)
     except (OverflowError, ZeroDivisionError):
-        raise ConditionsError(f"root search start is not finite (||a||_1 = {a_l1!r})") from None
+        x = math.inf
+    if not 0.0 < x < math.inf:
+        raise ConditionsError(f"root search start is not positive and finite (||a||_1 = {a_l1!r})")
+    return x
 
 
 def _convex_root(f, fp, x, name):

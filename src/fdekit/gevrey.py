@@ -5,7 +5,9 @@ an open disk of radius A * n^(-1/k); it shrinks back to the interval as n
 grows.  A deviating map that sends every level-(n+1) stadium into the
 level-n one (uniformly for small A) is the geometric engine behind the
 regularity bootstrap, and is checked here by dense sampling (of the
-stadium boundary alone when the map is entire; see check_ek).
+stadium boundary alone when the map is entire; see check_ek).  Every sample
+is one fixed template scaled by the radius, so all levels sampled at one
+density have the same number of points.
 
 Growth: the envelope recursion w_1 = 1,
 w_{n+1} = ||a||_inf * M(r0 + s n^(-1/k) w_n) + ||b + P(0)a||_inf (sup norms
@@ -52,7 +54,7 @@ MAX_DERIVATIVES = 12
 MAX_EK_LEVELS = 10000
 MAX_EK_DENSITY = 4096
 PROBE_DENSITY = 64  # stadium_inclusion_probe points per boundary piece
-_EK_CHUNK = 1 << 16  # points per psi evaluation in check_ek (plus one level)
+_EK_CHUNK = 1 << 16  # points per psi evaluation in check_ek, or one level if larger
 _EPS = np.finfo(float).eps
 
 
@@ -75,49 +77,39 @@ def interval_distance(z, half_width=1.0):
 
 
 @functools.lru_cache(maxsize=8)
-def _boundary_template(density):
-    """The stadium boundary of radius r is offset + r * direction, with
-    `density` points on each piece (the caps +-1 + r e^(i phi) and the
+def _template(density, interior):
+    """A stadium sample of radius r is offset + r * direction.  The boundary
+    has `density` points on each piece (the caps +-1 + r e^(i phi) and the
     segments x +- i r) plus the cap tips +-(1 + r), at phi = 0, which an
-    even `density` misses.  Read-only arrays, shared by every radius."""
+    even `density` misses: 4 * density + 2 points.  The interior repeats the
+    four pieces at half the radius and adds [-1, 1] itself at `density | 1`
+    points (t = 0 among them from density 2 on), all strictly inside: 9 *
+    density + 3 points in all for an even density.  Read-only arrays, shared
+    by every radius."""
     phi = np.linspace(-0.5 * np.pi, 0.5 * np.pi, density)
     xs = np.linspace(-1.0, 1.0, density)
     ones = np.ones(density)
     tips = np.array([1.0, -1.0])
-    offset = np.concatenate([ones, -ones, xs, xs, tips])
-    direction = np.concatenate(
-        [np.exp(1j * phi), np.exp(1j * (phi + np.pi)), 1j * ones, -1j * ones, tips]
-    )
+    offset = [ones, -ones, xs, xs, tips]
+    direction = [np.exp(1j * phi), np.exp(1j * (phi + np.pi)), 1j * ones, -1j * ones, tips]
+    if interior:
+        line = np.linspace(-1.0, 1.0, density | 1)
+        offset += offset[:4] + [line]
+        direction += [0.5 * d for d in direction[:4]] + [np.zeros_like(line)]
+    offset = np.concatenate(offset)
+    direction = np.concatenate(direction)
     offset.flags.writeable = False
     direction.flags.writeable = False
     return offset, direction
 
 
-def _stadium_boundary(radius, density):
-    """`density` points on each boundary piece (two caps, two horizontal
-    segments) of the stadium of the given radius around [-1, 1], plus the
-    two cap tips: 4 * density + 2 points."""
-    offset, direction = _boundary_template(density)
+def _stadium_points(radius, density, interior=True):
+    """Deterministic sample of the stadium of the given radius around
+    [-1, 1]: the boundary and, when `interior` is true, the interior of
+    `_template`.  The interior is needed wherever the sampled function may
+    peak inside; `check_ek` drops it for entire maps."""
+    offset, direction = _template(density, interior)
     return offset + float(radius) * direction
-
-
-def _stadium_points(radius, density):
-    """Deterministic sample of a stadium of the given radius around [-1, 1]:
-    the boundary of `_stadium_boundary` plus an interior grid of about
-    8 * density points.  The interior is needed wherever the sampled
-    function may peak inside; `check_ek` drops it for entire maps."""
-    r = float(radius)
-    interior_target = 8 * density
-    aspect = (2.0 + 2.0 * r) / (2.0 * r)
-    ny = max(int(round(math.sqrt(interior_target / aspect))), 3)
-    if ny % 2 == 0:
-        ny += 1  # keep the real axis in the grid
-    nx = max(interior_target // ny, 3)
-    gx = np.linspace(-1.0 - r, 1.0 + r, nx)
-    gy = np.linspace(-r, r, ny)
-    zz = (gx[:, None] + 1j * gy[None, :]).ravel()
-    inside = interval_distance(zz) <= r * (1.0 - 1e-9)
-    return np.concatenate([_stadium_boundary(r, density), zz[inside]])
 
 
 @dataclass(frozen=True)
@@ -140,10 +132,9 @@ class StadiumRegion:
 
     def sample(self, density, interior=True):
         """Boundary points (`density` per piece and the two cap tips) plus,
-        when `interior` is true, the interior grid of `_stadium_points`."""
-        if interior:
-            return _stadium_points(self.radius, density)
-        return _stadium_boundary(self.radius, density)
+        when `interior` is true, the interior points of `_template`; the
+        same number of points at every radius."""
+        return _stadium_points(self.radius, density, interior)
 
 
 # --- deviating-map inclusion check ------------------------------------------
@@ -175,12 +166,13 @@ def check_ek(psi, k, A_list, p_max, density=128):
 
     For each fattening scale A and each level p = 1..p_max, the level-(p+1)
     stadium is sampled (boundary caps and segments with `density` points per
-    piece, the cap tips +-(1 + radius), and an interior grid of ~8*density
-    points), psi is evaluated, and the worst ratio
-    dist(psi(z), [-1,1]) / (A p^(-1/k))  is recorded.  The levels of one
-    scale are evaluated together in chunks of at most 2^16 points plus one
-    level, so memory stays bounded whatever p_max and density.  When
-    the psi tree is entire (`Expr.is_entire`) the interior grid is skipped:
+    piece, the cap tips +-(1 + radius), and an interior of the four pieces
+    at half the radius plus `density | 1` points of [-1, 1]), psi is
+    evaluated, and the worst ratio  dist(psi(z), [-1,1]) / (A p^(-1/k))  is
+    recorded.  The levels of one scale are stacked as the rows of blocks of
+    at most 2^16 points (or one level), one psi evaluation per block, so
+    memory stays bounded whatever p_max and density.  When
+    the psi tree is entire (`Expr.is_entire`) the interior is skipped:
     dist(., [-1,1]) is convex, so dist(psi(z), [-1,1]) is subharmonic and,
     by the maximum principle, peaks on the stadium boundary.  The check
     passes when every ratio is <= 1 + 1e-12.  first_pass_p maps each scale
@@ -228,34 +220,28 @@ def check_ek(psi, k, A_list, p_max, density=128):
 
 def _level_maxima(psi, k, A, p_max, density, interior):
     """max dist(psi(z), [-1, 1]) over the sample of the level-(p+1) stadium
-    of scale A, for p = 1..p_max.  Consecutive levels are joined into chunks
-    of fewer than _EK_CHUNK points plus one level; psi is evaluated once per
-    chunk and the chunk's distances are split back into levels by
-    np.maximum.reduceat at the level offsets."""
+    of scale A, for p = 1..p_max.  Every sample has the template's size, so
+    consecutive levels are stacked as the rows of one 2-D block of at most
+    _EK_CHUNK points (or one level); psi is evaluated once per block and
+    each row is reduced to its maximum.  A level whose stadium cannot be
+    formed (its radius underflows) ends the levels, and its error is raised
+    after the earlier levels of its block are evaluated, so an error
+    evaluating one of those is reported first."""
+    rows = max(1, _EK_CHUNK // len(_template(density, interior)[0]))
     maxima = []
-    chunk, starts, size = [], [], 0
-
-    def flush():
-        dist = interval_distance(psi.eval_complex(np.concatenate(chunk)))
-        maxima.extend(np.maximum.reduceat(dist, starts).tolist())
-        chunk.clear()
-        starts.clear()
-
-    for p in range(1, p_max + 1):
-        try:
-            pts = StadiumRegion(k=k, A=A, n=p + 1).sample(density, interior)
-        except GevreyError:
-            if chunk:  # an error evaluating an earlier level is reported first
-                flush()
-            raise
-        chunk.append(pts)
-        starts.append(size)
-        size += len(pts)
-        if size >= _EK_CHUNK:
-            flush()
-            size = 0
-    if chunk:
-        flush()
+    for first in range(1, p_max + 1, rows):
+        block, error = [], None
+        for p in range(first, min(first + rows, p_max + 1)):
+            try:
+                block.append(StadiumRegion(k=k, A=A, n=p + 1).sample(density, interior))
+            except GevreyError as exc:
+                error = exc
+                break
+        if block:
+            dist = interval_distance(psi.eval_complex(np.array(block)))
+            maxima.extend(np.max(dist, axis=1).tolist())
+        if error is not None:
+            raise error
     return maxima
 
 

@@ -309,12 +309,17 @@ class TestRootResidual:
 
 # Exit codes of the theta stage: an undefined theta is a hypothesis failure,
 # a root search that breaks down is a numerical one.  A subnormal ||a||_1
-# with quadratic P puts the Newton start 1/||a||_1 past the float range.
+# with quadratic P puts the Newton start 1/||a||_1 past the float range; a
+# product ||a||_1 |P_2| that overflows to inf puts it at 0.0.
 THETA_CASES = {
     "zero-weight": ({"a": "0"}, cli.EXIT_HYPOTHESIS, ""),
     "degree-1": ({"P": [0.0, 0.1], "a": "0.5", "b": "0.01"}, cli.EXIT_HYPOTHESIS, ""),
     "non-finite-start": ({"P": [0, 0, 1], "a": "1e-310"}, cli.EXIT_FAILURE,
-                         "error: root search start is not finite (||a||_1 = 2e-310)\n"),
+                         "error: root search start is not positive and finite"
+                         " (||a||_1 = 2e-310)\n"),
+    "zero-start": ({"P": [0, 0, 1e300], "a": "1e10"}, cli.EXIT_FAILURE,
+                   "error: root search start is not positive and finite"
+                   " (||a||_1 = 20000000000.0)\n"),
 }
 
 

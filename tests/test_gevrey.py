@@ -62,6 +62,20 @@ class TestStadiumRegion:
         with pytest.raises(GevreyError):
             StadiumRegion(k=0.0, A=1.0, n=1)
 
+    @pytest.mark.parametrize("density", [2, 17, 128])
+    def test_one_template_for_every_radius(self, density):
+        boundary = len(gevrey._stadium_points(1.0, density, interior=False))
+        size = len(gevrey._stadium_points(1.0, density))
+        assert boundary == 4 * density + 2
+        assert size == boundary + 4 * density + (density | 1)
+        for r in np.geomspace(1e-300, 1e3, 50):
+            pts = gevrey._stadium_points(r, density)
+            assert len(pts) == size
+            assert np.array_equal(pts[:boundary], gevrey._stadium_points(r, density, False))
+            inner = pts[boundary:]
+            assert np.all(interval_distance(inner) < r)
+            assert 0.0 in inner
+
 
 class TestCheckEk:
     def test_sine_passes_with_proof_bound(self):
@@ -164,18 +178,24 @@ class TestEkSampling:
         counts = []
 
         def zeros(self, z):
-            counts.append(len(z))
-            return np.zeros(len(z), dtype=complex)
+            counts.append(np.size(z))
+            return np.zeros(np.shape(z), dtype=complex)
 
         monkeypatch.setattr(Expr, "eval_complex", zeros)
         rep = check_ek(psi, 1.0, [0.5], 300, density=4096)
-        sizes = [
-            len(StadiumRegion(k=1.0, A=0.5, n=p + 1).sample(4096, not psi.is_entire()))
-            for p in range(1, 301)
-        ]
+        level = len(StadiumRegion(k=1.0, A=0.5, n=2).sample(4096, not psi.is_entire()))
         assert len(rep.levels) == 300 and len(counts) > 1
-        assert max(counts) <= gevrey._EK_CHUNK + max(sizes)
-        assert sum(counts) == sum(sizes)
+        assert max(counts) <= max(gevrey._EK_CHUNK, level)
+        assert sum(counts) == 300 * level
+
+    @pytest.mark.parametrize("src", ["sin(t)", "sqrt(t+2)"])
+    def test_row_blocks_match_one_level_at_a_time(self, src):
+        psi, k, A = parse(src), 1.0, 0.5
+        rep = check_ek(psi, k, [A], 12, density=4096)
+        interior = not psi.is_entire()
+        for lv in rep.levels:
+            pts = StadiumRegion(k=k, A=A, n=lv.p + 1).sample(4096, interior)
+            assert lv.worst_dist == np.max(interval_distance(psi.eval_complex(pts)))
 
 
 # The largest fattening scale at which sin(t), the deviating map of both

@@ -1,10 +1,14 @@
 """tools/identity.py compare: every operation that differs is listed, then
 every moved report field and text line, and the exit code says whether there
-was any difference."""
+was any difference.  tools/identity.py record: the fixed operations that no
+workload reaches are recorded on the files they name."""
 
 import importlib.util
 import json
 import pathlib
+import sys
+
+from fdekit.expr import parse
 
 TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "identity.py"
 _spec = importlib.util.spec_from_file_location("identity", TOOL)
@@ -103,3 +107,26 @@ def test_seconds_are_masked():
 
     assert identity.run(Cli, [])["stdout"] == '{"timing": {"seconds": "*"}, "x": 1.5}\n'
 
+
+def test_record_adds_the_fixed_operations(monkeypatch):
+    from fdekit import cli
+    from perfbench import workloads
+
+    def fake_run(cli, argv):
+        path = pathlib.Path(argv[1])  # a problem file, or a reproduce target
+        doc = json.loads(path.read_text()) if path.is_file() else None
+        return {"argv": [argv[0], *argv[2:]], "doc": doc}
+
+    monkeypatch.setattr(identity, "run", fake_run)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    ops = identity.record(str(TOOL.parent.parent / "src"), 1)
+    diag = {p["id"]: p["doc"] for p in workloads.generate("diagnostics", 1)[0]}
+    assert ops["diagnostics/diag-0 solve --require-ek"] == {
+        "argv": ["solve", "--require-ek"], "doc": diag["diag-0"]}
+    for psi in ("sqrt(t+2)", "1/(t+3)", "ln(t+3)", "2^t"):
+        doc = {**cli.example2_doc(), "psi": psi}
+        assert ops[f"example2 psi={psi} ek"] == {"argv": ["ek"], "doc": doc}
+        options = "--pmax 300 --density 200 --A 0.05,0.3,1.7"
+        assert ops[f"example2 psi={psi} ek {options}"] == {
+            "argv": ["ek", *options.split()], "doc": doc}
+        assert not parse(psi).is_entire()

@@ -7,7 +7,11 @@
 ``sys.path``) and runs, in this one process through ``cli.main``, every
 problem of ``perfbench.workloads.generate(w, N)`` for the three benchmark
 workloads under ``check``, ``solve``, ``solve --force``, ``ek`` and
-``gevrey``, plus ``reproduce all|example1|example2``.  Each operation is
+``gevrey``, plus ``reproduce all|example1|example2``.  A fixed list adds
+what no workload reaches: ``solve --require-ek`` on problem ``diag-0`` of
+``diagnostics``, and ``ek`` on the built-in ``example2`` with ``psi`` set to
+each map of EK_MAPS (none of them entire, so the stadium interior is
+sampled), at the default options and at EK_OPTIONS.  Each operation is
 recorded as its exit code, stderr and stdout, with every ``"seconds"``
 value masked, since a report's timing is the only part allowed to change
 between runs.  It reads nothing of ``perfbench/`` but the workload generator.
@@ -38,6 +42,8 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COMMANDS = (["check"], ["solve"], ["solve", "--force"], ["ek"], ["gevrey"])
 REPRODUCE = ("all", "example1", "example2")
+EK_MAPS = ("sqrt(t+2)", "1/(t+3)", "ln(t+3)", "2^t")
+EK_OPTIONS = ["--pmax", "300", "--density", "200", "--A", "0.05,0.3,1.7"]
 _SECONDS = re.compile(r'("seconds": )[^,}\n]+')
 _ABSENT = object()  # a key missing from one of two compared JSON objects
 
@@ -65,13 +71,24 @@ def record(src, seed):
         raise SystemExit(f"fdekit imported from {cli.__file__}, not from {src}")
     ops = {}
     with tempfile.TemporaryDirectory() as tmp:
+
+        def write(name, doc):
+            path = os.path.join(tmp, f"{name}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            return path
+
         for w in workloads.WORKLOADS:
             for prob in workloads.generate(w, seed)[0]:
-                path = os.path.join(tmp, f"{w}-{prob['id']}.json")
-                with open(path, "w", encoding="utf-8") as fh:
-                    json.dump(prob["doc"], fh)
+                path = write(f"{w}-{prob['id']}", prob["doc"])
                 for cmd in COMMANDS:
                     ops[f"{w}/{prob['id']} {' '.join(cmd)}"] = run(cli, [cmd[0], path, *cmd[1:]])
+        path = os.path.join(tmp, "diagnostics-diag-0.json")
+        ops["diagnostics/diag-0 solve --require-ek"] = run(cli, ["solve", path, "--require-ek"])
+        for i, psi in enumerate(EK_MAPS):
+            path = write(f"psi-{i}", {**cli.example2_doc(), "psi": psi})
+            ops[f"example2 psi={psi} ek"] = run(cli, ["ek", path])
+            ops[f"example2 psi={psi} ek {' '.join(EK_OPTIONS)}"] = run(cli, ["ek", path, *EK_OPTIONS])
     for which in REPRODUCE:
         ops[f"reproduce {which}"] = run(cli, ["reproduce", which])
     return ops
