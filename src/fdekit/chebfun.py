@@ -417,22 +417,28 @@ def build(f, tol=DEFAULT_TOL, max_degree=MAX_DEGREE):
     if not (TOL_RANGE[0] <= tol <= TOL_RANGE[1]):
         raise ValueError(f"tol {tol!r} outside [1e-15, 1e-3]")
     n = 16
-    while True:
-        x = _pts_desc(n)
-        v = np.asarray(f(x), dtype=float)
-        if v.shape != x.shape:
-            raise ChebError(f"build needs a vectorised f: shape {v.shape} for {len(x)} points")
-        if not np.all(np.isfinite(v)):
-            raise ResolutionError("sampled a non-finite value")
-        c = _vals_to_coeffs(v)
-        maxc = float(np.max(np.abs(c)))
-        tail = max(abs(float(c[-1])), abs(float(c[-2])))
-        if tail <= tol * maxc:  # the zero function too
-            break
-        if n >= max_degree:
-            raise ResolutionError(
-                f"not resolved at degree {max_degree} "
-                f"(relative tail {tail / maxc:.3e})"
-            )
-        n *= 2
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
+        while True:
+            x = _pts_desc(n)
+            v = np.asarray(f(x), dtype=float)
+            if v.shape != x.shape:
+                raise ChebError(f"build needs a vectorised f: shape {v.shape} for {len(x)} points")
+            if not np.all(np.isfinite(v)):
+                raise ResolutionError("sampled a non-finite value")
+            c = _vals_to_coeffs(v)
+            maxc = float(np.max(np.abs(c)))
+            if not math.isfinite(maxc):
+                raise ResolutionError(
+                    "Chebyshev coefficients overflow "
+                    f"(largest |sample| {float(np.max(np.abs(v))):.3e})"
+                )
+            tail = max(abs(float(c[-1])), abs(float(c[-2])))
+            if tail <= tol * maxc:  # the zero function too
+                break
+            if n >= max_degree:
+                raise ResolutionError(
+                    f"not resolved at degree {max_degree} "
+                    f"(relative tail {tail / maxc:.3e})"
+                )
+            n *= 2
     return ChebFun(_trim(c, tol * maxc) if maxc > 0.0 else np.zeros(1), grid_size=n + 1)

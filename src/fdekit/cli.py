@@ -174,9 +174,12 @@ def _emit(doc):
 
 
 def _jsonable(x):
-    """x with dataclass records as {field name: value} in declaration order,
-    tuples as lists, numpy scalars as Python ones and non-finite floats as
-    None.  Dataclasses are tested last: most values are floats, dicts and lists."""
+    """x as JSON values: every report becomes JSON here and nowhere else.
+    A dataclass record becomes {field name: value} in declaration order,
+    over the fields with repr=True only (a repr=False field, such as a
+    Solution's series, stays out of the report); tuples become lists, numpy
+    scalars Python ones and non-finite floats None.  Dataclasses are tested
+    last: most values are floats, dicts and lists."""
     if isinstance(x, float):
         return x if math.isfinite(x) else None
     if isinstance(x, dict):
@@ -186,7 +189,7 @@ def _jsonable(x):
     if isinstance(x, (np.floating, np.integer, np.bool_)):
         return _jsonable(x.item())
     if dataclasses.is_dataclass(x):
-        return {f.name: _jsonable(getattr(x, f.name)) for f in dataclasses.fields(x)}
+        return {f.name: _jsonable(getattr(x, f.name)) for f in dataclasses.fields(x) if f.repr}
     return x
 
 
@@ -209,7 +212,7 @@ def cmd_check(path):
     creport = conditions.analyze(prob)
     _emit(
         {
-            "validation": vreport.to_dict(),
+            "validation": vreport,
             "conditions": creport,
             "timing": {"seconds": time.perf_counter() - t0},
         }
@@ -227,7 +230,7 @@ def cmd_solve(path, tol=None, max_iter=None, out=None, force=False, require_ek=F
     if out is not None:
         _check_writable(out)
 
-    report = {"validation": vreport.to_dict()}
+    report = {"validation": vreport}
     creport = conditions.analyze(prob)
     report["conditions"] = creport
 
@@ -244,7 +247,7 @@ def cmd_solve(path, tol=None, max_iter=None, out=None, force=False, require_ek=F
         except picard.PicardError as exc:
             report["solve"], code = {"error": str(exc)}, EXIT_FAILURE
         else:
-            report["solve"] = sol.to_dict()
+            report["solve"] = sol
             code = EXIT_OK if sol.converged else EXIT_FAILURE
             if out is not None:
                 try:
@@ -323,13 +326,7 @@ def cmd_gevrey(path, nmax=12, force=False, selftest=False):
         raise picard.PicardError("iteration did not converge")
     norms = gevrey.derivative_norms(sol.u, n_max=nmax)
     est = gevrey.gevrey_order_estimate(norms.values, norms.flagged)
-    _emit(
-        {
-            "solve": sol.to_dict(),
-            "derivative_norms": norms,
-            "estimate": est,
-        }
-    )
+    _emit({"solve": sol, "derivative_norms": norms, "estimate": est})
     return EXIT_OK
 
 

@@ -31,7 +31,7 @@ repeated apply_T(f, p).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,9 +72,11 @@ class ConditionFailure(PicardError):
 @dataclass
 class Solution:
     """increments[n-1] is the rounded-up sum |c_k| of f_{n+1} - f_n
-    (coeff_bound), an upper bound of its sup on [-1, 1]."""
+    (coeff_bound), an upper bound of its sup on [-1, 1].  degree is that of
+    u; u and the kept iterates are repr=False fields, which the CLI report
+    leaves out."""
 
-    u: ChebFun
+    u: ChebFun = field(repr=False)
     iterations: int
     increments: list
     q_used: float
@@ -84,22 +86,8 @@ class Solution:
     out_of_theorem: bool = False
     n_req: int | None = None
     coeff_decay: float | None = None
-    iterates: list | None = None
-
-    def to_dict(self):
-        decay = self.coeff_decay
-        return {
-            "iterations": self.iterations,
-            "increments": list(self.increments),
-            "q_used": self.q_used,
-            "r0_used": self.r0_used,
-            "residual_sup": self.residual_sup,
-            "converged": self.converged,
-            "out_of_theorem": self.out_of_theorem,
-            "n_req": self.n_req,
-            "coeff_decay": decay if decay is not None and math.isfinite(decay) else None,
-            "degree": self.u.degree,
-        }
+    degree: int | None = None
+    iterates: list | None = field(default=None, repr=False)
 
 
 def apply_T(f, p, *, _samples=None):
@@ -187,6 +175,7 @@ def solve(p, report=None, *, force=False, keep_iterates=False):
         out_of_theorem=out_of_theorem,
         n_req=n_req,
         coeff_decay=f.ellipse_hint,
+        degree=f.degree,
         iterates=iterates,
     )
 

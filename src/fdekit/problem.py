@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -179,17 +179,16 @@ class CheckResult:
 
 @dataclass
 class ValidationReport:
+    """ok is false exactly when a check of severity "error" fails."""
+
+    ok: bool = field(init=False)
     checks: list
 
-    @property
-    def ok(self):
-        return all(c.ok for c in self.checks if c.severity == "error")
+    def __post_init__(self):
+        self.ok = not self.failures()
 
     def failures(self):
         return [c for c in self.checks if c.severity == "error" and not c.ok]
-
-    def to_dict(self):
-        return {"ok": self.ok, "checks": [asdict(c) for c in self.checks]}
 
 
 @dataclass

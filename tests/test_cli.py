@@ -1,11 +1,13 @@
 import argparse
 import csv
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
-from fdekit import cli
+from fdekit import cli, picard
 from fdekit.chebfun import ChebFun
 from fdekit.cli import (
     EXIT_FAILURE,
@@ -514,6 +516,35 @@ def test_error_exits_with_message(tmp_path, capsys, command, change):
     assert "Traceback" not in err
 
 
+# Data beyond the float range: exit 4 with one error line and no numpy
+# warning, after FORCED_NOTE when the solve is forced.
+OVERFLOW_CASES = {
+    "check-a-1e308": (
+        "check", {"a": "1e308"},
+        'error: "a": Chebyshev coefficients overflow (largest |sample| 1.000e+308)',
+    ),
+    "forced-c-1e308": (
+        "solve --force", {"c": 1e308},
+        'error: iterate 3: "a P(f o psi) + b": sampled a non-finite value',
+    ),
+    "forced-a-P-1e200": (
+        "solve --force", {"a": "1e200", "P": [0, 1e200, 1]},
+        'error: iterate 3: "a P(f o psi) + b": sampled a non-finite value',
+    ),
+}
+
+
+@pytest.mark.parametrize("command,change,line", OVERFLOW_CASES.values(),
+                         ids=OVERFLOW_CASES.keys())
+def test_overflow_ends_in_one_error_line(tmp_path, capsys, command, change, line):
+    argv = command.split()
+    path = write_json(tmp_path, {**example2_doc(), **change})
+    code = cli.main([argv[0], path, *argv[1:]])
+    note = cli.FORCED_NOTE + "\n" if "--force" in argv else ""
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == note + line + "\n"
+
+
 # Command lines that argparse rejects exit 4 like any other input error.
 USAGE_ERRORS = {
     "max-iter-not-int": ["solve", "{path}", "--max-iter", "abc"],
@@ -624,6 +655,29 @@ def test_report_layout(tmp_path, capsys, command):
     code, out = run(capsys, [command, write_json(tmp_path, example2_doc())])
     assert code == EXIT_OK
     assert layout(report_of(out)) == REPORT_LAYOUTS[command]
+
+
+@dataclasses.dataclass
+class Record:
+    z: float
+    hidden: list = dataclasses.field(default_factory=list, repr=False)
+    a: object = None
+
+
+def test_jsonable_keeps_field_order_and_drops_repr_false_fields():
+    doc = cli._jsonable(Record(1.5, [1.0], {"x": (math.inf, [-math.inf, 2.0])}))
+    assert list(doc) == ["z", "a"]
+    assert doc == {"z": 1.5, "a": {"x": [None, [None, 2.0]]}}
+    assert cli._jsonable(Record(math.nan, a=np.float64(math.inf))) == {"z": None, "a": None}
+
+
+def test_solve_report_is_the_solution_without_its_series(tmp_path, capsys):
+    sol = picard.solve(load_problem(example2_doc()), keep_iterates=True)
+    doc = cli._jsonable(sol)
+    assert "u" not in doc and "iterates" not in doc
+    assert doc["degree"] == sol.degree == sol.u.degree
+    _, out = run(capsys, ["solve", write_json(tmp_path, example2_doc())])
+    assert report_of(out)["solve"] == doc
 
 
 def test_probe_summary_layout(capsys):

@@ -130,3 +130,13 @@ def test_record_adds_the_fixed_operations(monkeypatch):
         assert ops[f"example2 psi={psi} ek {options}"] == {
             "argv": ["ek", *options.split()], "doc": doc}
         assert not parse(psi).is_entire()
+    assert ops["entire solve"] == {"argv": ["solve"], "doc": identity.FIXED_DOCS[0][1]}
+    assert ops["escape solve --force"] == {
+        "argv": ["solve", "--force"], "doc": identity.FIXED_DOCS[1][1]}
+    for key, change, argv in [
+        ('a="1e200" P=[0, 1e+200, 1] check', {"a": "1e200", "P": [0, 1e200, 1]}, ["check"]),
+        ("P=[0, 0.1] solve --force", {"P": [0, 0.1]}, ["solve", "--force"]),
+        ('a="1e308" check', {"a": "1e308"}, ["check"]),
+    ]:
+        assert ops[f"example2 {key}"] == {"argv": argv, "doc": {**cli.example2_doc(), **change}}
+    assert ops["gevrey --selftest"] == {"argv": ["gevrey"], "doc": None}

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from fdekit.expr import parse
-from fdekit.problem import Polynomial, Problem, ProblemError, clamp_unit
+from fdekit.problem import (
+    CheckResult,
+    Polynomial,
+    Problem,
+    ProblemError,
+    ValidationReport,
+    clamp_unit,
+)
 
 
 def make_problem(**kw):
@@ -132,6 +139,15 @@ class TestValidate:
         rep = make_problem(P=Polynomial.from_coeffs([0.0, 1.0])).validate()
         assert rep.ok
         assert [c.severity for c in rep.checks if not c.ok] == ["warning"]
+
+    @pytest.mark.parametrize("error_ok", [True, False])
+    @pytest.mark.parametrize("warning_ok", [True, False])
+    def test_ok_is_false_exactly_when_an_error_check_fails(self, error_ok, warning_ok):
+        checks = [CheckResult("e", error_ok, "error", "e"),
+                  CheckResult("w", warning_ok, "warning", "w")]
+        rep = ValidationReport(checks)
+        assert rep.ok is error_ok
+        assert rep.failures() == ([] if error_ok else checks[:1])
 
     def test_constructor_rejects_bad_tolerances(self):
         with pytest.raises(ProblemError):

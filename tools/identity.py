@@ -9,9 +9,11 @@ problem of ``perfbench.workloads.generate(w, N)`` for the three benchmark
 workloads under ``check``, ``solve``, ``solve --force``, ``ek`` and
 ``gevrey``, plus ``reproduce all|example1|example2``.  A fixed list adds
 what no workload reaches: ``solve --require-ek`` on problem ``diag-0`` of
-``diagnostics``, and ``ek`` on the built-in ``example2`` with ``psi`` set to
+``diagnostics``, ``ek`` on the built-in ``example2`` with ``psi`` set to
 each map of EK_MAPS (none of them entire, so the stadium interior is
-sampled), at the default options and at EK_OPTIONS.  Each operation is
+sampled), at the default options and at EK_OPTIONS, each command of
+FIXED_DOCS on its document and of EXAMPLE2_CHANGES on ``example2`` with its
+entries replaced, and ``gevrey --selftest``.  Each operation is
 recorded as its exit code, stderr and stdout, with every ``"seconds"``
 value masked, since a report's timing is the only part allowed to change
 between runs.  It reads nothing of ``perfbench/`` but the workload generator.
@@ -44,6 +46,23 @@ COMMANDS = (["check"], ["solve"], ["solve", "--force"], ["ek"], ["gevrey"])
 REPRODUCE = ("all", "example1", "example2")
 EK_MAPS = ("sqrt(t+2)", "1/(t+3)", "ln(t+3)", "2^t")
 EK_OPTIONS = ["--pmax", "300", "--density", "200", "--A", "0.05,0.3,1.7"]
+# report shapes and errors no workload reaches, as (name, document, command)
+FIXED_DOCS = (
+    # a solution resolved as a polynomial of degree 6: "coeff_decay": null
+    ("entire", {"k": 1, "d": 0, "c": 0.01, "P": [0, 0, 0.1], "a": "0.1", "b": "0.01",
+                "psi": "t"}, ["solve"]),
+    # a forced iterate that leaves the ball: exit 3 with "solve": {"error"}
+    ("escape", {"k": 1, "d": 0, "c": 1, "P": [0, 0, 4], "a": "1", "b": "0", "psi": "t"},
+     ["solve", "--force"]),
+)
+# (entries replaced in example2, command): an overflowing first hypothesis
+# ("cond1_lhs": null), a failing warning under "validation": {"ok": true}, and
+# data whose Chebyshev coefficients overflow (exit 4)
+EXAMPLE2_CHANGES = (
+    ({"a": "1e200", "P": [0, 1e200, 1]}, ["check"]),
+    ({"P": [0, 0.1]}, ["solve", "--force"]),
+    ({"a": "1e308"}, ["check"]),
+)
 _SECONDS = re.compile(r'("seconds": )[^,}\n]+')
 _ABSENT = object()  # a key missing from one of two compared JSON objects
 
@@ -89,6 +108,13 @@ def record(src, seed):
             path = write(f"psi-{i}", {**cli.example2_doc(), "psi": psi})
             ops[f"example2 psi={psi} ek"] = run(cli, ["ek", path])
             ops[f"example2 psi={psi} ek {' '.join(EK_OPTIONS)}"] = run(cli, ["ek", path, *EK_OPTIONS])
+        for name, doc, cmd in FIXED_DOCS:
+            ops[f"{name} {' '.join(cmd)}"] = run(cli, [cmd[0], write(name, doc), *cmd[1:]])
+        for i, (change, cmd) in enumerate(EXAMPLE2_CHANGES):
+            path = write(f"example2-{i}", {**cli.example2_doc(), **change})
+            entries = " ".join(f"{k}={json.dumps(v)}" for k, v in change.items())
+            ops[f"example2 {entries} {' '.join(cmd)}"] = run(cli, [cmd[0], path, *cmd[1:]])
+    ops["gevrey --selftest"] = run(cli, ["gevrey", "--selftest"])
     for which in REPRODUCE:
         ops[f"reproduce {which}"] = run(cli, ["reproduce", which])
     return ops
