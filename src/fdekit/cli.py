@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -168,29 +169,85 @@ def load_problem_file(path):
 
 # --- report helpers ------------------------------------------------------------
 
+_quote = json.encoder.encode_basestring_ascii  # a str as a quoted JSON string
+
 
 def _emit(doc):
-    print(json.dumps(_jsonable(doc), indent=2))
+    print(_dumps(doc))
 
 
-def _jsonable(x):
-    """x as JSON values: every report becomes JSON here and nowhere else.
-    A dataclass record becomes {field name: value} in declaration order,
-    over the fields with repr=True only (a repr=False field, such as a
-    Solution's series, stays out of the report); tuples become lists, numpy
-    scalars Python ones and non-finite floats None.  Dataclasses are tested
-    last: most values are floats, dicts and lists."""
+def _dumps(x):
+    """x as JSON text indented by 2: every report becomes JSON here and
+    nowhere else, in one walk.  A dataclass record becomes {field name:
+    value} in declaration order, over the fields with repr=True only (a
+    repr=False field, such as a Solution's series, stays out of the report);
+    tuples become lists, numpy scalars Python ones, and non-finite floats
+    null.  The text is byte for byte what json.dumps(..., indent=2) writes
+    for the converted value: floats by float.__repr__, strings ASCII-escaped,
+    and float, int, bool and None keys quoted as json quotes them."""
+    out = []
+    _write(x, out, "\n")
+    return "".join(out)
+
+
+def _write(x, out, nl):
+    """Append the JSON text of x to out; nl is a newline plus the indent of
+    the line x's closing bracket goes on.  Floats are tested first: most
+    report values are floats."""
     if isinstance(x, float):
-        return x if math.isfinite(x) else None
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, (np.floating, np.integer, np.bool_)):
-        return _jsonable(x.item())
-    if dataclasses.is_dataclass(x):
-        return {f.name: _jsonable(getattr(x, f.name)) for f in dataclasses.fields(x) if f.repr}
-    return x
+        out.append(float.__repr__(x) if math.isfinite(x) else "null")
+    elif isinstance(x, str):
+        out.append(_quote(x))
+    elif x is None:
+        out.append("null")
+    elif x is True:
+        out.append("true")
+    elif x is False:
+        out.append("false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, (list, tuple)):
+        _write_members(itertools.repeat(""), x, out, nl, "[]")
+    elif isinstance(x, dict):
+        _write_members(map(_key, x), x.values(), out, nl, "{}")
+    elif isinstance(x, (np.floating, np.integer, np.bool_)):
+        _write(x.item(), out, nl)
+    else:
+        keys = _field_keys(type(x))
+        if keys is None:
+            raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+        _write_members(keys.values(), [getattr(x, name) for name in keys], out, nl, "{}")
+
+
+def _write_members(keys, values, out, nl, brackets):
+    """Append values in brackets, one to a line, each after its key text
+    ('"key": ' in an object, '' in a list), or the bare brackets if empty."""
+    inner = nl + "  "
+    sep = brackets[0] + inner
+    for key, value in zip(keys, values):
+        out.append(sep + key)
+        _write(value, out, inner)
+        sep = "," + inner
+    out.append(nl + brackets[1] if sep[0] == "," else brackets)
+
+
+def _key(k):
+    """'"k": ' as json writes an object key: strings ASCII-escaped, float,
+    int, bool and None keys as their JSON text in quotes."""
+    if isinstance(k, str):
+        return _quote(k) + ": "
+    if isinstance(k, (int, float)) or k is None:
+        return f'"{json.dumps(k)}": '
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+@functools.cache
+def _field_keys(cls):
+    """{field name: its '"name": ' text} over the repr=True fields of the
+    dataclass cls, in declaration order; None if cls is not a dataclass."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    return {f.name: _key(f.name) for f in dataclasses.fields(cls) if f.repr}
 
 
 def _load_and_validate(path):

@@ -255,12 +255,14 @@ def _int_literal_exponent(node):
 
 
 def _eval(node, t, cplx):
+    """Values of node at the points t.  No node writes into an array, so a
+    Var hands back t itself and every other node a new array."""
     if isinstance(node, Num):
         return np.full_like(t, node.value)
     if isinstance(node, Const):
         return np.full_like(t, CONSTANTS[node.name])
     if isinstance(node, Var):
-        return t.copy()
+        return t
     if isinstance(node, Neg):
         return -_eval(node.child, t, cplx)
     if isinstance(node, Call):
@@ -381,7 +383,10 @@ class Expr:
             out = np.asarray(_eval(self.root, arr, kind is complex), dtype=kind)
         if not np.all(np.isfinite(out)):
             raise OverflowEvalError(f"non-finite value while evaluating '{self.src}'")
-        return kind(out[0]) if scalar else out
+        if scalar:
+            return kind(out[0])
+        # a bare t evaluates to the points themselves, maybe the caller's array
+        return out.copy() if out is arr else out
 
     def is_entire(self):
         """Whether the tree is built only from entire operations (see

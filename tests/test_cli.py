@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fdekit import cli, picard
 from fdekit.chebfun import ChebFun
@@ -664,16 +665,78 @@ class Record:
     a: object = None
 
 
-def test_jsonable_keeps_field_order_and_drops_repr_false_fields():
-    doc = cli._jsonable(Record(1.5, [1.0], {"x": (math.inf, [-math.inf, 2.0])}))
+def test_report_writer_keeps_field_order_and_drops_repr_false_fields():
+    doc = json.loads(cli._dumps(Record(1.5, [1.0], {"x": (math.inf, [-math.inf, 2.0])})))
     assert list(doc) == ["z", "a"]
     assert doc == {"z": 1.5, "a": {"x": [None, [None, 2.0]]}}
-    assert cli._jsonable(Record(math.nan, a=np.float64(math.inf))) == {"z": None, "a": None}
+    doc = json.loads(cli._dumps(Record(math.nan, a=np.float64(math.inf))))
+    assert doc == {"z": None, "a": None}
+
+
+class Tagged(float):
+    """A float whose repr is not its JSON text."""
+
+    def __repr__(self):
+        return f"Tagged({float.__repr__(self)})"
+
+    __str__ = __repr__
+
+
+def reference(x):
+    """The report conversion the writer replaced, kept as its reference:
+    the writer's text must equal json.dumps(reference(x), indent=2)."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {k: reference(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [reference(v) for v in x]
+    if isinstance(x, (np.floating, np.integer, np.bool_)):
+        return reference(x.item())
+    if dataclasses.is_dataclass(x):
+        return {f.name: reference(getattr(x, f.name)) for f in dataclasses.fields(x) if f.repr}
+    return x
+
+
+SPECIAL_FLOATS = [math.inf, -math.inf, math.nan, -0.0, 1e-05, 1e300]
+NUMPY_SCALARS = [np.float64(math.inf), np.float64(0.1), np.float32(1e-05),
+                 np.int64(-2**63), np.bool_(True), np.bool_(False)]
+STRINGS = ["", "caf\u00e9 \u2028 \U0001f600", '\x00\x1f\x7f "quoted" \\ \t\n']
+FLOATS = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS), st.floats().map(Tagged))
+KEYS = st.one_of(st.text(), FLOATS, st.integers(), st.booleans(), st.none())
+SCALARS = st.one_of(
+    FLOATS,
+    st.integers(),
+    st.sampled_from([10**300, -(2**1000)]),
+    st.booleans(),
+    st.none(),
+    st.text(),
+    st.sampled_from(STRINGS),
+    st.sampled_from(NUMPY_SCALARS),
+)
+VALUES = st.recursive(SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(KEYS, inner, max_size=4),
+    st.builds(Record, inner, inner, inner),
+), max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(x=VALUES)
+@example(x=Record(
+    z=[*SPECIAL_FLOATS, Tagged(0.5), 10**300, True, None, *STRINGS, *NUMPY_SCALARS],
+    hidden=Record(1.0),
+    a={1.5: (), math.nan: {}, -math.inf: [], 7: Record(math.inf, [2.0], ()), True: "x",
+       None: Record(-0.0, a={Tagged(2.5): 1e300}), "\u00e9": "\x01"},
+))
+def test_report_writer_matches_json_dumps_of_the_converted_value(x):
+    assert cli._dumps(x) == json.dumps(reference(x), indent=2)
 
 
 def test_solve_report_is_the_solution_without_its_series(tmp_path, capsys):
     sol = picard.solve(load_problem(example2_doc()), keep_iterates=True)
-    doc = cli._jsonable(sol)
+    doc = json.loads(cli._dumps(sol))
     assert "u" not in doc and "iterates" not in doc
     assert doc["degree"] == sol.degree == sol.u.degree
     _, out = run(capsys, ["solve", write_json(tmp_path, example2_doc())])

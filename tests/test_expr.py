@@ -209,6 +209,23 @@ class TestInvariants:
             assert type(e.eval_complex(z)) is complex and e.eval_complex(z) == 0.75
         assert isinstance(e.eval_real(np.array([0.5])), np.ndarray)
 
+    @pytest.mark.parametrize("src", ["t", "2"])
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_result_is_never_the_callers_array(self, src, kind):
+        e = parse(src)
+        evaluate = e.eval_real if kind is float else e.eval_complex
+        for t in (np.array([0.25, -0.5], dtype=kind), np.array([[0.5], [1.0]], dtype=kind),
+                  np.array(0.25, dtype=kind)):
+            before = t.copy()
+            out = evaluate(t)
+            assert out is not t
+            if t.ndim:
+                assert out.shape == t.shape
+                out[...] = 7.0
+            else:
+                assert type(out) is kind
+            assert np.array_equal(t, before)
+
 
 # Source -> whether the tree is entire (holomorphic on all of C).
 ENTIRE_CASES = {

@@ -137,6 +137,7 @@ def test_record_adds_the_fixed_operations(monkeypatch):
         ('a="1e200" P=[0, 1e+200, 1] check', {"a": "1e200", "P": [0, 1e200, 1]}, ["check"]),
         ("P=[0, 0.1] solve --force", {"P": [0, 0.1]}, ["solve", "--force"]),
         ('a="1e308" check', {"a": "1e308"}, ["check"]),
+        ("ek --A 1e-05,2.5e-07 --pmax 3", {}, ["ek", "--A", "1e-05,2.5e-07", "--pmax", "3"]),
     ]:
         assert ops[f"example2 {key}"] == {"argv": argv, "doc": {**cli.example2_doc(), **change}}
     assert ops["gevrey --selftest"] == {"argv": ["gevrey"], "doc": None}

@@ -56,12 +56,14 @@ FIXED_DOCS = (
      ["solve", "--force"]),
 )
 # (entries replaced in example2, command): an overflowing first hypothesis
-# ("cond1_lhs": null), a failing warning under "validation": {"ok": true}, and
-# data whose Chebyshev coefficients overflow (exit 4)
+# ("cond1_lhs": null), a failing warning under "validation": {"ok": true},
+# data whose Chebyshev coefficients overflow (exit 4), and scales whose
+# "first_pass_p" keys print in exponent form
 EXAMPLE2_CHANGES = (
     ({"a": "1e200", "P": [0, 1e200, 1]}, ["check"]),
     ({"P": [0, 0.1]}, ["solve", "--force"]),
     ({"a": "1e308"}, ["check"]),
+    ({}, ["ek", "--A", "1e-05,2.5e-07", "--pmax", "3"]),
 )
 _SECONDS = re.compile(r'("seconds": )[^,}\n]+')
 _ABSENT = object()  # a key missing from one of two compared JSON objects
@@ -112,8 +114,8 @@ def record(src, seed):
             ops[f"{name} {' '.join(cmd)}"] = run(cli, [cmd[0], write(name, doc), *cmd[1:]])
         for i, (change, cmd) in enumerate(EXAMPLE2_CHANGES):
             path = write(f"example2-{i}", {**cli.example2_doc(), **change})
-            entries = " ".join(f"{k}={json.dumps(v)}" for k, v in change.items())
-            ops[f"example2 {entries} {' '.join(cmd)}"] = run(cli, [cmd[0], path, *cmd[1:]])
+            entries = [f"{k}={json.dumps(v)}" for k, v in change.items()]
+            ops[" ".join(["example2", *entries, *cmd])] = run(cli, [cmd[0], path, *cmd[1:]])
     ops["gevrey --selftest"] = run(cli, ["gevrey", "--selftest"])
     for which in REPRODUCE:
         ops[f"reproduce {which}"] = run(cli, ["reproduce", which])
