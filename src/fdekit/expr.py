@@ -13,9 +13,11 @@ plain decimal and scientific notation.  Whitespace is insignificant.
 
 Parsed expressions are immutable; evaluation is pure and vectorised over
 numpy arrays, at real or complex points.  Complex evaluation uses principal
-branches and rejects ``abs``.  A DomainError quotes the failing operation or
-call as the user wrote it: the parser keeps each node's source text, and
-there is no printer.
+branches, with real values (negated ones too) on the upper lip of each cut,
+and rejects ``abs``.  Entire trees with integer-literal exponents up to 99
+commute with conjugation bit for bit (``Expr.is_conjugate_exact``).  A
+DomainError quotes the failing operation or call as the user wrote it: the
+parser keeps each node's source text, and there is no printer.
 """
 
 from __future__ import annotations
@@ -42,6 +44,10 @@ CONSTANTS = {"pi": math.pi, "e": math.e}
 
 # exponents larger than this are never treated as integer-literal powers
 _MAX_INT_EXPONENT = 512
+# numpy's complex power multiplies out integer exponents in (-100, 100) and
+# takes every other one through the complex logarithm, whose results at z
+# and conj(z) need not be conjugate to the last bit
+_MAX_CONJUGATE_EXACT_EXPONENT = 99
 
 
 class ExprError(Exception):
@@ -264,7 +270,10 @@ def _eval(node, t, cplx):
     if isinstance(node, Var):
         return t
     if isinstance(node, Neg):
-        return -_eval(node.child, t, cplx)
+        # 0 - x, not -x: the latter turns the +0 imaginary part of a real
+        # value into -0, which numpy puts on the lower lip of a branch cut
+        child = _eval(node.child, t, cplx)
+        return 0.0 - child if cplx else -child
     if isinstance(node, Call):
         arg = _eval(node.arg, t, cplx)
         return _eval_call(node, arg, cplx)
@@ -335,22 +344,23 @@ def _eval_pow(node, base, t, cplx):
     return np.power(base, expo)
 
 
-def _is_entire(node):
+def _is_entire(node, max_exponent=_MAX_INT_EXPONENT):
     """True when every node is holomorphic on all of C: numbers, constants,
     t, unary minus, + - *, the entire builtins and integer-literal powers
-    with a non-negative exponent.  Anything else (division, ln, sqrt, abs,
-    other powers) counts as not entire."""
+    with an exponent in [0, max_exponent].  Anything else (division, ln,
+    sqrt, abs, other powers) counts as not entire."""
     if isinstance(node, (Num, Const, Var)):
         return True
     if isinstance(node, Neg):
-        return _is_entire(node.child)
+        return _is_entire(node.child, max_exponent)
     if isinstance(node, Call):
-        return node.func in ENTIRE_FUNCTIONS and _is_entire(node.arg)
+        return node.func in ENTIRE_FUNCTIONS and _is_entire(node.arg, max_exponent)
     if isinstance(node, BinOp):
         if node.op == "^":
             n = _int_literal_exponent(node.right)
-            return n is not None and n >= 0 and _is_entire(node.left)
-        return node.op in ("+", "-", "*") and _is_entire(node.left) and _is_entire(node.right)
+            return n is not None and 0 <= n <= max_exponent and _is_entire(node.left, max_exponent)
+        return (node.op in ("+", "-", "*") and _is_entire(node.left, max_exponent)
+                and _is_entire(node.right, max_exponent))
     return False
 
 
@@ -369,7 +379,11 @@ class Expr:
         return self._evaluate(t, float)
 
     def eval_complex(self, z):
-        """Evaluate at complex z (scalar or ndarray) using principal branches."""
+        """Evaluate at complex z (scalar or ndarray) using principal branches.
+
+        A real intermediate value lies on the upper lip of a branch cut
+        (its imaginary part is +0, unary minus included), so ln(-0.5) and
+        (-1)^0.5 are ln(0.5) + i pi and i."""
         return self._evaluate(z, complex)
 
     def _evaluate(self, t, kind):
@@ -392,6 +406,14 @@ class Expr:
         """Whether the tree is built only from entire operations (see
         `_is_entire`), so the expression is holomorphic on all of C."""
         return _is_entire(self.root)
+
+    def is_conjugate_exact(self):
+        """Whether eval_complex(conj(z)) is conj(eval_complex(z)) up to the
+        signs of zeros, so the two have the same real and imaginary
+        magnitudes bit for bit: an entire tree (`is_entire`) whose
+        integer-literal exponents are at most 99, as numpy multiplies those
+        out and runs larger ones through the complex logarithm."""
+        return _is_entire(self.root, _MAX_CONJUGATE_EXACT_EXPONENT)
 
 
 def parse(src):

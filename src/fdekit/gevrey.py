@@ -7,7 +7,9 @@ level-n one (uniformly for small A) is the geometric engine behind the
 regularity bootstrap, and is checked here by dense sampling (of the
 stadium boundary alone when the map is entire; see check_ek).  Every sample
 is one fixed template scaled by the radius, so all levels sampled at one
-density have the same number of points.
+density have the same number of points, and a template point whose exact
+conjugate is also sampled need not be evaluated for a map that commutes
+with conjugation.
 
 Growth: the envelope recursion w_1 = 1,
 w_{n+1} = ||a||_inf * M(r0 + s n^(-1/k) w_n) + ||b + P(0)a||_inf (sup norms
@@ -54,7 +56,9 @@ MAX_DERIVATIVES = 12
 MAX_EK_LEVELS = 10000
 MAX_EK_DENSITY = 4096
 PROBE_DENSITY = 64  # stadium_inclusion_probe points per boundary piece
-_EK_CHUNK = 1 << 16  # points per psi evaluation in check_ek, or one level if larger
+# points per psi evaluation in check_ek, or one level if larger: the fastest
+# block in a sweep over 2^10..2^16, whose complex temporaries stay in cache
+_EK_CHUNK = 1 << 13
 _EPS = np.finfo(float).eps
 
 
@@ -66,10 +70,14 @@ class GevreyError(Exception):
 
 
 def interval_distance(z, half_width=1.0):
-    """Distance from complex points to the real interval [-h, h] (vectorised)."""
+    """Distance from complex points to the real interval [-h, h]
+    (vectorised): hypot(max(|re| - h, 0), im), each step written into one
+    output array."""
     arr = np.asarray(z, dtype=complex)
-    dx = np.maximum(np.abs(arr.real) - half_width, 0.0)
-    out = np.hypot(dx, arr.imag)
+    out = np.abs(arr.real, out=np.empty(arr.shape))
+    np.subtract(out, half_width, out=out)
+    np.maximum(out, 0.0, out=out)
+    np.hypot(out, arr.imag, out=out)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -101,6 +109,26 @@ def _template(density, interior):
     offset.flags.writeable = False
     direction.flags.writeable = False
     return offset, direction
+
+
+@functools.lru_cache(maxsize=8)
+def _conjugate_free_columns(density, interior):
+    """Indices of the `_template` points left when every point whose exact
+    conjugate (the same offset and the conjugate direction) comes earlier
+    is dropped.  Offsets and radii are real, so the dropped point is the
+    conjugate of a kept one bit for bit at every radius: the lower segment,
+    and those cap points whose angles mirror exactly.  At density 128, 352
+    of the 514 boundary points are kept.  A read-only array."""
+    offset, direction = _template(density, interior)
+    seen, keep = set(), []
+    for i, (o, d) in enumerate(zip(offset.tolist(), direction.tolist())):
+        if d.imag != 0.0 and (o, d.real, -d.imag) in seen:
+            continue
+        seen.add((o, d.real, d.imag))
+        keep.append(i)
+    keep = np.array(keep)
+    keep.flags.writeable = False
+    return keep
 
 
 def _stadium_points(radius, density, interior=True):
@@ -170,11 +198,14 @@ def check_ek(psi, k, A_list, p_max, density=128):
     at half the radius plus `density | 1` points of [-1, 1]), psi is
     evaluated, and the worst ratio  dist(psi(z), [-1,1]) / (A p^(-1/k))  is
     recorded.  The levels of one scale are stacked as the rows of blocks of
-    at most 2^16 points (or one level), one psi evaluation per block, so
-    memory stays bounded whatever p_max and density.  When
+    at most _EK_CHUNK points (or one level), a size that keeps each block's
+    temporaries in cache, one psi evaluation per block.  When
     the psi tree is entire (`Expr.is_entire`) the interior is skipped:
     dist(., [-1,1]) is convex, so dist(psi(z), [-1,1]) is subharmonic and,
-    by the maximum principle, peaks on the stadium boundary.  The check
+    by the maximum principle, peaks on the stadium boundary.  When psi also
+    commutes with conjugation (`Expr.is_conjugate_exact`), a point whose
+    exact conjugate is sampled too is not evaluated: its distance is the
+    same bit for bit.  The check
     passes when every ratio is <= 1 + 1e-12.  first_pass_p maps each scale
     to the first level from which every ratio passes (1: the scale passes at
     every level; None: it fails at p_max).  The scales must be distinct,
@@ -221,13 +252,17 @@ def check_ek(psi, k, A_list, p_max, density=128):
 def _level_maxima(psi, k, A, p_max, density, interior):
     """max dist(psi(z), [-1, 1]) over the sample of the level-(p+1) stadium
     of scale A, for p = 1..p_max.  Every sample has the template's size, so
-    consecutive levels are stacked as the rows of one 2-D block of at most
-    _EK_CHUNK points (or one level); psi is evaluated once per block and
-    each row is reduced to its maximum.  A level whose stadium cannot be
-    formed (its radius underflows) ends the levels, and its error is raised
-    after the earlier levels of its block are evaluated, so an error
-    evaluating one of those is reported first."""
-    rows = max(1, _EK_CHUNK // len(_template(density, interior)[0]))
+    consecutive levels are stacked as the rows of one 2-D block; when psi
+    is conjugate-exact only the columns of `_conjugate_free_columns` are
+    kept.  A block has at most _EK_CHUNK evaluated points (or one level);
+    psi is evaluated once per block and each row is reduced to its maximum.
+    A level whose stadium cannot be formed (its radius underflows) ends the
+    levels, and its error is raised after the earlier levels of its block
+    are evaluated, so an error evaluating one of those is reported first."""
+    columns = slice(None)
+    if psi.is_conjugate_exact():
+        columns = _conjugate_free_columns(density, interior)
+    rows = max(1, _EK_CHUNK // len(_template(density, interior)[0][columns]))
     maxima = []
     for first in range(1, p_max + 1, rows):
         block, error = [], None
@@ -238,7 +273,7 @@ def _level_maxima(psi, k, A, p_max, density, interior):
                 error = exc
                 break
         if block:
-            dist = interval_distance(psi.eval_complex(np.array(block)))
+            dist = interval_distance(psi.eval_complex(np.array(block)[:, columns]))
             maxima.extend(np.max(dist, axis=1).tolist())
         if error is not None:
             raise error

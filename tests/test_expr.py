@@ -130,6 +130,15 @@ class TestEvalComplex:
         v = parse("2^t").eval_complex(1j)
         assert v == pytest.approx(np.exp(1j * math.log(2)), abs=1e-15)
 
+    def test_negated_values_stay_on_the_upper_lip_of_the_cut(self):
+        # unary minus must not turn a real value's +0 imaginary part into -0
+        assert parse("(-1)^0.5").eval_complex(0.0) == parse("(0-1)^0.5").eval_complex(0.0)
+        assert parse("(-1)^0.5").eval_complex(0.0).imag == 1.0
+        assert parse("ln(-t)").eval_complex(0.5) == complex(-math.log(2.0), math.pi)
+        assert parse("sqrt(-t)").eval_complex(np.array([0.25, 4.0])).tolist() == [0.5j, 2j]
+        # real evaluation keeps the sign of a negated zero
+        assert math.copysign(1.0, parse("-t").eval_real(0.0)) == -1.0
+
 
 class TestInvariants:
     SOURCES = [
@@ -264,6 +273,17 @@ ENTIRE_CASES = {
 @pytest.mark.parametrize("src,entire", ENTIRE_CASES.items(), ids=ENTIRE_CASES.keys())
 def test_is_entire(src, entire):
     assert parse(src).is_entire() is entire
+
+
+# Entire sources whose evaluation at conj(z) is not conjugate to the last
+# bit: numpy takes integer powers from 100 on through the complex logarithm.
+NOT_CONJUGATE_EXACT = ["(0*t-2)^101*t", "cos(e)^101*t", "t^100", "(0.3-1.2)^512"]
+
+
+@pytest.mark.parametrize("src", [*ENTIRE_CASES, *NOT_CONJUGATE_EXACT, "(0*t-2)^99*t", "(-1)^t"])
+def test_is_conjugate_exact(src):
+    exact = parse(src).is_conjugate_exact()
+    assert exact is (parse(src).is_entire() and src not in NOT_CONJUGATE_EXACT)
 
 
 def test_is_entire_for_every_builtin():

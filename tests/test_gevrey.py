@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fdekit import conditions, gevrey, picard
 from fdekit.chebfun import ChebFun, build, ellipse_radius
 from fdekit.cli import example1_doc, example2_doc, load_problem
-from fdekit.expr import DomainError, Expr, parse
+from fdekit.expr import ENTIRE_FUNCTIONS, DomainError, Expr, OverflowEvalError, parse
 from fdekit.gevrey import (
     EkReport,
     GevreyError,
@@ -76,6 +77,20 @@ class TestStadiumRegion:
             assert np.all(interval_distance(inner) < r)
             assert 0.0 in inner
 
+    @pytest.mark.parametrize("interior", [False, True])
+    @pytest.mark.parametrize("density", [1, 2, 17, 128, 4096])
+    def test_conjugate_free_columns_cover_the_template(self, density, interior):
+        keep = gevrey._conjugate_free_columns(density, interior)
+        # at every radius, each dropped point is the exact conjugate of a kept one
+        for r in (1e-300, 1e-3, 0.37, 2.5):
+            pts = gevrey._stadium_points(r, density, interior)
+            assert set(np.delete(pts, keep).tolist()) <= {z.conjugate() for z in pts[keep].tolist()}
+        # and no two kept template points form a conjugate pair
+        offset, direction = gevrey._template(density, interior)
+        kept = set(zip(offset[keep].tolist(), direction[keep].tolist()))
+        assert not {(o, d.conjugate()) for o, d in kept if d.imag} & kept
+        assert len(gevrey._conjugate_free_columns(128, False)) == 352
+
 
 class TestCheckEk:
     def test_sine_passes_with_proof_bound(self):
@@ -141,6 +156,22 @@ def boundary_size(density):
     return len(StadiumRegion(k=1.0, A=0.5, n=2).sample(density, interior=False))
 
 
+def sample_size(density):
+    """Points of one stadium sample, interior included, at the given density."""
+    return len(StadiumRegion(k=1.0, A=0.5, n=2).sample(density))
+
+
+def full_sample_maxima(psi, k, A, p_max, density):
+    """max dist(psi(z), [-1, 1]) over every point of each level's
+    StadiumRegion.sample, one level at a time: the reference for check_ek."""
+    interior = not psi.is_entire()
+    return [
+        np.max(interval_distance(psi.eval_complex(
+            StadiumRegion(k=k, A=A, n=p + 1).sample(density, interior))))
+        for p in range(1, p_max + 1)
+    ]
+
+
 class TestEkSampling:
     @pytest.mark.parametrize("density", [32, 128])
     @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
@@ -149,12 +180,16 @@ class TestEkSampling:
         psi = parse(src)
         counts = count_eval_points(monkeypatch)
         got = check_ek(psi, k, [0.1, 0.5, 0.9], 100, density=density)
-        # one psi evaluation per scale, over the boundaries of all 100 levels
-        assert counts == [100 * boundary_size(density)] * 3
+        # the boundaries of all 100 levels of each scale, one point of each
+        # conjugate pair, in blocks of at most _EK_CHUNK points
+        assert max(counts) <= gevrey._EK_CHUNK
+        assert sum(counts) == 3 * 100 * len(gevrey._conjugate_free_columns(density, False))
+        calls = len(counts)
 
         monkeypatch.setattr(Expr, "is_entire", lambda self: False)
+        monkeypatch.setattr(Expr, "is_conjugate_exact", lambda self: False)
         want = check_ek(psi, k, [0.1, 0.5, 0.9], 100, density=density)
-        assert sum(counts[3:]) > 3 * 100 * boundary_size(density)
+        assert sum(counts[calls:]) == 3 * 100 * sample_size(density)
         for f in dataclasses.fields(EkReport):
             assert getattr(got, f.name) == getattr(want, f.name), f.name
 
@@ -162,15 +197,10 @@ class TestEkSampling:
     def test_non_entire_maps_sample_the_interior(self, monkeypatch, src):
         counts = count_eval_points(monkeypatch)
         check_ek(parse(src), 1.0, [0.1, 0.5], 20, density=32)
-        want = [
-            sum(
-                len(gevrey._stadium_points(StadiumRegion(k=1.0, A=A, n=p + 1).radius, 32))
-                for p in range(1, 21)
-            )
-            for A in (0.1, 0.5)
-        ]
-        assert counts == want
-        assert min(want) > 20 * boundary_size(32)
+        # every point of both scales' 20 samples, interior included
+        assert max(counts) <= max(gevrey._EK_CHUNK, sample_size(32))
+        assert sum(counts) == 2 * 20 * sample_size(32)
+        assert sample_size(32) > boundary_size(32)
 
     @pytest.mark.parametrize("src", ["sin(t)", "sqrt(t+2)"])
     def test_evaluations_are_chunked(self, monkeypatch, src):
@@ -183,19 +213,81 @@ class TestEkSampling:
 
         monkeypatch.setattr(Expr, "eval_complex", zeros)
         rep = check_ek(psi, 1.0, [0.5], 300, density=4096)
-        level = len(StadiumRegion(k=1.0, A=0.5, n=2).sample(4096, not psi.is_entire()))
+        # sin(t) evaluates one point of each conjugate pair of its boundary
+        level = (len(gevrey._conjugate_free_columns(4096, False)) if psi.is_entire()
+                 else sample_size(4096))
         assert len(rep.levels) == 300 and len(counts) > 1
         assert max(counts) <= max(gevrey._EK_CHUNK, level)
         assert sum(counts) == 300 * level
 
-    @pytest.mark.parametrize("src", ["sin(t)", "sqrt(t+2)"])
-    def test_row_blocks_match_one_level_at_a_time(self, src):
-        psi, k, A = parse(src), 1.0, 0.5
-        rep = check_ek(psi, k, [A], 12, density=4096)
-        interior = not psi.is_entire()
-        for lv in rep.levels:
-            pts = StadiumRegion(k=k, A=A, n=lv.p + 1).sample(4096, interior)
-            assert lv.worst_dist == np.max(interval_distance(psi.eval_complex(pts)))
+    # entire maps with and without the conjugate reduction (1.5*t peaks at
+    # the unpaired cap tip 1 + r), non-entire maps with and without
+    # reflection symmetry, and a pole 0.05 from [-1, 1]
+    @pytest.mark.parametrize("density", [1, 2, 17, 128, 4096])
+    @pytest.mark.parametrize("src,k", [("sin(t)", 1.0), ("1.5*t", 1.0), ("(0*t-2)^101*t", 1.0),
+                                       ("sqrt(t+2)", 1.0), ("(-1)^t", 1.0), ("1/(t-1.05)", 0.5)])
+    def test_row_blocks_match_one_level_at_a_time(self, src, k, density):
+        psi, A = parse(src), 0.5
+        rep = check_ek(psi, k, [A], 12, density=density)
+        assert [lv.worst_dist for lv in rep.levels] == full_sample_maxima(psi, k, A, 12, density)
+
+
+class TestConjugateReflection:
+    """An entire tree that `Expr.is_conjugate_exact` accepts has the same
+    interval distance at z and conj(z), bit for bit, which is what lets
+    check_ek evaluate one point of each conjugate pair."""
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(src=st.recursive(
+        st.sampled_from(["t", "0.5", "2", "1.7", "pi", "e", "0*t", "(0*t-2)", "(0.3-1.2)",
+                         "-(pi)", "-0.75"]),
+        lambda inner: st.one_of(
+            st.builds("{}({})".format, st.sampled_from(ENTIRE_FUNCTIONS), inner),
+            inner.map("-({})".format),
+            st.builds("({}){}({})".format, inner, st.sampled_from("+-*"), inner),
+            st.builds("({})^{}".format, inner,
+                      st.integers(0, 512) | st.sampled_from([99, 100, 101])),
+        ),
+        max_leaves=8,
+    ))
+    # real constants to a power from 100 on, times t, are not reflected
+    @example(src="(0*t-2)^101*t")
+    @example(src="cos(e)^101*t")
+    @example(src="(0.3-1.2)^100*t")
+    def test_accepted_trees_reflect_bit_for_bit(self, src):
+        psi = parse(src)
+        assert psi.is_entire()
+        if not psi.is_conjugate_exact():
+            return
+        for radius in (1e-300, 1e-3, 0.37, 2.5):
+            z = gevrey._stadium_points(radius, 17)
+            dists = []
+            for w in (z, np.conj(z)):
+                try:
+                    dists.append(interval_distance(psi.eval_complex(w)))
+                except OverflowEvalError:
+                    dists.append(None)
+            if dists[0] is None or dists[1] is None:
+                assert dists[0] is None and dists[1] is None
+            else:
+                assert np.array_equal(dists[0], dists[1])
+
+    @pytest.mark.parametrize("src", ["(0*t-2)^101*t", "(0*t-2)^100*t", "(-1)^t", "ln(0*t-1)"])
+    def test_rejected_trees_keep_the_full_template(self, src):
+        psi = parse(src)
+        assert not psi.is_conjugate_exact()
+        rep = check_ek(psi, 1.0, [0.5], 3, density=17)
+        assert [lv.worst_dist for lv in rep.levels] == full_sample_maxima(psi, 1.0, 0.5, 3, 17)
+
+    @pytest.mark.parametrize("exponent", [99, 100, 101])
+    def test_exponents_from_100_break_the_reflection(self, exponent):
+        # numpy multiplies out integer powers below 100 and takes larger
+        # ones through the complex logarithm
+        psi = parse(f"(0*t-2)^{exponent}*t")
+        z = gevrey._stadium_points(0.37, 128, interior=False)
+        same = np.array_equal(interval_distance(psi.eval_complex(z)),
+                              interval_distance(psi.eval_complex(np.conj(z))))
+        assert same is (exponent < 100) is psi.is_conjugate_exact()
 
 
 # The largest fattening scale at which sin(t), the deviating map of both

@@ -138,6 +138,12 @@ def test_record_adds_the_fixed_operations(monkeypatch):
         ("P=[0, 0.1] solve --force", {"P": [0, 0.1]}, ["solve", "--force"]),
         ('a="1e308" check', {"a": "1e308"}, ["check"]),
         ("ek --A 1e-05,2.5e-07 --pmax 3", {}, ["ek", "--A", "1e-05,2.5e-07", "--pmax", "3"]),
+        ("ek --density 1", {}, ["ek", "--density", "1"]),
+        ("ek --density 17 --pmax 3", {}, ["ek", "--density", "17", "--pmax", "3"]),
+        ("ek --density 4096 --pmax 2", {}, ["ek", "--density", "4096", "--pmax", "2"]),
+        ('psi="(0*t-2)^101*t" ek', {"psi": "(0*t-2)^101*t"}, ["ek"]),
+        ('psi="1/(t-1.05)" k=0.5 ek', {"psi": "1/(t-1.05)", "k": 0.5}, ["ek"]),
+        ('psi="(-1)^t" ek', {"psi": "(-1)^t"}, ["ek"]),
     ]:
         assert ops[f"example2 {key}"] == {"argv": argv, "doc": {**cli.example2_doc(), **change}}
     assert ops["gevrey --selftest"] == {"argv": ["gevrey"], "doc": None}

@@ -57,13 +57,22 @@ FIXED_DOCS = (
 )
 # (entries replaced in example2, command): an overflowing first hypothesis
 # ("cond1_lhs": null), a failing warning under "validation": {"ok": true},
-# data whose Chebyshev coefficients overflow (exit 4), and scales whose
-# "first_pass_p" keys print in exponent form
+# data whose Chebyshev coefficients overflow (exit 4), scales whose
+# "first_pass_p" keys print in exponent form, the smallest density, an odd
+# one, one whose level is larger than an ek block, an entire psi whose
+# power is not evaluated exactly under conjugation, a psi with a pole 0.05
+# from [-1, 1], and one that moves with the branch of (-1)^t
 EXAMPLE2_CHANGES = (
     ({"a": "1e200", "P": [0, 1e200, 1]}, ["check"]),
     ({"P": [0, 0.1]}, ["solve", "--force"]),
     ({"a": "1e308"}, ["check"]),
     ({}, ["ek", "--A", "1e-05,2.5e-07", "--pmax", "3"]),
+    ({}, ["ek", "--density", "1"]),
+    ({}, ["ek", "--density", "17", "--pmax", "3"]),
+    ({}, ["ek", "--density", "4096", "--pmax", "2"]),
+    ({"psi": "(0*t-2)^101*t"}, ["ek"]),
+    ({"psi": "1/(t-1.05)", "k": 0.5}, ["ek"]),
+    ({"psi": "(-1)^t"}, ["ek"]),
 )
 _SECONDS = re.compile(r'("seconds": )[^,}\n]+')
 _ABSENT = object()  # a key missing from one of two compared JSON objects
