@@ -14,8 +14,10 @@ plain decimal and scientific notation.  Whitespace is insignificant.
 Parsed expressions are immutable; evaluation is pure and vectorised over
 numpy arrays, at real or complex points.  Complex evaluation uses principal
 branches, with real values (negated ones too) on the upper lip of each cut,
-and rejects ``abs``.  Entire trees with integer-literal exponents up to 99
-commute with conjugation bit for bit (``Expr.is_conjugate_exact``).  A
+and rejects ``abs``.  ``Expr.singular_nodes`` lists, innermost first, the
+poles and branch cuts that can keep a tree from being analytic on a region.
+Entire trees with integer-literal exponents up to 99 commute with
+conjugation bit for bit (``Expr.is_conjugate_exact``).  A
 DomainError quotes the failing operation or call as the user wrote it: the
 parser keeps each node's source text, and there is no printer.
 """
@@ -247,16 +249,21 @@ class _Parser:
 # --- evaluation -----------------------------------------------------------
 
 
+def _literal(node):
+    """The value of a number literal, negated any number of times, else None."""
+    if isinstance(node, Num):
+        return float(node.value)
+    if isinstance(node, Neg):
+        inner = _literal(node.child)
+        return -inner if inner is not None else None
+    return None
+
+
 def _int_literal_exponent(node):
     """Return the integer value of an integer-literal exponent node, else None."""
-    if isinstance(node, Num):
-        v = node.value
-        if float(v).is_integer() and abs(v) <= _MAX_INT_EXPONENT:
-            return int(v)
-        return None
-    if isinstance(node, Neg):
-        inner = _int_literal_exponent(node.child)
-        return -inner if inner is not None else None
+    v = _literal(node)
+    if v is not None and v.is_integer() and abs(v) <= _MAX_INT_EXPONENT:
+        return int(v)
     return None
 
 
@@ -344,23 +351,56 @@ def _eval_pow(node, base, t, cplx):
     return np.power(base, expo)
 
 
-def _is_entire(node, max_exponent=_MAX_INT_EXPONENT):
-    """True when every node is holomorphic on all of C: numbers, constants,
-    t, unary minus, + - *, the entire builtins and integer-literal powers
-    with an exponent in [0, max_exponent].  Anything else (division, ln,
-    sqrt, abs, other powers) counts as not entire."""
+def _singular_nodes(node, out):
+    """Append to out, innermost first, each node that is not entire in t, as
+    (kind, node, operand g), and return whether node holds t: a division by
+    g or a negative integer-literal power of g is a "pole" (analytic where g
+    has no zero), and ln(g), sqrt(g) and every other power of g are a "cut"
+    (analytic where g misses the principal cut (-inf, 0]).  Only an operand
+    that holds t counts: a t-free one is a constant, so c^x = exp(x Log c)
+    is entire.  abs is not listed; complex evaluation rejects it."""
+    if isinstance(node, Var):
+        return True
+    if isinstance(node, Neg):
+        return _singular_nodes(node.child, out)
+    if isinstance(node, Call):
+        has_t = _singular_nodes(node.arg, out)
+        if has_t and node.func in ("ln", "sqrt"):
+            out.append(("cut", node, node.arg))
+        return has_t
+    if isinstance(node, BinOp):
+        left, right = _singular_nodes(node.left, out), _singular_nodes(node.right, out)
+        if node.op == "/" and right:
+            out.append(("pole", node, node.right))
+        elif node.op == "^" and left:
+            n = _literal(node.right)
+            if n is None or not n.is_integer():
+                out.append(("cut", node, node.left))
+            elif n < 0:
+                out.append(("pole", node, node.left))
+        return left or right
+    return False
+
+
+def _is_conjugate_exact(node):
+    """True when every node is holomorphic on all of C and commutes with
+    conjugation bit for bit: numbers, constants, t, unary minus, + - *, the
+    entire builtins and integer-literal powers with an exponent in
+    [0, 99].  Anything else (division, ln, sqrt, abs, other powers) does
+    not count."""
     if isinstance(node, (Num, Const, Var)):
         return True
     if isinstance(node, Neg):
-        return _is_entire(node.child, max_exponent)
+        return _is_conjugate_exact(node.child)
     if isinstance(node, Call):
-        return node.func in ENTIRE_FUNCTIONS and _is_entire(node.arg, max_exponent)
+        return node.func in ENTIRE_FUNCTIONS and _is_conjugate_exact(node.arg)
     if isinstance(node, BinOp):
         if node.op == "^":
             n = _int_literal_exponent(node.right)
-            return n is not None and 0 <= n <= max_exponent and _is_entire(node.left, max_exponent)
-        return (node.op in ("+", "-", "*") and _is_entire(node.left, max_exponent)
-                and _is_entire(node.right, max_exponent))
+            return (n is not None and 0 <= n <= _MAX_CONJUGATE_EXACT_EXPONENT
+                    and _is_conjugate_exact(node.left))
+        return (node.op in ("+", "-", "*") and _is_conjugate_exact(node.left)
+                and _is_conjugate_exact(node.right))
     return False
 
 
@@ -402,18 +442,26 @@ class Expr:
         # a bare t evaluates to the points themselves, maybe the caller's array
         return out.copy() if out is arr else out
 
-    def is_entire(self):
-        """Whether the tree is built only from entire operations (see
-        `_is_entire`), so the expression is holomorphic on all of C."""
-        return _is_entire(self.root)
+    def singular_nodes(self):
+        """The nodes that can keep the expression from being analytic on a
+        region, innermost first (see `_singular_nodes`), as (kind, source
+        text of the node, operand): kind is "pole" or "cut", and the operand
+        is an Expr carrying this expression's source text, so an overflow
+        while evaluating it names the whole expression.  An empty list
+        means the tree is entire (or uses abs, which complex evaluation
+        rejects)."""
+        nodes = []
+        _singular_nodes(self.root, nodes)
+        return [(kind, node.src, Expr(operand, self.src)) for kind, node, operand in nodes]
 
     def is_conjugate_exact(self):
         """Whether eval_complex(conj(z)) is conj(eval_complex(z)) up to the
         signs of zeros, so the two have the same real and imaginary
-        magnitudes bit for bit: an entire tree (`is_entire`) whose
+        magnitudes bit for bit: a tree of entire operations whose
         integer-literal exponents are at most 99, as numpy multiplies those
-        out and runs larger ones through the complex logarithm."""
-        return _is_entire(self.root, _MAX_CONJUGATE_EXACT_EXPONENT)
+        out and runs larger ones through the complex logarithm (see
+        `_is_conjugate_exact`)."""
+        return _is_conjugate_exact(self.root)
 
 
 def parse(src):

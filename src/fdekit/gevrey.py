@@ -4,12 +4,11 @@ Geometry: the stadium region at level n is the interval [-1, 1] fattened by
 an open disk of radius A * n^(-1/k); it shrinks back to the interval as n
 grows.  A deviating map that sends every level-(n+1) stadium into the
 level-n one (uniformly for small A) is the geometric engine behind the
-regularity bootstrap, and is checked here by dense sampling (of the
-stadium boundary alone when the map is entire; see check_ek).  Every sample
-is one fixed template scaled by the radius, so all levels sampled at one
-density have the same number of points, and a template point whose exact
-conjugate is also sampled need not be evaluated for a map that commutes
-with conjugation.
+regularity bootstrap.  check_ek shows the map analytic on each stadium by
+the argument principle and samples the stadium boundary alone, where the
+maximum principle puts the worst point.  Every sample is one fixed template
+scaled by the radius, in order along the closed curve, its lower half the
+exact conjugate of its upper half.
 
 Growth: the envelope recursion w_1 = 1,
 w_{n+1} = ||a||_inf * M(r0 + s n^(-1/k) w_n) + ||b + P(0)a||_inf (sup norms
@@ -85,58 +84,32 @@ def interval_distance(z, half_width=1.0):
 
 
 @functools.lru_cache(maxsize=8)
-def _template(density, interior):
-    """A stadium sample of radius r is offset + r * direction.  The boundary
-    has `density` points on each piece (the caps +-1 + r e^(i phi) and the
-    segments x +- i r) plus the cap tips +-(1 + r), at phi = 0, which an
-    even `density` misses: 4 * density + 2 points.  The interior repeats the
-    four pieces at half the radius and adds [-1, 1] itself at `density | 1`
-    points (t = 0 among them from density 2 on), all strictly inside: 9 *
-    density + 3 points in all for an even density.  Read-only arrays, shared
-    by every radius."""
+def _template(density):
+    """The stadium boundary of radius r is offset + r * direction, in order
+    along the closed curve: the tip 1 + r, the upper right cap 1 + r e^(i phi)
+    at the angles of linspace(-pi/2, pi/2, density) past the middle one, the
+    upper segment from x = 1 to -1 (`density` points), the upper left cap
+    -1 - r conj(e^(i phi)), the tip -(1 + r), then the exact conjugates of
+    the points between the tips in reverse, so the first len // 2 + 1 points
+    hold one of every conjugate pair at every radius.  4 * density + 2
+    points, or 4 * density for an odd density, whose middle angle would
+    repeat the tips.  Read-only arrays, shared by every radius."""
     phi = np.linspace(-0.5 * np.pi, 0.5 * np.pi, density)
+    cap = np.exp(1j * phi[(density + 1) // 2:])
     xs = np.linspace(-1.0, 1.0, density)
-    ones = np.ones(density)
-    tips = np.array([1.0, -1.0])
-    offset = [ones, -ones, xs, xs, tips]
-    direction = [np.exp(1j * phi), np.exp(1j * (phi + np.pi)), 1j * ones, -1j * ones, tips]
-    if interior:
-        line = np.linspace(-1.0, 1.0, density | 1)
-        offset += offset[:4] + [line]
-        direction += [0.5 * d for d in direction[:4]] + [np.zeros_like(line)]
-    offset = np.concatenate(offset)
-    direction = np.concatenate(direction)
+    ones = np.ones(len(cap))
+    upper_offset = np.concatenate([ones, xs[::-1], -ones])
+    upper = np.concatenate([cap, np.full(density, 1j), -np.conj(cap[::-1])])
+    offset = np.concatenate([[1.0], upper_offset, [-1.0], upper_offset[::-1]])
+    direction = np.concatenate([[1.0], upper, [-1.0], np.conj(upper[::-1])])
     offset.flags.writeable = False
     direction.flags.writeable = False
     return offset, direction
 
 
-@functools.lru_cache(maxsize=8)
-def _conjugate_free_columns(density, interior):
-    """Indices of the `_template` points left when every point whose exact
-    conjugate (the same offset and the conjugate direction) comes earlier
-    is dropped.  Offsets and radii are real, so the dropped point is the
-    conjugate of a kept one bit for bit at every radius: the lower segment,
-    and those cap points whose angles mirror exactly.  At density 128, 352
-    of the 514 boundary points are kept.  A read-only array."""
-    offset, direction = _template(density, interior)
-    seen, keep = set(), []
-    for i, (o, d) in enumerate(zip(offset.tolist(), direction.tolist())):
-        if d.imag != 0.0 and (o, d.real, -d.imag) in seen:
-            continue
-        seen.add((o, d.real, d.imag))
-        keep.append(i)
-    keep = np.array(keep)
-    keep.flags.writeable = False
-    return keep
-
-
-def _stadium_points(radius, density, interior=True):
-    """Deterministic sample of the stadium of the given radius around
-    [-1, 1]: the boundary and, when `interior` is true, the interior of
-    `_template`.  The interior is needed wherever the sampled function may
-    peak inside; `check_ek` drops it for entire maps."""
-    offset, direction = _template(density, interior)
+def _stadium_points(radius, density):
+    """The boundary of the stadium of this radius, sampled by `_template`."""
+    offset, direction = _template(density)
     return offset + float(radius) * direction
 
 
@@ -158,11 +131,9 @@ class StadiumRegion:
     def radius(self):
         return self.A * self.n ** (-1.0 / self.k)
 
-    def sample(self, density, interior=True):
-        """Boundary points (`density` per piece and the two cap tips) plus,
-        when `interior` is true, the interior points of `_template`; the
-        same number of points at every radius."""
-        return _stadium_points(self.radius, density, interior)
+    def sample(self, density):
+        """The boundary, sampled by `_template`."""
+        return _stadium_points(self.radius, density)
 
 
 # --- deviating-map inclusion check ------------------------------------------
@@ -174,6 +145,14 @@ class EkLevel:
     p: int
     worst_ratio: float
     worst_dist: float
+
+
+@dataclass
+class SingularEkLevel(EkLevel):
+    """A level on whose stadium psi is not shown analytic; it is not
+    evaluated, and its worst_ratio and worst_dist are inf."""
+
+    singularity: str
 
 
 @dataclass
@@ -192,27 +171,27 @@ class EkReport:
 def check_ek(psi, k, A_list, p_max, density=128):
     """Sampling check of the stadium inclusion property of the deviating map.
 
-    For each fattening scale A and each level p = 1..p_max, the level-(p+1)
-    stadium is sampled (boundary caps and segments with `density` points per
-    piece, the cap tips +-(1 + radius), and an interior of the four pieces
-    at half the radius plus `density | 1` points of [-1, 1]), psi is
-    evaluated, and the worst ratio  dist(psi(z), [-1,1]) / (A p^(-1/k))  is
-    recorded.  The levels of one scale are stacked as the rows of blocks of
-    at most _EK_CHUNK points (or one level), a size that keeps each block's
-    temporaries in cache, one psi evaluation per block.  When
-    the psi tree is entire (`Expr.is_entire`) the interior is skipped:
-    dist(., [-1,1]) is convex, so dist(psi(z), [-1,1]) is subharmonic and,
-    by the maximum principle, peaks on the stadium boundary.  When psi also
-    commutes with conjugation (`Expr.is_conjugate_exact`), a point whose
-    exact conjugate is sampled too is not evaluated: its distance is the
-    same bit for bit.  The check
-    passes when every ratio is <= 1 + 1e-12.  first_pass_p maps each scale
-    to the first level from which every ratio passes (1: the scale passes at
-    every level; None: it fails at p_max).  The scales must be distinct,
-    positive and finite, 1 <= p_max <= MAX_EK_LEVELS and
-    1 <= density <= MAX_EK_DENSITY; all of this is checked before any level
-    is sampled.
-    This is evidence, not a proof: the property quantifies over open sets.
+    For each fattening scale A and each level p = 1..p_max, the boundary of
+    the level-(p+1) stadium is sampled (`_template`), psi is shown analytic
+    on the stadium (`_singularities`) and evaluated, and the worst ratio
+    dist(psi(z), [-1,1]) / (A p^(-1/k)) is recorded.  With psi analytic on
+    the closed stadium, dist(psi(z), [-1,1]) is subharmonic (dist(., [-1,1])
+    is convex) and peaks on the boundary, so no interior point is needed.
+    A level where a node of psi is not shown analytic is a SingularEkLevel:
+    not evaluated, worst_ratio and worst_dist inf, and `singularity` naming
+    the node ("pole of 1/(t-1.05)", "cut of sqrt(1.2-t)", "unresolved pole
+    of ..."), so it fails.  The levels of one scale are stacked as the rows
+    of blocks of at most _EK_CHUNK evaluated points (or one level), one psi
+    evaluation per block.  When psi commutes with conjugation
+    (`Expr.is_conjugate_exact`) only the first half of each curve, tips
+    included, is evaluated: the rest are the exact conjugates of its points.
+    The check passes when every ratio is <= 1 + 1e-12.  first_pass_p maps
+    each scale to the first level from which every ratio passes (1: every
+    level; None: it fails at p_max).  The scales must be distinct, positive
+    and finite, 1 <= p_max <= MAX_EK_LEVELS and 1 <= density <=
+    MAX_EK_DENSITY, all checked before any level is sampled.  This is
+    evidence, not a proof: the property quantifies over open sets, and the
+    analyticity test reads a sampled curve.
     """
     if not 1 <= p_max <= MAX_EK_LEVELS:
         raise GevreyError(f"p_max must be in [1, {MAX_EK_LEVELS}]")
@@ -222,62 +201,91 @@ def check_ek(psi, k, A_list, p_max, density=128):
         raise GevreyError(f"fattening scales must be distinct: {list(A_list)!r}")
     if not all(0.0 < A < math.inf for A in A_list):
         raise GevreyError("fattening scales must be positive and finite")
-    interior = not psi.is_entire()
     levels = []
     first_pass = {}
     worst_overall = 0.0
     for A in A_list:
         last_fail = 0
-        for p, worst in enumerate(_level_maxima(psi, k, A, p_max, density, interior), 1):
+        for p, (worst, singularity) in enumerate(_level_maxima(psi, k, A, p_max, density), 1):
             ratio = worst / (A * p ** (-1.0 / k))
-            levels.append(EkLevel(A=A, p=p, worst_ratio=ratio, worst_dist=worst))
+            level = dict(A=A, p=p, worst_ratio=ratio, worst_dist=worst)
+            levels.append(EkLevel(**level) if singularity is None
+                          else SingularEkLevel(**level, singularity=singularity))
             worst_overall = max(worst_overall, ratio)
             if ratio > 1.0 + EK_PASS_SLACK:
                 last_fail = p
         first_pass[A] = last_fail + 1 if last_fail < p_max else None
-    passed = worst_overall <= 1.0 + EK_PASS_SLACK
-    return EkReport(
-        psi=psi.src,
-        k=k,
-        A_list=list(A_list),
-        p_max=p_max,
-        density=density,
-        passed=passed,
-        worst_ratio=worst_overall,
-        first_pass_p=first_pass,
-        levels=levels,
-    )
+    return EkReport(psi=psi.src, k=k, A_list=list(A_list), p_max=p_max, density=density,
+                    passed=worst_overall <= 1.0 + EK_PASS_SLACK, worst_ratio=worst_overall,
+                    first_pass_p=first_pass, levels=levels)
 
 
-def _level_maxima(psi, k, A, p_max, density, interior):
-    """max dist(psi(z), [-1, 1]) over the sample of the level-(p+1) stadium
-    of scale A, for p = 1..p_max.  Every sample has the template's size, so
-    consecutive levels are stacked as the rows of one 2-D block; when psi
-    is conjugate-exact only the columns of `_conjugate_free_columns` are
-    kept.  A block has at most _EK_CHUNK evaluated points (or one level);
-    psi is evaluated once per block and each row is reduced to its maximum.
-    A level whose stadium cannot be formed (its radius underflows) ends the
-    levels, and its error is raised after the earlier levels of its block
-    are evaluated, so an error evaluating one of those is reported first."""
-    columns = slice(None)
-    if psi.is_conjugate_exact():
-        columns = _conjugate_free_columns(density, interior)
-    rows = max(1, _EK_CHUNK // len(_template(density, interior)[0][columns]))
-    maxima = []
+def _level_maxima(psi, k, A, p_max, density):
+    """(max dist(psi(z), [-1, 1]) over the boundary of the level-(p+1)
+    stadium of scale A, None), or (inf, name) where `_singularities` names a
+    node, for p = 1..p_max.  A level whose radius underflows ends the
+    levels; its error is raised after the earlier levels of its block are
+    evaluated, so an error evaluating one of those is reported first."""
+    # a conjugate-exact psi is entire, so no node needs the lower half
+    nodes = psi.singular_nodes()
+    size = len(_template(density)[0])
+    width = size // 2 + 1 if psi.is_conjugate_exact() else size
+    rows = max(1, _EK_CHUNK // width)
+    out = []
     for first in range(1, p_max + 1, rows):
         block, error = [], None
         for p in range(first, min(first + rows, p_max + 1)):
             try:
-                block.append(StadiumRegion(k=k, A=A, n=p + 1).sample(density, interior))
+                block.append(StadiumRegion(k=k, A=A, n=p + 1).sample(density)[:width])
             except GevreyError as exc:
                 error = exc
                 break
         if block:
-            dist = interval_distance(psi.eval_complex(np.array(block)[:, columns]))
-            maxima.extend(np.max(dist, axis=1).tolist())
+            curves = np.array(block)
+            names = _singularities(nodes, curves)
+            keep = [i for i, name in enumerate(names) if name is None]
+            worst = np.full(len(block), math.inf)
+            if keep:
+                z = curves if len(keep) == len(block) else curves[keep]
+                worst[keep] = np.max(interval_distance(psi.eval_complex(z)), axis=1)
+            out.extend(zip(worst.tolist(), names))
         if error is not None:
             raise error
-    return maxima
+    return out
+
+
+def _singularities(nodes, curves):
+    """For each row of `curves` (closed curves sampled in order), None when
+    every node of `nodes` (`Expr.singular_nodes`, innermost first) is
+    analytic inside, else the name of the first that is not.  With the inner
+    nodes analytic, the argument principle decides each: a pole's operand g
+    has no zero inside iff g != 0 on the curve and winds 0 times about 0; a
+    cut's operand misses (-inf, 0] inside iff it misses it on the curve (no
+    sample on the cut, no step across it).  Both are read from one np.angle
+    of g.  A curve with a step that turns by pi/2 or more about 0 is not
+    trusted: "unresolved ...", unless a sample already decides."""
+    names = [None] * len(curves)
+    for kind, src, operand in nodes:
+        live = [i for i, name in enumerate(names) if name is None]
+        if not live:
+            break
+        g = operand.eval_complex(curves if len(live) == len(curves) else curves[live])
+        arg = np.angle(g)
+        step = np.diff(arg, axis=1, append=arg[:, :1])
+        turn = step - 2.0 * np.pi * np.rint(step / (2.0 * np.pi))
+        hit = np.any(g == 0, axis=1)
+        if kind == "pole":
+            fails = np.rint(np.sum(turn, axis=1) / (2.0 * np.pi)) != 0
+        else:
+            hit |= np.any(np.abs(arg) == np.pi, axis=1)
+            fails = np.any(np.abs(step) > np.pi, axis=1)
+        unresolved = np.any(np.abs(turn) >= 0.5 * np.pi, axis=1)
+        for i, h, u, f in zip(live, hit.tolist(), unresolved.tolist(), fails.tolist()):
+            if h or (f and not u):
+                names[i] = f"{kind} of {src}"
+            elif u:
+                names[i] = f"unresolved {kind} of {src}"
+    return names
 
 
 # --- growth envelope recursion ----------------------------------------------
@@ -298,7 +306,9 @@ class OmegaReport:
 def omega_sequence(p, s, r0, n_max, tau_candidate):
     """The growth envelope recursion w_1 = 1,
     w_{n+1} = ||a||_inf * M(r0 + s n^(-1/k) w_n) + ||b + P(0)a||_inf,
-    with both sup norms sampled over the stadium of radius mu/2.
+    with both sup norms sampled over the stadium of radius mu/2: on its
+    boundary, by the maximum modulus principle, once a and b are shown
+    analytic there as in check_ek (a GevreyError names a node that is not).
 
     Also computes C_est, the smallest grid-verified constant C >=
     max(2/nu, 1) with  ||a||_inf M(r0 + x) + ||b+P(0)a||_inf <= C max(x,1)^N0
@@ -311,6 +321,11 @@ def omega_sequence(p, s, r0, n_max, tau_candidate):
         raise GevreyError("s must be >= 0")
     mu = p.effective_mu()
     pts = _stadium_points(mu / 2.0, 256)
+    for name, f in (("a", p.a), ("b", p.b)):
+        singularity = _singularities(f.singular_nodes(), pts[None])[0]
+        if singularity is not None:
+            raise GevreyError(f"{name} is not analytic on the stadium of radius "
+                              f"mu/2 = {mu / 2.0!r}: {singularity}")
     a_vals = p.a.eval_complex(pts)
     src_vals = p.b.eval_complex(pts) + p.P.eval(0.0) * a_vals
     a_sup = float(np.max(np.abs(a_vals)))
@@ -333,16 +348,8 @@ def omega_sequence(p, s, r0, n_max, tau_candidate):
             f"envelope violated: max w = {max(values)!r} > C_est = {C_est!r} "
             f"at s = {s!r}"
         )
-    return OmegaReport(
-        values=values,
-        C_est=C_est,
-        a_sup=a_sup,
-        source_sup=src_sup,
-        mu=mu,
-        nu_proxy=nu_proxy,
-        tau_candidate=tau_candidate,
-        s=s,
-    )
+    return OmegaReport(values=values, C_est=C_est, a_sup=a_sup, source_sup=src_sup, mu=mu,
+                       nu_proxy=nu_proxy, tau_candidate=tau_candidate, s=s)
 
 
 # --- inclusion probe for analytically continued iterates ---------------------
@@ -376,8 +383,10 @@ def stadium_inclusion_probe(iterates, r0, k, s, C, n_range):
     validity ellipse (ChebFun.ellipse_hint), so s is halved until every
     probed stadium fits inside every needed ellipse; the s actually used is
     reported.  A stadium fits when its point 1 + radius does, as no point of
-    the stadium has a larger Bernstein-ellipse parameter.  Iterate n is the
-    n-th Picard iterate (iterates[0] is the zero start).
+    the stadium has a larger Bernstein-ellipse parameter.  Only the stadium
+    boundary is sampled: an iterate is a polynomial, so the distance of its
+    values from the interval is subharmonic and peaks there.  Iterate n is
+    the n-th Picard iterate (iterates[0] is the zero start).
     """
     n_range = list(n_range)
     if not n_range:
@@ -400,25 +409,13 @@ def stadium_inclusion_probe(iterates, r0, k, s, C, n_range):
         raise GevreyError("could not shrink s into the trusted ellipses")
 
     report = ProbeReport(s_requested=float(s), s_used=s_used, C=C, r0=r0, k=k)
-    worst = 0.0
     for n in n_range:
         radius = s_used * n ** (-1.0 / k)
         pts = _stadium_points(radius, PROBE_DENSITY)
-        vals = iterates[n - 1].eval_complex(pts)
-        dist = interval_distance(vals, half_width=r0)
-        allowed = C * radius
-        ratio = float(np.max(dist)) / allowed
-        report.levels.append(
-            ProbeLevel(
-                n=n,
-                ratio=ratio,
-                worst_dist=float(np.max(dist)),
-                allowed=allowed,
-                points=len(pts),
-            )
-        )
-        worst = max(worst, ratio)
-    report.all_within = worst <= 1.0 + EK_PASS_SLACK
+        worst = float(np.max(interval_distance(iterates[n - 1].eval_complex(pts), half_width=r0)))
+        report.levels.append(ProbeLevel(n=n, ratio=worst / (C * radius), worst_dist=worst,
+                                        allowed=C * radius, points=len(pts)))
+    report.all_within = max(lv.ratio for lv in report.levels) <= 1.0 + EK_PASS_SLACK
     return report
 
 

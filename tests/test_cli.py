@@ -333,6 +333,24 @@ class TestEk:
         assert not report_of(out)["passed"]
 
 
+    def test_pole_inside_a_stadium_fails_its_levels(self, tmp_path, capsys):
+        # the pole 1.05 lies inside every stadium of radius > 0.05: those
+        # levels are not evaluated and name it, and the command exits 2
+        doc = {**example2_doc(), "psi": "1/(t-1.05)", "k": 0.5}
+        code, out = run(capsys, ["ek", write_json(tmp_path, doc), "--density", "17"])
+        assert code == EXIT_HYPOTHESIS
+        rep = report_of(out)
+        assert not rep["passed"] and rep["worst_ratio"] is None
+        singular = [lv for lv in rep["levels"] if "singularity" in lv]
+        # the levels whose radius A (p + 1)^-2 exceeds 0.05
+        assert [(lv["A"], lv["p"]) for lv in singular] == [
+            (A, p) for A in (0.1, 0.5, 0.9) for p in range(1, 101) if A / (p + 1) ** 2 > 0.05]
+        for lv in singular:
+            assert lv == {"A": lv["A"], "p": lv["p"], "worst_ratio": None, "worst_dist": None,
+                          "singularity": "pole of 1/(t-1.05)"}
+        assert all(set(lv) == {"A", "p", "worst_ratio", "worst_dist"}
+                   for lv in rep["levels"] if lv not in singular)
+
     @pytest.mark.parametrize("flags", [["--A", "inf"], ["--density", "-1"]], ids=["A", "density"])
     def test_out_of_range_flag_exit_4(self, tmp_path, capsys, flags):
         code = cli.main(["ek", write_json(tmp_path, example2_doc()), *flags])

@@ -237,55 +237,92 @@ class TestInvariants:
 
 
 # Source -> whether the tree is entire (holomorphic on all of C).
+# each source's singular nodes, innermost first, as (kind, node source); a
+# tree without one is entire (abs aside, which complex evaluation rejects)
 ENTIRE_CASES = {
-    "1.5": True,
-    "pi": True,
-    "e": True,
-    "t": True,
-    "-(sin(t))": True,
-    "t^2-0.5": True,
-    "0.9*t": True,
-    "t^0": True,
-    "t^(3)": True,
-    "0.5*sin(t)^3": True,
-    "sin(0.5*t)^3": True,
-    "0.5*cos(t)": True,
-    "0.3*sinh(t)": True,
-    "cosh(t)-1": True,
-    "exp(t)-1": True,
-    "exp(sin(t)*cos(t)) + pi*t^4": True,
-    "t^-1": False,
-    "t^2.5": False,
-    "t^t": False,
-    "t^(1+1)": False,
-    "t^1000": False,  # above the integer-literal limit: evaluated through ln
-    "2^t": False,
-    "1/(t+3)": False,
-    "t/2": False,
-    "ln(t+3)": False,
-    "sqrt(t+2)": False,
-    "abs(t)": False,
-    "sin(abs(t))": False,
-    "exp(t) + 0*ln(t+3)": False,
+    "1.5": [],
+    "pi": [],
+    "e": [],
+    "t": [],
+    "-(sin(t))": [],
+    "t^2-0.5": [],
+    "0.9*t": [],
+    "t^0": [],
+    "t^(3)": [],
+    "0.5*sin(t)^3": [],
+    "sin(0.5*t)^3": [],
+    "0.5*cos(t)": [],
+    "0.3*sinh(t)": [],
+    "cosh(t)-1": [],
+    "exp(t)-1": [],
+    "exp(sin(t)*cos(t)) + pi*t^4": [],
+    "t^-1": [("pole", "t^-1")],
+    "t^2.5": [("cut", "t^2.5")],
+    "t^t": [("cut", "t^t")],
+    "t^(1+1)": [("cut", "t^(1+1)")],  # not a literal exponent
+    "t^1000": [],  # an integer literal above the limit: evaluated through ln
+    "2^t": [],  # a t-free base: exp(t Log 2)
+    "1/(t+3)": [("pole", "1/(t+3)")],
+    "t/2": [],  # a t-free divisor
+    "ln(t+3)": [("cut", "ln(t+3)")],
+    "sqrt(t+2)": [("cut", "sqrt(t+2)")],
+    "abs(t)": [],
+    "sin(abs(t))": [],
+    "exp(t) + 0*ln(t+3)": [("cut", "ln(t+3)")],
+}
+SINGULAR_CASES = {
+    "t^-1000": [("pole", "t^-1000")],
+    "(-1)^t": [],
+    "ln(2)*t + sqrt(-1)": [],  # constants
+    "2^(1/t)": [("pole", "1/t")],
+    "t^(1/t)": [("pole", "1/t"), ("cut", "t^(1/t)")],
+    "sqrt((t-1.04)/(t-1.05))": [("pole", "(t-1.04)/(t-1.05)"),
+                                ("cut", "sqrt((t-1.04)/(t-1.05))")],
+    "1/(0*t)": [("pole", "1/(0*t)")],
 }
 
 
-@pytest.mark.parametrize("src,entire", ENTIRE_CASES.items(), ids=ENTIRE_CASES.keys())
-def test_is_entire(src, entire):
-    assert parse(src).is_entire() is entire
+@pytest.mark.parametrize("src,nodes", ENTIRE_CASES.items(), ids=ENTIRE_CASES.keys())
+def test_is_entire(src, nodes):
+    assert [(kind, text) for kind, text, _ in parse(src).singular_nodes()] == nodes
+
+
+@pytest.mark.parametrize("src,nodes", SINGULAR_CASES.items(), ids=SINGULAR_CASES.keys())
+def test_singular_nodes(src, nodes):
+    assert [(kind, text) for kind, text, _ in parse(src).singular_nodes()] == nodes
+
+
+def test_singular_node_operands():
+    # each operand evaluates to the denominator, base or argument it names,
+    # and carries the whole source, which an overflow message quotes
+    psi = parse("sqrt((t-1.04)/(t-1.05)) + 2*ln(t^2 - 1)^-1")
+    nodes = psi.singular_nodes()
+    assert [(kind, text) for kind, text, _ in nodes] == [
+        ("pole", "(t-1.04)/(t-1.05)"), ("cut", "sqrt((t-1.04)/(t-1.05))"),
+        ("cut", "ln(t^2 - 1)"), ("pole", "ln(t^2 - 1)^-1")]
+    assert all(g.src == psi.src for _, _, g in nodes)
+    values = [g.eval_complex(2.0) for _, _, g in nodes]
+    assert values == pytest.approx([0.95, 0.96 / 0.95, 3.0, math.log(3.0)], rel=1e-15)
 
 
 # Entire sources whose evaluation at conj(z) is not conjugate to the last
 # bit: numpy takes integer powers from 100 on through the complex logarithm.
 NOT_CONJUGATE_EXACT = ["(0*t-2)^101*t", "cos(e)^101*t", "t^100", "(0.3-1.2)^512"]
+# entire trees outside the operations is_conjugate_exact accepts: a t-free
+# base, a literal exponent above 512, a division by a constant, abs
+ENTIRE_NOT_EXACT = ["2^t", "(-1)^t", "t^1000", "t/2", "abs(t)", "sin(abs(t))"]
 
 
 @pytest.mark.parametrize("src", [*ENTIRE_CASES, *NOT_CONJUGATE_EXACT, "(0*t-2)^99*t", "(-1)^t"])
 def test_is_conjugate_exact(src):
     exact = parse(src).is_conjugate_exact()
-    assert exact is (parse(src).is_entire() and src not in NOT_CONJUGATE_EXACT)
+    entire = not parse(src).singular_nodes()
+    assert exact is (entire and src not in NOT_CONJUGATE_EXACT + ENTIRE_NOT_EXACT)
 
 
 def test_is_entire_for_every_builtin():
     for name in FUNCTIONS:
-        assert parse(f"{name}(t)").is_entire() is (name in ENTIRE_FUNCTIONS)
+        psi = parse(f"{name}(t)")
+        cut = [("cut", f"{name}(t)")] if name in ("ln", "sqrt") else []
+        assert [(kind, text) for kind, text, _ in psi.singular_nodes()] == cut
+        assert psi.is_conjugate_exact() is (name in ENTIRE_FUNCTIONS)

@@ -12,6 +12,7 @@ from fdekit.expr import ENTIRE_FUNCTIONS, DomainError, Expr, OverflowEvalError, 
 from fdekit.gevrey import (
     EkReport,
     GevreyError,
+    SingularEkLevel,
     StadiumRegion,
     check_ek,
     derivative_norms,
@@ -65,31 +66,38 @@ class TestStadiumRegion:
 
     @pytest.mark.parametrize("density", [2, 17, 128])
     def test_one_template_for_every_radius(self, density):
-        boundary = len(gevrey._stadium_points(1.0, density, interior=False))
-        size = len(gevrey._stadium_points(1.0, density))
-        assert boundary == 4 * density + 2
-        assert size == boundary + 4 * density + (density | 1)
+        # 4 density + 2 points; an odd density has no cap point at phi = 0
+        size = 4 * density + (2 if density % 2 == 0 else 0)
         for r in np.geomspace(1e-300, 1e3, 50):
             pts = gevrey._stadium_points(r, density)
             assert len(pts) == size
-            assert np.array_equal(pts[:boundary], gevrey._stadium_points(r, density, False))
-            inner = pts[boundary:]
-            assert np.all(interval_distance(inner) < r)
-            assert 0.0 in inner
+            assert pts[0] == 1.0 + r and pts[size // 2] == -1.0 - r
+            # consecutive points, the last and the first included, are
+            # adjacent along the curve: the argument about 0 never falls,
+            # turns once around, and steps by at most one piece spacing
+            arg = np.angle(pts)
+            step = np.diff(arg, append=arg[0])
+            step -= 2.0 * np.pi * np.round(step / (2.0 * np.pi))
+            assert np.all(step >= 0.0)
+            assert np.sum(step) == pytest.approx(2.0 * np.pi, rel=1e-12)
+            gaps = np.abs(np.diff(pts, append=pts[0]))
+            assert np.max(gaps) <= max(r * np.pi, 2.0) / (density - 1) * (1.0 + 1e-12)
 
-    @pytest.mark.parametrize("interior", [False, True])
+    @pytest.mark.parametrize("region", [False, True])
     @pytest.mark.parametrize("density", [1, 2, 17, 128, 4096])
-    def test_conjugate_free_columns_cover_the_template(self, density, interior):
-        keep = gevrey._conjugate_free_columns(density, interior)
-        # at every radius, each dropped point is the exact conjugate of a kept one
+    def test_conjugate_free_columns_cover_the_template(self, density, region):
+        # the first len // 2 + 1 points, tips included, hold one point of
+        # every conjugate pair: the rest are their exact conjugates in
+        # reverse, bit for bit at every radius, through StadiumRegion or not
         for r in (1e-300, 1e-3, 0.37, 2.5):
-            pts = gevrey._stadium_points(r, density, interior)
-            assert set(np.delete(pts, keep).tolist()) <= {z.conjugate() for z in pts[keep].tolist()}
-        # and no two kept template points form a conjugate pair
-        offset, direction = gevrey._template(density, interior)
-        kept = set(zip(offset[keep].tolist(), direction[keep].tolist()))
-        assert not {(o, d.conjugate()) for o, d in kept if d.imag} & kept
-        assert len(gevrey._conjugate_free_columns(128, False)) == 352
+            pts = (StadiumRegion(k=1.0, A=r, n=1).sample(density) if region
+                   else gevrey._stadium_points(r, density))
+            half = len(pts) // 2 + 1
+            assert pts[0].imag == 0.0 and pts[half - 1].imag == 0.0
+            assert np.all(pts[1:half - 1].imag > 0.0)
+            lower = np.conj(pts[1:half - 1][::-1])
+            assert pts[half:].view(float).tobytes() == lower.view(float).tobytes()
+        assert len(gevrey._stadium_points(1.0, 128)) // 2 + 1 == 258
 
 
 class TestCheckEk:
@@ -117,11 +125,15 @@ class TestCheckEk:
 
     def test_level_error_precedes_a_later_radius_error(self):
         # at k = 1e-3 the level-2 radius 0.5 * 3^-1000 underflows to 0, and
-        # the level-1 interior grid holds t = 0, where 1/t fails first
-        with pytest.raises(DomainError, match="division by zero"):
-            check_ek(parse("1/t"), 1e-3, [0.5], 100, density=128)
+        # exp(800 t), analytic on the level-1 stadium, overflows there first
+        with pytest.raises(OverflowEvalError, match="non-finite value"):
+            check_ek(parse("exp(800*t)"), 1e-3, [0.5], 100, density=128)
         with pytest.raises(GevreyError, match="stadium radius 0.0"):
             check_ek(parse("1/(t+3)"), 1e-3, [0.5], 100, density=128)
+        # 1/t has its pole inside the level-1 stadium: that level is not
+        # evaluated, and the radius error follows
+        with pytest.raises(GevreyError, match="stadium radius 0.0"):
+            check_ek(parse("1/t"), 1e-3, [0.5], 100, density=128)
 
     @pytest.mark.parametrize("p_max,density", [(0, 32), (10001, 32), (3, 0), (3, 4097)])
     def test_level_and_density_caps(self, monkeypatch, p_max, density):
@@ -138,13 +150,15 @@ ENTIRE_MAPS = ["sin(t)", "0.5*sin(t)^3", "t^2-0.5", "0.5*cos(t)", "0.9*t",
 NON_ENTIRE_MAPS = ["sqrt(t+2)", "1/(t+3)", "2^t", "ln(t+3)"]
 
 
-def count_eval_points(monkeypatch):
-    """Patch Expr.eval_complex to record the number of points of each call."""
+def count_eval_points(monkeypatch, psi):
+    """Patch Expr.eval_complex to record the number of points of each call
+    that evaluates psi itself (not one of its node operands)."""
     counts = []
     original = Expr.eval_complex
 
     def counting(self, z):
-        counts.append(np.size(z))
+        if self.root is psi.root:
+            counts.append(np.size(z))
         return original(self, z)
 
     monkeypatch.setattr(Expr, "eval_complex", counting)
@@ -153,23 +167,20 @@ def count_eval_points(monkeypatch):
 
 def boundary_size(density):
     """Points of one stadium boundary sample at the given density."""
-    return len(StadiumRegion(k=1.0, A=0.5, n=2).sample(density, interior=False))
-
-
-def sample_size(density):
-    """Points of one stadium sample, interior included, at the given density."""
     return len(StadiumRegion(k=1.0, A=0.5, n=2).sample(density))
 
 
-def full_sample_maxima(psi, k, A, p_max, density):
+def full_sample_maxima(psi, k, A, p_max, density, singular=math.inf):
     """max dist(psi(z), [-1, 1]) over every point of each level's
-    StadiumRegion.sample, one level at a time: the reference for check_ek."""
-    interior = not psi.is_entire()
-    return [
-        np.max(interval_distance(psi.eval_complex(
-            StadiumRegion(k=k, A=A, n=p + 1).sample(density, interior))))
-        for p in range(1, p_max + 1)
-    ]
+    StadiumRegion.sample, one level at a time: the reference for check_ek,
+    with inf for the levels whose radius exceeds `singular`, the distance
+    from [-1, 1] of psi's nearest singularity."""
+    maxima = []
+    for p in range(1, p_max + 1):
+        region = StadiumRegion(k=k, A=A, n=p + 1)
+        maxima.append(math.inf if region.radius > singular else
+                      np.max(interval_distance(psi.eval_complex(region.sample(density)))))
+    return maxima
 
 
 class TestEkSampling:
@@ -178,58 +189,120 @@ class TestEkSampling:
     @pytest.mark.parametrize("src", ENTIRE_MAPS)
     def test_boundary_only_matches_full_sampling(self, monkeypatch, src, k, density):
         psi = parse(src)
-        counts = count_eval_points(monkeypatch)
+        counts = count_eval_points(monkeypatch, psi)
         got = check_ek(psi, k, [0.1, 0.5, 0.9], 100, density=density)
-        # the boundaries of all 100 levels of each scale, one point of each
-        # conjugate pair, in blocks of at most _EK_CHUNK points
+        # the first half of the boundaries of all 100 levels of each scale,
+        # tips included, in blocks of at most _EK_CHUNK points
         assert max(counts) <= gevrey._EK_CHUNK
-        assert sum(counts) == 3 * 100 * len(gevrey._conjugate_free_columns(density, False))
+        assert sum(counts) == 3 * 100 * (2 * density + 2)
         calls = len(counts)
 
-        monkeypatch.setattr(Expr, "is_entire", lambda self: False)
         monkeypatch.setattr(Expr, "is_conjugate_exact", lambda self: False)
         want = check_ek(psi, k, [0.1, 0.5, 0.9], 100, density=density)
-        assert sum(counts[calls:]) == 3 * 100 * sample_size(density)
+        assert sum(counts[calls:]) == 3 * 100 * boundary_size(density)
         for f in dataclasses.fields(EkReport):
             assert getattr(got, f.name) == getattr(want, f.name), f.name
 
     @pytest.mark.parametrize("src", NON_ENTIRE_MAPS)
-    def test_non_entire_maps_sample_the_interior(self, monkeypatch, src):
-        counts = count_eval_points(monkeypatch)
-        check_ek(parse(src), 1.0, [0.1, 0.5], 20, density=32)
-        # every point of both scales' 20 samples, interior included
-        assert max(counts) <= max(gevrey._EK_CHUNK, sample_size(32))
-        assert sum(counts) == 2 * 20 * sample_size(32)
-        assert sample_size(32) > boundary_size(32)
+    def test_non_entire_maps_evaluate_the_whole_curve(self, monkeypatch, src):
+        psi = parse(src)
+        counts = count_eval_points(monkeypatch, psi)
+        rep = check_ek(psi, 1.0, [0.1, 0.5], 20, density=128)
+        # every point of both scales' 20 boundaries, no interior
+        assert not any(isinstance(lv, SingularEkLevel) for lv in rep.levels)
+        assert max(counts) <= gevrey._EK_CHUNK
+        assert sum(counts) == 2 * 20 * 514 == 2 * 20 * boundary_size(128)
 
     @pytest.mark.parametrize("src", ["sin(t)", "sqrt(t+2)"])
     def test_evaluations_are_chunked(self, monkeypatch, src):
         psi = parse(src)
         counts = []
 
-        def zeros(self, z):
-            counts.append(np.size(z))
-            return np.zeros(np.shape(z), dtype=complex)
+        def ones(self, z):
+            if self.root is psi.root:
+                counts.append(np.size(z))
+            return np.ones(np.shape(z), dtype=complex)
 
-        monkeypatch.setattr(Expr, "eval_complex", zeros)
+        monkeypatch.setattr(Expr, "eval_complex", ones)
         rep = check_ek(psi, 1.0, [0.5], 300, density=4096)
-        # sin(t) evaluates one point of each conjugate pair of its boundary
-        level = (len(gevrey._conjugate_free_columns(4096, False)) if psi.is_entire()
-                 else sample_size(4096))
+        # sin(t) evaluates the first half of its boundary, tips included
+        level = boundary_size(4096) // 2 + 1 if psi.is_conjugate_exact() else boundary_size(4096)
         assert len(rep.levels) == 300 and len(counts) > 1
         assert max(counts) <= max(gevrey._EK_CHUNK, level)
         assert sum(counts) == 300 * level
 
     # entire maps with and without the conjugate reduction (1.5*t peaks at
-    # the unpaired cap tip 1 + r), non-entire maps with and without
-    # reflection symmetry, and a pole 0.05 from [-1, 1]
+    # the cap tip 1 + r), non-entire maps with and without reflection
+    # symmetry, and a pole 0.05 from [-1, 1]
     @pytest.mark.parametrize("density", [1, 2, 17, 128, 4096])
     @pytest.mark.parametrize("src,k", [("sin(t)", 1.0), ("1.5*t", 1.0), ("(0*t-2)^101*t", 1.0),
                                        ("sqrt(t+2)", 1.0), ("(-1)^t", 1.0), ("1/(t-1.05)", 0.5)])
     def test_row_blocks_match_one_level_at_a_time(self, src, k, density):
         psi, A = parse(src), 0.5
         rep = check_ek(psi, k, [A], 12, density=density)
-        assert [lv.worst_dist for lv in rep.levels] == full_sample_maxima(psi, k, A, 12, density)
+        singular = 0.05 if src == "1/(t-1.05)" else math.inf
+        assert [lv.worst_dist for lv in rep.levels] == full_sample_maxima(
+            psi, k, A, 12, density, singular)
+
+
+# (psi, regularity indices k, distance from [-1, 1] of its singularity, the
+# name of every singular level or None): the levels whose stadium reaches
+# the singularity fail, and no other
+SINGULAR_MAPS = [("1/(t-1.05)", (0.5,), 0.05, "pole of 1/(t-1.05)"),
+                 ("sqrt(1.2-t)", (0.5, 1.0, 2.0), 0.2, "cut of sqrt(1.2-t)"),
+                 ("sqrt((t-1.04)/(t-1.05))", (0.5,), 0.04, None)]
+
+
+class TestSingularLevels:
+    @pytest.mark.parametrize("density", [1, 2, 3, 4, 17, 64, 128, 1024])
+    @pytest.mark.parametrize("src,ks,gap,name", SINGULAR_MAPS, ids=[m[0] for m in SINGULAR_MAPS])
+    def test_exactly_the_levels_that_hold_the_singularity_fail(self, src, ks, gap, name, density):
+        psi = parse(src)
+        for k in ks:
+            rep = check_ek(psi, k, [0.1, 0.5, 0.9], 100, density=density)
+            singular = [lv for lv in rep.levels if isinstance(lv, SingularEkLevel)]
+            holds = [lv for lv in rep.levels
+                     if StadiumRegion(k=k, A=lv.A, n=lv.p + 1).radius >= gap]
+            assert singular == holds and singular
+            assert all(lv.worst_dist == lv.worst_ratio == math.inf for lv in singular)
+            assert all(math.isfinite(lv.worst_ratio) for lv in rep.levels if lv not in singular)
+            if name is not None and density >= 17:
+                assert {lv.singularity for lv in singular} == {name}
+
+    def test_the_innermost_node_is_named_first(self):
+        # radius 0.9 / 4 holds the pole at 1.05 and the zero at 1.04
+        rep = check_ek(parse("sqrt((t-1.04)/(t-1.05))"), 0.5, [0.9], 1, density=64)
+        assert rep.levels[0].singularity == "pole of (t-1.04)/(t-1.05)"
+        # radius 0.045 holds the zero, not the pole: the cut node fails
+        rep = check_ek(parse("sqrt((t-1.04)/(t-1.05))"), 1.0, [0.09], 1, density=64)
+        assert rep.levels[0].singularity == "cut of sqrt((t-1.04)/(t-1.05))"
+
+    def test_a_coarse_curve_is_unresolved(self):
+        # at density 1 the curve has 4 points, and seen from the pole the
+        # step from the tip 1 + r to -1 + i r turns by almost pi
+        rep = check_ek(parse("1/(t-1.05)"), 0.5, [0.9], 4, density=1)
+        names = [getattr(lv, "singularity", None) for lv in rep.levels]
+        assert names == ["unresolved pole of 1/(t-1.05)"] * 3 + [None]
+        assert not rep.passed and rep.worst_ratio == math.inf
+        assert rep.first_pass_p == {0.9: None}
+
+    def test_winding_and_cut_tests_on_a_circle(self):
+        # the unit circle, in order: 1/(t - c) has its pole inside iff
+        # |c| < 1, and sqrt(t - c) its cut inside iff c > -1
+        circle = np.exp(2j * np.pi * np.arange(64) / 64)[None]
+        for c, pole, cut in [(0.5, True, True), (-0.5, True, True), (1.5, False, True),
+                             (-1.5, False, False)]:
+            for src, kind, fails in [(f"1/(t-({c}))", "pole", pole), (f"sqrt(t-({c}))", "cut", cut)]:
+                names = gevrey._singularities(parse(src).singular_nodes(), circle)
+                assert names == [f"{kind} of {src}" if fails else None], src
+        # 3 points of a circle of radius 0.01 around a pole: unresolved
+        near = 1.0 + 1e-2 * np.exp(2j * np.pi * np.arange(3) / 3)
+        names = gevrey._singularities(parse("1/(t-1.001)").singular_nodes(), near[None])
+        assert names == ["unresolved pole of 1/(t-1.001)"]
+
+    def test_entire_reports_keep_their_keys(self):
+        rep = check_ek(parse("sin(t)"), 1.0, [0.5], 3, density=32)
+        assert all(type(lv) is gevrey.EkLevel for lv in rep.levels)
 
 
 class TestConjugateReflection:
@@ -256,7 +329,7 @@ class TestConjugateReflection:
     @example(src="(0.3-1.2)^100*t")
     def test_accepted_trees_reflect_bit_for_bit(self, src):
         psi = parse(src)
-        assert psi.is_entire()
+        assert not psi.singular_nodes()
         if not psi.is_conjugate_exact():
             return
         for radius in (1e-300, 1e-3, 0.37, 2.5):
@@ -272,19 +345,23 @@ class TestConjugateReflection:
             else:
                 assert np.array_equal(dists[0], dists[1])
 
+    # ln(0*t-1) is the constant i pi, but its operand lies on the cut of ln
+    # at every point, so no level is shown analytic and none is evaluated
     @pytest.mark.parametrize("src", ["(0*t-2)^101*t", "(0*t-2)^100*t", "(-1)^t", "ln(0*t-1)"])
     def test_rejected_trees_keep_the_full_template(self, src):
         psi = parse(src)
         assert not psi.is_conjugate_exact()
         rep = check_ek(psi, 1.0, [0.5], 3, density=17)
-        assert [lv.worst_dist for lv in rep.levels] == full_sample_maxima(psi, 1.0, 0.5, 3, 17)
+        singular = 0.0 if src == "ln(0*t-1)" else math.inf
+        assert [lv.worst_dist for lv in rep.levels] == full_sample_maxima(
+            psi, 1.0, 0.5, 3, 17, singular)
 
     @pytest.mark.parametrize("exponent", [99, 100, 101])
     def test_exponents_from_100_break_the_reflection(self, exponent):
         # numpy multiplies out integer powers below 100 and takes larger
         # ones through the complex logarithm
         psi = parse(f"(0*t-2)^{exponent}*t")
-        z = gevrey._stadium_points(0.37, 128, interior=False)
+        z = gevrey._stadium_points(0.37, 128)
         same = np.array_equal(interval_distance(psi.eval_complex(z)),
                               interval_distance(psi.eval_complex(np.conj(z))))
         assert same is (exponent < 100) is psi.is_conjugate_exact()
@@ -345,6 +422,20 @@ class TestOmegaSequence:
             w = om.a_sup * p.P.majorant_eval(rep.r0 + s * n ** (-1.0) * w) + om.source_sup
             oracle.append(w)
         assert np.allclose(oracle, om.values, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("change,message", [
+        ({"a": "0.1/(t-1.2)"}, "a is not analytic .*: pole of 0.1/\\(t-1.2\\)"),
+        ({"b": "sqrt(1.3-t)"}, "b is not analytic .*: cut of sqrt\\(1.3-t\\)"),
+    ], ids=["a", "b"])
+    def test_singular_data_are_named(self, change, message):
+        # mu = 1: the stadium of radius 0.5 holds the pole at 1.2 and the
+        # branch point at 1.3
+        p = load_problem({**example2_doc(), **change, "mu": 1.0})
+        with pytest.raises(GevreyError, match=message):
+            omega_sequence(p, 0.0, 0.1, 3, None)
+        # with mu = 0.2 both lie outside
+        p = load_problem({**example2_doc(), **change, "mu": 0.2})
+        assert omega_sequence(p, 0.0, 0.1, 3, None).mu == 0.2
 
     def test_envelope_constant_floor(self, quartic):
         p, rep = quartic

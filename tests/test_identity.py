@@ -129,7 +129,7 @@ def test_record_adds_the_fixed_operations(monkeypatch):
         options = "--pmax 300 --density 200 --A 0.05,0.3,1.7"
         assert ops[f"example2 psi={psi} ek {options}"] == {
             "argv": ["ek", *options.split()], "doc": doc}
-        assert not parse(psi).is_entire()
+        assert not parse(psi).is_conjugate_exact()
     assert ops["entire solve"] == {"argv": ["solve"], "doc": identity.FIXED_DOCS[0][1]}
     assert ops["escape solve --force"] == {
         "argv": ["solve", "--force"], "doc": identity.FIXED_DOCS[1][1]}
@@ -144,6 +144,11 @@ def test_record_adds_the_fixed_operations(monkeypatch):
         ('psi="(0*t-2)^101*t" ek', {"psi": "(0*t-2)^101*t"}, ["ek"]),
         ('psi="1/(t-1.05)" k=0.5 ek', {"psi": "1/(t-1.05)", "k": 0.5}, ["ek"]),
         ('psi="(-1)^t" ek', {"psi": "(-1)^t"}, ["ek"]),
+        ('psi="1/(t-1.05)" k=0.5 ek --density 17', {"psi": "1/(t-1.05)", "k": 0.5},
+         ["ek", "--density", "17"]),
+        ('psi="sqrt(1.2-t)" k=0.5 ek', {"psi": "sqrt(1.2-t)", "k": 0.5}, ["ek"]),
+        ('psi="sqrt((t-1.04)/(t-1.05))" k=0.5 ek', {"psi": "sqrt((t-1.04)/(t-1.05))", "k": 0.5},
+         ["ek"]),
     ]:
         assert ops[f"example2 {key}"] == {"argv": argv, "doc": {**cli.example2_doc(), **change}}
     assert ops["gevrey --selftest"] == {"argv": ["gevrey"], "doc": None}

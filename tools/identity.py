@@ -10,13 +10,14 @@ workloads under ``check``, ``solve``, ``solve --force``, ``ek`` and
 ``gevrey``, plus ``reproduce all|example1|example2``.  A fixed list adds
 what no workload reaches: ``solve --require-ek`` on problem ``diag-0`` of
 ``diagnostics``, ``ek`` on the built-in ``example2`` with ``psi`` set to
-each map of EK_MAPS (none of them entire, so the stadium interior is
-sampled), at the default options and at EK_OPTIONS, each command of
-FIXED_DOCS on its document and of EXAMPLE2_CHANGES on ``example2`` with its
-entries replaced, and ``gevrey --selftest``.  Each operation is
-recorded as its exit code, stderr and stdout, with every ``"seconds"``
-value masked, since a report's timing is the only part allowed to change
-between runs.  It reads nothing of ``perfbench/`` but the workload generator.
+each map of EK_MAPS (none of them conjugate-exact, so the whole stadium
+boundary is evaluated, and each but ``2^t`` with a pole or cut that every
+stadium is shown free of), at the default options and at EK_OPTIONS, each
+command of FIXED_DOCS on its document and of EXAMPLE2_CHANGES on
+``example2`` with its entries replaced, and ``gevrey --selftest``.  Each
+operation is recorded as its exit code, stderr and stdout, with every
+``"seconds"`` value masked, since a report's timing is the only part
+allowed to change between runs.  It reads nothing of ``perfbench/`` but the workload generator.
 
 ``compare`` lists every operation whose record differs between two files,
 or is missing from one, and exits 1 if there is any; it exits 0 otherwise.
@@ -61,7 +62,9 @@ FIXED_DOCS = (
 # "first_pass_p" keys print in exponent form, the smallest density, an odd
 # one, one whose level is larger than an ek block, an entire psi whose
 # power is not evaluated exactly under conjugation, a psi with a pole 0.05
-# from [-1, 1], and one that moves with the branch of (-1)^t
+# from [-1, 1] (also at density 17), one that moves with the branch of
+# (-1)^t, one whose branch cut starts 0.2 from [-1, 1], and one with a zero
+# 0.04 and a pole 0.05 from it under a cut
 EXAMPLE2_CHANGES = (
     ({"a": "1e200", "P": [0, 1e200, 1]}, ["check"]),
     ({"P": [0, 0.1]}, ["solve", "--force"]),
@@ -73,6 +76,9 @@ EXAMPLE2_CHANGES = (
     ({"psi": "(0*t-2)^101*t"}, ["ek"]),
     ({"psi": "1/(t-1.05)", "k": 0.5}, ["ek"]),
     ({"psi": "(-1)^t"}, ["ek"]),
+    ({"psi": "1/(t-1.05)", "k": 0.5}, ["ek", "--density", "17"]),
+    ({"psi": "sqrt(1.2-t)", "k": 0.5}, ["ek"]),
+    ({"psi": "sqrt((t-1.04)/(t-1.05))", "k": 0.5}, ["ek"]),
 )
 _SECONDS = re.compile(r'("seconds": )[^,}\n]+')
 _ABSENT = object()  # a key missing from one of two compared JSON objects
