@@ -113,6 +113,18 @@ def _stadium_points(radius, density):
     return offset + float(radius) * direction
 
 
+def _stadium_radius(k, A, n):
+    """A * n^(-1/k), the radius of the level-n stadium of scale A, in plain
+    Python floats; a GevreyError if the parameters are out of range or the
+    radius is not positive and finite."""
+    if k <= 0 or A <= 0 or n < 1:
+        raise GevreyError("stadium parameters must satisfy k>0, A>0, n>=1")
+    radius = A * n ** (-1.0 / k)
+    if not 0.0 < radius < math.inf:
+        raise GevreyError(f"stadium radius {radius!r} is not positive and finite")
+    return radius
+
+
 @dataclass(frozen=True)
 class StadiumRegion:
     """The interval [-1, 1] fattened by an open disk of radius A * n^(-1/k)."""
@@ -122,17 +134,17 @@ class StadiumRegion:
     n: int
 
     def __post_init__(self):
-        if self.k <= 0 or self.A <= 0 or self.n < 1:
-            raise GevreyError("stadium parameters must satisfy k>0, A>0, n>=1")
-        if not 0.0 < self.radius < math.inf:
-            raise GevreyError(f"stadium radius {self.radius!r} is not positive and finite")
+        _stadium_radius(self.k, self.A, self.n)
 
     @property
     def radius(self):
-        return self.A * self.n ** (-1.0 / self.k)
+        return _stadium_radius(self.k, self.A, self.n)
 
     def sample(self, density):
-        """The boundary, sampled by `_template`."""
+        """The boundary, sampled by `_template`.  check_ek does not call it,
+        as it scales the template by a whole block of radii at once; it
+        stays for library callers and for `perfbench/tracing.py`, whose
+        `install` patches it by name."""
         return _stadium_points(self.radius, density)
 
 
@@ -181,8 +193,9 @@ def check_ek(psi, k, A_list, p_max, density=128):
     not evaluated, worst_ratio and worst_dist inf, and `singularity` naming
     the node ("pole of 1/(t-1.05)", "cut of sqrt(1.2-t)", "unresolved pole
     of ..."), so it fails.  The levels of one scale are stacked as the rows
-    of blocks of at most _EK_CHUNK evaluated points (or one level), one psi
-    evaluation per block.  When psi commutes with conjugation
+    of blocks of at most _EK_CHUNK evaluated points (or one level); a
+    block's curves are one broadcast of the template over the list of its
+    radii, and take one psi evaluation.  When psi commutes with conjugation
     (`Expr.is_conjugate_exact`) only the first half of each curve, tips
     included, is evaluated: the rest are the exact conjugates of its points.
     The check passes when every ratio is <= 1 + 1e-12.  first_pass_p maps
@@ -206,11 +219,11 @@ def check_ek(psi, k, A_list, p_max, density=128):
     worst_overall = 0.0
     for A in A_list:
         last_fail = 0
-        for p, (worst, singularity) in enumerate(_level_maxima(psi, k, A, p_max, density), 1):
-            ratio = worst / (A * p ** (-1.0 / k))
-            level = dict(A=A, p=p, worst_ratio=ratio, worst_dist=worst)
-            levels.append(EkLevel(**level) if singularity is None
-                          else SingularEkLevel(**level, singularity=singularity))
+        for p, (worst, singularity, radius) in enumerate(
+                _level_maxima(psi, k, A, p_max, density), 1):
+            ratio = worst / radius
+            levels.append(EkLevel(A, p, ratio, worst) if singularity is None
+                          else SingularEkLevel(A, p, ratio, worst, singularity))
             worst_overall = max(worst_overall, ratio)
             if ratio > 1.0 + EK_PASS_SLACK:
                 last_fail = p
@@ -221,34 +234,41 @@ def check_ek(psi, k, A_list, p_max, density=128):
 
 
 def _level_maxima(psi, k, A, p_max, density):
-    """(max dist(psi(z), [-1, 1]) over the boundary of the level-(p+1)
-    stadium of scale A, None), or (inf, name) where `_singularities` names a
-    node, for p = 1..p_max.  A level whose radius underflows ends the
-    levels; its error is raised after the earlier levels of its block are
-    evaluated, so an error evaluating one of those is reported first."""
+    """(worst, name, radius) for p = 1..p_max: worst is max dist(psi(z),
+    [-1, 1]) over the boundary of the level-(p+1) stadium of scale A and
+    name None, or inf and the node `_singularities` names; radius is that
+    of the level-p stadium.  Each block of levels is one broadcast of the
+    template, offset + radii[:, None] * direction, over the list of its
+    radii (`_stadium_radius`).  A level whose radius is not positive and
+    finite ends the levels; its error is raised after the earlier levels
+    of its block are evaluated, so an error evaluating one of those is
+    reported first."""
     # a conjugate-exact psi is entire, so no node needs the lower half
     nodes = psi.singular_nodes()
-    size = len(_template(density)[0])
-    width = size // 2 + 1 if psi.is_conjugate_exact() else size
+    offset, direction = _template(density)
+    width = len(offset) // 2 + 1 if psi.is_conjugate_exact() else len(offset)
+    offset, direction = offset[:width], direction[:width]
     rows = max(1, _EK_CHUNK // width)
+    radii = [_stadium_radius(k, A, 1)]  # radii[n - 1] is the level-n radius
     out = []
     for first in range(1, p_max + 1, rows):
-        block, error = [], None
+        error = None
         for p in range(first, min(first + rows, p_max + 1)):
             try:
-                block.append(StadiumRegion(k=k, A=A, n=p + 1).sample(density)[:width])
+                radii.append(_stadium_radius(k, A, p + 1))
             except GevreyError as exc:
                 error = exc
                 break
+        block = radii[first:]
         if block:
-            curves = np.array(block)
+            curves = offset + np.array(block)[:, None] * direction
             names = _singularities(nodes, curves)
             keep = [i for i, name in enumerate(names) if name is None]
             worst = np.full(len(block), math.inf)
             if keep:
                 z = curves if len(keep) == len(block) else curves[keep]
                 worst[keep] = np.max(interval_distance(psi.eval_complex(z)), axis=1)
-            out.extend(zip(worst.tolist(), names))
+            out.extend(zip(worst.tolist(), names, radii[first - 1:-1]))
         if error is not None:
             raise error
     return out
@@ -385,8 +405,10 @@ def stadium_inclusion_probe(iterates, r0, k, s, C, n_range):
     reported.  A stadium fits when its point 1 + radius does, as no point of
     the stadium has a larger Bernstein-ellipse parameter.  Only the stadium
     boundary is sampled: an iterate is a polynomial, so the distance of its
-    values from the interval is subharmonic and peaks there.  Iterate n is
-    the n-th Picard iterate (iterates[0] is the zero start).
+    values from the interval is subharmonic and peaks there.  As its
+    coefficients are real, only the first half of the curve, tips included,
+    is evaluated; `points` counts the whole curve.  Iterate n is the n-th
+    Picard iterate (iterates[0] is the zero start).
     """
     n_range = list(n_range)
     if not n_range:
@@ -408,13 +430,18 @@ def stadium_inclusion_probe(iterates, r0, k, s, C, n_range):
     else:
         raise GevreyError("could not shrink s into the trusted ellipses")
 
+    # an iterate has real coefficients: its values on the lower half of the
+    # curve are the exact conjugates of those on the upper half
+    offset, direction = _template(PROBE_DENSITY)
+    size = len(offset)
+    offset, direction = offset[:size // 2 + 1], direction[:size // 2 + 1]
     report = ProbeReport(s_requested=float(s), s_used=s_used, C=C, r0=r0, k=k)
     for n in n_range:
         radius = s_used * n ** (-1.0 / k)
-        pts = _stadium_points(radius, PROBE_DENSITY)
-        worst = float(np.max(interval_distance(iterates[n - 1].eval_complex(pts), half_width=r0)))
+        values = iterates[n - 1].eval_complex(offset + radius * direction)
+        worst = float(np.max(interval_distance(values, half_width=r0)))
         report.levels.append(ProbeLevel(n=n, ratio=worst / (C * radius), worst_dist=worst,
-                                        allowed=C * radius, points=len(pts)))
+                                        allowed=C * radius, points=size))
     report.all_within = max(lv.ratio for lv in report.levels) <= 1.0 + EK_PASS_SLACK
     return report
 

@@ -123,7 +123,7 @@ class TestCheckEk:
         d = dataclasses.asdict(rep)
         assert d["passed"] and len(d["levels"]) == 3
 
-    def test_level_error_precedes_a_later_radius_error(self):
+    def test_level_error_precedes_a_later_radius_error(self, monkeypatch):
         # at k = 1e-3 the level-2 radius 0.5 * 3^-1000 underflows to 0, and
         # exp(800 t), analytic on the level-1 stadium, overflows there first
         with pytest.raises(OverflowEvalError, match="non-finite value"):
@@ -134,13 +134,24 @@ class TestCheckEk:
         # evaluated, and the radius error follows
         with pytest.raises(GevreyError, match="stadium radius 0.0"):
             check_ek(parse("1/t"), 1e-3, [0.5], 100, density=128)
+        # at k = 0.005 the radius 0.5 * 42^-200 of level 41 is the first to
+        # underflow, in the second block of 31 levels: exp(800 t) overflows
+        # in the first, and sin(t) is evaluated on the 40 levels before it
+        with pytest.raises(OverflowEvalError, match="non-finite value"):
+            check_ek(parse("exp(800*t)"), 0.005, [0.5], 100, density=128)
+        psi = parse("sin(t)")
+        counts = count_eval_points(monkeypatch, psi)
+        with pytest.raises(GevreyError, match="stadium radius 0.0 is not positive and finite"):
+            check_ek(psi, 0.005, [0.5], 100, density=128)
+        assert counts == [31 * 258, 9 * 258]
 
     @pytest.mark.parametrize("p_max,density", [(0, 32), (10001, 32), (3, 0), (3, 4097)])
     def test_level_and_density_caps(self, monkeypatch, p_max, density):
         def forbidden(*args, **kwargs):
             raise AssertionError("sampled before checking the caps")
 
-        monkeypatch.setattr(StadiumRegion, "sample", forbidden)
+        monkeypatch.setattr(gevrey, "_template", forbidden)
+        monkeypatch.setattr(Expr, "eval_complex", forbidden)
         with pytest.raises(GevreyError, match="must be in"):
             check_ek(parse("sin(t)"), 1.0, [0.5], p_max, density=density)
 
@@ -148,6 +159,9 @@ class TestCheckEk:
 ENTIRE_MAPS = ["sin(t)", "0.5*sin(t)^3", "t^2-0.5", "0.5*cos(t)", "0.9*t",
                "sin(0.5*t)^3", "0.3*sinh(t)", "exp(t)-1"]
 NON_ENTIRE_MAPS = ["sqrt(t+2)", "1/(t+3)", "2^t", "ln(t+3)"]
+# (psi, regularity indices k) for test_row_blocks_match_one_level_at_a_time
+BLOCK_MAPS = [(src, (0.5, 1.0, 2.0)) for src in
+              ("sin(t)", "1.5*t", "(0*t-2)^101*t", "sqrt(t+2)", "(-1)^t")] + [("1/(t-1.05)", (0.5,))]
 
 
 def count_eval_points(monkeypatch, psi):
@@ -233,16 +247,20 @@ class TestEkSampling:
 
     # entire maps with and without the conjugate reduction (1.5*t peaks at
     # the cap tip 1 + r), non-entire maps with and without reflection
-    # symmetry, and a pole 0.05 from [-1, 1]
+    # symmetry, and a pole 0.05 from [-1, 1]; 100 levels span 4 blocks of
+    # 31 levels at density 128 for sin(t) and 1.5*t, 7 blocks of 15 for the
+    # others, and 100 blocks of one level at density 4096
     @pytest.mark.parametrize("density", [1, 2, 17, 128, 4096])
-    @pytest.mark.parametrize("src,k", [("sin(t)", 1.0), ("1.5*t", 1.0), ("(0*t-2)^101*t", 1.0),
-                                       ("sqrt(t+2)", 1.0), ("(-1)^t", 1.0), ("1/(t-1.05)", 0.5)])
-    def test_row_blocks_match_one_level_at_a_time(self, src, k, density):
+    @pytest.mark.parametrize("src,ks", BLOCK_MAPS, ids=[m[0] for m in BLOCK_MAPS])
+    def test_row_blocks_match_one_level_at_a_time(self, src, ks, density):
         psi, A = parse(src), 0.5
-        rep = check_ek(psi, k, [A], 12, density=density)
         singular = 0.05 if src == "1/(t-1.05)" else math.inf
-        assert [lv.worst_dist for lv in rep.levels] == full_sample_maxima(
-            psi, k, A, 12, density, singular)
+        for k in ks:
+            rep = check_ek(psi, k, [A], 100, density=density)
+            assert [lv.worst_dist for lv in rep.levels] == full_sample_maxima(
+                psi, k, A, 100, density, singular)
+            assert [lv.worst_ratio for lv in rep.levels] == [
+                lv.worst_dist / StadiumRegion(k=k, A=A, n=lv.p).radius for lv in rep.levels]
 
 
 # (psi, regularity indices k, distance from [-1, 1] of its singularity, the
@@ -467,6 +485,33 @@ class TestStadiumInclusionProbe:
             sol.iterates, sol.r0_used, 1.0, 0.2, 2.0, range(1, 4)
         )
         assert probe.all_within
+
+    def test_half_curve_gives_the_whole_curve_report(self, monkeypatch):
+        # an iterate has real coefficients, so the first half of each curve,
+        # tips included, holds the worst distance of the whole curve
+        p = load_problem(example2_doc())
+        rep = conditions.analyze(p)
+        sol = picard.solve(p, rep, keep_iterates=True)
+        rng = np.random.default_rng(7)
+        iterates = [*sol.iterates,
+                    *(ChebFun(rng.standard_normal(d) * 0.99 ** np.arange(d)) for d in (2, 50, 2000))]
+        counts = []
+        original = ChebFun.eval_complex
+
+        def counting(self, z):
+            counts.append(np.size(z))
+            return original(self, z)
+
+        monkeypatch.setattr(ChebFun, "eval_complex", counting)
+        n_range = range(1, len(iterates) + 1)
+        probe = stadium_inclusion_probe(iterates, rep.r0, p.k, 0.3, 2.0, n_range)
+        size = 4 * gevrey.PROBE_DENSITY + 2
+        assert counts == [size // 2 + 1] * len(iterates)
+        for lv in probe.levels:
+            radius = probe.s_used * lv.n ** (-1.0 / p.k)
+            pts = gevrey._stadium_points(radius, gevrey.PROBE_DENSITY)
+            worst = np.max(interval_distance(original(iterates[lv.n - 1], pts), half_width=rep.r0))
+            assert (lv.points, lv.worst_dist, lv.ratio) == (size, worst, worst / (2.0 * radius))
 
     def test_missing_iterates_rejected(self):
         with pytest.raises(GevreyError):

@@ -149,6 +149,8 @@ def test_record_adds_the_fixed_operations(monkeypatch):
         ('psi="sqrt(1.2-t)" k=0.5 ek', {"psi": "sqrt(1.2-t)", "k": 0.5}, ["ek"]),
         ('psi="sqrt((t-1.04)/(t-1.05))" k=0.5 ek', {"psi": "sqrt((t-1.04)/(t-1.05))", "k": 0.5},
          ["ek"]),
+        ("k=0.005 ek", {"k": 0.005}, ["ek"]),
+        ('psi="exp(800*t)" k=0.005 ek', {"psi": "exp(800*t)", "k": 0.005}, ["ek"]),
     ]:
         assert ops[f"example2 {key}"] == {"argv": argv, "doc": {**cli.example2_doc(), **change}}
     assert ops["gevrey --selftest"] == {"argv": ["gevrey"], "doc": None}

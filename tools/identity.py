@@ -63,8 +63,10 @@ FIXED_DOCS = (
 # one, one whose level is larger than an ek block, an entire psi whose
 # power is not evaluated exactly under conjugation, a psi with a pole 0.05
 # from [-1, 1] (also at density 17), one that moves with the branch of
-# (-1)^t, one whose branch cut starts 0.2 from [-1, 1], and one with a zero
-# 0.04 and a pole 0.05 from it under a cut
+# (-1)^t, one whose branch cut starts 0.2 from [-1, 1], one with a zero
+# 0.04 and a pole 0.05 from it under a cut, and a radius that first
+# underflows at level 41, in the second block: sin(t) ends with the radius
+# error, while exp(800*t) overflows in the first block before it
 EXAMPLE2_CHANGES = (
     ({"a": "1e200", "P": [0, 1e200, 1]}, ["check"]),
     ({"P": [0, 0.1]}, ["solve", "--force"]),
@@ -79,6 +81,8 @@ EXAMPLE2_CHANGES = (
     ({"psi": "1/(t-1.05)", "k": 0.5}, ["ek", "--density", "17"]),
     ({"psi": "sqrt(1.2-t)", "k": 0.5}, ["ek"]),
     ({"psi": "sqrt((t-1.04)/(t-1.05))", "k": 0.5}, ["ek"]),
+    ({"k": 0.005}, ["ek"]),
+    ({"psi": "exp(800*t)", "k": 0.005}, ["ek"]),
 )
 _SECONDS = re.compile(r'("seconds": )[^,}\n]+')
 _ABSENT = object()  # a key missing from one of two compared JSON objects
