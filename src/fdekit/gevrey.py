@@ -107,22 +107,40 @@ def _template(density):
     return offset, direction
 
 
-def _stadium_points(radius, density):
-    """The boundary of the stadium of this radius, sampled by `_template`."""
+def _stadium_width(density, half=False):
+    """Points per boundary sampled by `_template`: all of them, or with
+    `half` the first len // 2 + 1, one of every conjugate pair."""
+    size = len(_template(density)[0])
+    return size // 2 + 1 if half else size
+
+
+def _stadium_points(radii, density, half=False):
+    """The boundary of the stadium of each radius, sampled by `_template`
+    and cut to `_stadium_width`: one curve for one radius, or for a sequence
+    of radii the rows of one array, one broadcast of the template."""
     offset, direction = _template(density)
-    return offset + float(radius) * direction
+    width = _stadium_width(density, half)
+    return offset[:width] + np.asarray(radii, dtype=float)[..., None] * direction[:width]
 
 
 def _stadium_radius(k, A, n):
     """A * n^(-1/k), the radius of the level-n stadium of scale A, in plain
-    Python floats; a GevreyError if the parameters are out of range or the
-    radius is not positive and finite."""
+    Python floats (numpy's power may round differently); unchecked."""
+    return A * n ** (-1.0 / k)
+
+
+def _stadium_radii(k, A, n, count):
+    """The radii of the stadia of levels n .. n + count - 1 up to the first
+    that is not positive and finite, and the GevreyError that one raises
+    (None if there is none); a GevreyError at once if the parameters are
+    out of range."""
     if k <= 0 or A <= 0 or n < 1:
         raise GevreyError("stadium parameters must satisfy k>0, A>0, n>=1")
-    radius = A * n ** (-1.0 / k)
-    if not 0.0 < radius < math.inf:
-        raise GevreyError(f"stadium radius {radius!r} is not positive and finite")
-    return radius
+    radii = [_stadium_radius(k, A, m) for m in range(n, n + count)]
+    for i, radius in enumerate(radii):
+        if not 0.0 < radius < math.inf:
+            return radii[:i], GevreyError(f"stadium radius {radius!r} is not positive and finite")
+    return radii, None
 
 
 @dataclass(frozen=True)
@@ -134,18 +152,25 @@ class StadiumRegion:
     n: int
 
     def __post_init__(self):
-        _stadium_radius(self.k, self.A, self.n)
+        error = _stadium_radii(self.k, self.A, self.n, 1)[1]
+        if error is not None:
+            raise error
 
     @property
     def radius(self):
         return _stadium_radius(self.k, self.A, self.n)
 
-    def sample(self, density):
-        """The boundary, sampled by `_template`.  check_ek does not call it,
-        as it scales the template by a whole block of radii at once; it
-        stays for library callers and for `perfbench/tracing.py`, whose
-        `install` patches it by name."""
-        return _stadium_points(self.radius, density)
+    def sample(self, density, levels=None, half=False):
+        """The boundary, sampled by `_stadium_points`; with `levels`, the
+        boundaries of the stadia of levels n .. n + levels - 1 (same k and
+        A) as the rows of one array, as check_ek samples a block of levels.
+        A GevreyError if one of their radii is not positive and finite."""
+        if levels is None:
+            return _stadium_points(self.radius, density, half)
+        radii, error = _stadium_radii(self.k, self.A, self.n, levels)
+        if error is not None:
+            raise error
+        return _stadium_points(radii, density, half)
 
 
 # --- deviating-map inclusion check ------------------------------------------
@@ -194,10 +219,11 @@ def check_ek(psi, k, A_list, p_max, density=128):
     the node ("pole of 1/(t-1.05)", "cut of sqrt(1.2-t)", "unresolved pole
     of ..."), so it fails.  The levels of one scale are stacked as the rows
     of blocks of at most _EK_CHUNK evaluated points (or one level); a
-    block's curves are one broadcast of the template over the list of its
-    radii, and take one psi evaluation.  When psi commutes with conjugation
-    (`Expr.is_conjugate_exact`) only the first half of each curve, tips
-    included, is evaluated: the rest are the exact conjugates of its points.
+    block's curves are one `StadiumRegion.sample`, a broadcast of the
+    template over the list of its radii, and take one psi evaluation.  When
+    psi commutes with conjugation (`Expr.is_conjugate_exact`) only the first
+    half of each curve, tips included, is evaluated: the rest are the exact
+    conjugates of its points.
     The check passes when every ratio is <= 1 + 1e-12.  first_pass_p maps
     each scale to the first level from which every ratio passes (1: every
     level; None: it fails at p_max).  The scales must be distinct, positive
@@ -237,40 +263,29 @@ def _level_maxima(psi, k, A, p_max, density):
     """(worst, name, radius) for p = 1..p_max: worst is max dist(psi(z),
     [-1, 1]) over the boundary of the level-(p+1) stadium of scale A and
     name None, or inf and the node `_singularities` names; radius is that
-    of the level-p stadium.  Each block of levels is one broadcast of the
-    template, offset + radii[:, None] * direction, over the list of its
-    radii (`_stadium_radius`).  A level whose radius is not positive and
-    finite ends the levels; its error is raised after the earlier levels
-    of its block are evaluated, so an error evaluating one of those is
-    reported first."""
+    of the level-p stadium.  Each block of levels is one
+    `StadiumRegion.sample`, a broadcast of the template over the list of
+    its radii.  A level whose radius is not positive and finite ends the
+    levels; its error is raised after the earlier levels are evaluated, so
+    an error evaluating one of those is reported first."""
     # a conjugate-exact psi is entire, so no node needs the lower half
     nodes = psi.singular_nodes()
-    offset, direction = _template(density)
-    width = len(offset) // 2 + 1 if psi.is_conjugate_exact() else len(offset)
-    offset, direction = offset[:width], direction[:width]
-    rows = max(1, _EK_CHUNK // width)
-    radii = [_stadium_radius(k, A, 1)]  # radii[n - 1] is the level-n radius
+    half = psi.is_conjugate_exact()
+    rows = max(1, _EK_CHUNK // _stadium_width(density, half))
+    radii, error = _stadium_radii(k, A, 1, p_max + 1)  # radii[n - 1] is the level-n radius
     out = []
-    for first in range(1, p_max + 1, rows):
-        error = None
-        for p in range(first, min(first + rows, p_max + 1)):
-            try:
-                radii.append(_stadium_radius(k, A, p + 1))
-            except GevreyError as exc:
-                error = exc
-                break
-        block = radii[first:]
-        if block:
-            curves = offset + np.array(block)[:, None] * direction
-            names = _singularities(nodes, curves)
-            keep = [i for i, name in enumerate(names) if name is None]
-            worst = np.full(len(block), math.inf)
-            if keep:
-                z = curves if len(keep) == len(block) else curves[keep]
-                worst[keep] = np.max(interval_distance(psi.eval_complex(z)), axis=1)
-            out.extend(zip(worst.tolist(), names, radii[first - 1:-1]))
-        if error is not None:
-            raise error
+    for first in range(1, len(radii), rows):
+        count = min(rows, len(radii) - first)
+        curves = StadiumRegion(k, A, first + 1).sample(density, count, half)
+        names = _singularities(nodes, curves)
+        keep = [i for i, name in enumerate(names) if name is None]
+        worst = np.full(count, math.inf)
+        if keep:
+            z = curves if len(keep) == count else curves[keep]
+            worst[keep] = np.max(interval_distance(psi.eval_complex(z)), axis=1)
+        out.extend(zip(worst.tolist(), names, radii[first - 1:first - 1 + count]))
+    if error is not None:
+        raise error
     return out
 
 
@@ -361,7 +376,7 @@ def omega_sequence(p, s, r0, n_max, tau_candidate):
     values = [1.0]
     w = 1.0
     for n in range(1, n_max):
-        w = a_sup * p.P.majorant_eval(r0 + s * n ** (-1.0 / p.k) * w) + src_sup
+        w = a_sup * p.P.majorant_eval(r0 + _stadium_radius(p.k, s, n) * w) + src_sup
         values.append(w)
     if s <= 1.0 / C_est and max(values) > C_est * (1.0 + 1e-12):
         raise GevreyError(
@@ -423,7 +438,7 @@ def stadium_inclusion_probe(iterates, r0, k, s, C, n_range):
     s_used = float(s)
     for _ in range(200):
         if all(
-            _fits_trusted(iterates[n - 1], s_used * n ** (-1.0 / k)) for n in n_range
+            _fits_trusted(iterates[n - 1], _stadium_radius(k, s_used, n)) for n in n_range
         ):
             break
         s_used *= 0.5
@@ -432,16 +447,14 @@ def stadium_inclusion_probe(iterates, r0, k, s, C, n_range):
 
     # an iterate has real coefficients: its values on the lower half of the
     # curve are the exact conjugates of those on the upper half
-    offset, direction = _template(PROBE_DENSITY)
-    size = len(offset)
-    offset, direction = offset[:size // 2 + 1], direction[:size // 2 + 1]
     report = ProbeReport(s_requested=float(s), s_used=s_used, C=C, r0=r0, k=k)
     for n in n_range:
-        radius = s_used * n ** (-1.0 / k)
-        values = iterates[n - 1].eval_complex(offset + radius * direction)
+        radius = _stadium_radius(k, s_used, n)
+        values = iterates[n - 1].eval_complex(_stadium_points(radius, PROBE_DENSITY, half=True))
         worst = float(np.max(interval_distance(values, half_width=r0)))
         report.levels.append(ProbeLevel(n=n, ratio=worst / (C * radius), worst_dist=worst,
-                                        allowed=C * radius, points=size))
+                                        allowed=C * radius,
+                                        points=_stadium_width(PROBE_DENSITY)))
     report.all_within = max(lv.ratio for lv in report.levels) <= 1.0 + EK_PASS_SLACK
     return report
 

@@ -100,6 +100,26 @@ class TestStadiumRegion:
         assert len(gevrey._stadium_points(1.0, 128)) // 2 + 1 == 258
 
 
+    @pytest.mark.parametrize("half", [False, True])
+    @pytest.mark.parametrize("density", [1, 17, 128])
+    def test_levels_are_rows_of_one_level_samples(self, density, half):
+        # sample(levels=m) stacks the boundaries of levels n .. n + m - 1,
+        # bit for bit, each cut to its first len // 2 + 1 points with half
+        rows = StadiumRegion(k=0.5, A=0.7, n=3).sample(density, 40, half)
+        for i, row in enumerate(rows):
+            pts = StadiumRegion(k=0.5, A=0.7, n=3 + i).sample(density)
+            cut = pts[:len(pts) // 2 + 1] if half else pts
+            assert row.tobytes() == cut.tobytes()
+        assert StadiumRegion(k=0.5, A=0.7, n=3).sample(density, half=half).tobytes() == \
+            rows[0].tobytes()
+
+    def test_levels_raise_on_a_later_radius(self):
+        # at k = 0.005 the radius 0.5 * n^-200 first underflows at level 42
+        assert len(StadiumRegion(k=0.005, A=0.5, n=2).sample(8, 40)) == 40
+        with pytest.raises(GevreyError, match="stadium radius 0.0 is not positive and finite"):
+            StadiumRegion(k=0.005, A=0.5, n=2).sample(8, 41)
+
+
 class TestCheckEk:
     def test_sine_passes_with_proof_bound(self):
         rep = check_ek(parse("sin(t)"), 1.0, [0.1, 0.5, 0.9], 100, density=128)
@@ -151,6 +171,7 @@ class TestCheckEk:
             raise AssertionError("sampled before checking the caps")
 
         monkeypatch.setattr(gevrey, "_template", forbidden)
+        monkeypatch.setattr(StadiumRegion, "sample", forbidden)
         monkeypatch.setattr(Expr, "eval_complex", forbidden)
         with pytest.raises(GevreyError, match="must be in"):
             check_ek(parse("sin(t)"), 1.0, [0.5], p_max, density=density)
@@ -508,7 +529,7 @@ class TestStadiumInclusionProbe:
         size = 4 * gevrey.PROBE_DENSITY + 2
         assert counts == [size // 2 + 1] * len(iterates)
         for lv in probe.levels:
-            radius = probe.s_used * lv.n ** (-1.0 / p.k)
+            radius = gevrey._stadium_radius(p.k, probe.s_used, lv.n)
             pts = gevrey._stadium_points(radius, gevrey.PROBE_DENSITY)
             worst = np.max(interval_distance(original(iterates[lv.n - 1], pts), half_width=rep.r0))
             assert (lv.points, lv.worst_dist, lv.ratio) == (size, worst, worst / (2.0 * radius))
