@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import os
@@ -172,63 +171,35 @@ def load_problem_file(path):
 _quote = json.encoder.encode_basestring_ascii  # a str as a quoted JSON string
 
 
-def _emit(doc):
-    print(_dumps(doc))
-
-
-def _dumps(x):
-    """x as JSON text indented by 2: every report becomes JSON here and
-    nowhere else, in one walk.  A dataclass record becomes {field name:
-    value} in declaration order, over the fields with repr=True only (a
-    repr=False field, such as a Solution's series, stays out of the report);
-    tuples become lists, numpy scalars Python ones, and non-finite floats
-    null.  The text is byte for byte what json.dumps(..., indent=2) writes
-    for the converted value: floats by float.__repr__, strings ASCII-escaped,
-    and float, int, bool and None keys quoted as json quotes them."""
-    out = []
-    _write(x, out, "\n")
-    return "".join(out)
-
-
-def _write(x, out, nl):
-    """Append the JSON text of x to out; nl is a newline plus the indent of
-    the line x's closing bracket goes on.  Floats are tested first: most
-    report values are floats."""
+def _dumps(x, nl="\n"):
+    """x as JSON text indented by 2, nl being a newline plus the indent of the
+    line its closing bracket goes on: every report becomes JSON here, in one
+    walk.  Dataclass records become {field: value} over their repr=True fields
+    in declaration order, tuples lists, numpy scalars Python ones, non-finite
+    floats null: byte for byte json.dumps(..., indent=2) of the converted value."""
     if isinstance(x, float):
-        out.append(float.__repr__(x) if math.isfinite(x) else "null")
-    elif isinstance(x, str):
-        out.append(_quote(x))
-    elif x is None:
-        out.append("null")
-    elif x is True:
-        out.append("true")
-    elif x is False:
-        out.append("false")
-    elif isinstance(x, int):
-        out.append(int.__repr__(x))
-    elif isinstance(x, (list, tuple)):
-        _write_members(itertools.repeat(""), x, out, nl, "[]")
-    elif isinstance(x, dict):
-        _write_members(map(_key, x), x.values(), out, nl, "{}")
-    elif isinstance(x, (np.floating, np.integer, np.bool_)):
-        _write(x.item(), out, nl)
-    else:
-        keys = _field_keys(type(x))
-        if keys is None:
-            raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
-        _write_members(keys.values(), [getattr(x, name) for name in keys], out, nl, "{}")
-
-
-def _write_members(keys, values, out, nl, brackets):
-    """Append values in brackets, one to a line, each after its key text
-    ('"key": ' in an object, '' in a list), or the bare brackets if empty."""
+        return float.__repr__(x) if math.isfinite(x) else "null"
+    if isinstance(x, str):
+        return _quote(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
     inner = nl + "  "
-    sep = brackets[0] + inner
-    for key, value in zip(keys, values):
-        out.append(sep + key)
-        _write(value, out, inner)
-        sep = "," + inner
-    out.append(nl + brackets[1] if sep[0] == "," else brackets)
+    if isinstance(x, (list, tuple)):
+        text = ",".join([inner + _dumps(v, inner) for v in x])
+        return "[" + text + nl + "]" if text else "[]"
+    if isinstance(x, dict):
+        parts = [inner + _key(k) + _dumps(v, inner) for k, v in x.items()]
+    elif isinstance(x, (np.floating, np.integer, np.bool_)):
+        return _dumps(x.item())
+    else:
+        parts = [inner + key + _dumps(getattr(x, name), inner) for name, key in _fields(type(x))]
+    return "{" + ",".join(parts) + nl + "}" if parts else "{}"
 
 
 def _key(k):
@@ -242,12 +213,11 @@ def _key(k):
 
 
 @functools.cache
-def _field_keys(cls):
-    """{field name: its '"name": ' text} over the repr=True fields of the
-    dataclass cls, in declaration order; None if cls is not a dataclass."""
+def _fields(cls):
+    """(name, '"name": ') of each repr=True field of dataclass cls, in order."""
     if not dataclasses.is_dataclass(cls):
-        return None
-    return {f.name: _key(f.name) for f in dataclasses.fields(cls) if f.repr}
+        raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+    return tuple((f.name, _key(f.name)) for f in dataclasses.fields(cls) if f.repr)
 
 
 def _load_and_validate(path):
@@ -267,13 +237,11 @@ def cmd_check(path):
     t0 = time.perf_counter()
     prob, vreport = _load_and_validate(path)
     creport = conditions.analyze(prob)
-    _emit(
-        {
-            "validation": vreport,
-            "conditions": creport,
-            "timing": {"seconds": time.perf_counter() - t0},
-        }
-    )
+    print(_dumps({
+        "validation": vreport,
+        "conditions": creport,
+        "timing": {"seconds": time.perf_counter() - t0},
+    }))
     return EXIT_OK if creport.ok else EXIT_HYPOTHESIS
 
 
@@ -307,13 +275,15 @@ def cmd_solve(path, tol=None, max_iter=None, out=None, force=False, require_ek=F
             report["solve"] = sol
             code = EXIT_OK if sol.converged else EXIT_FAILURE
             if out is not None:
+                # besides OSError: psi leaving [-1, 1], or data that cannot be
+                # evaluated, at a CSV point that is no validation point
                 try:
                     _write_csv(out, sol.u, prob)
-                except OSError as exc:
+                except (OSError, ProblemError, ExprError) as exc:
                     code, csv_error = EXIT_INPUT, f"error: cannot write CSV {out!r}: {exc}"
 
     report["timing"] = {"seconds": time.perf_counter() - t0}
-    _emit(report)
+    print(_dumps(report))
     if csv_error is not None:
         print(csv_error, file=sys.stderr)
     return code
@@ -360,7 +330,7 @@ def cmd_ek(path, A_list, pmax, density):
     # and maps that leave [-1,1] must be reported as failing, not rejected
     prob = load_problem_file(path)
     report = gevrey.check_ek(prob.psi, prob.k, A_list, pmax, density=density)
-    _emit(report)
+    print(_dumps(report))
     return EXIT_OK if report.passed else EXIT_HYPOTHESIS
 
 
@@ -369,21 +339,21 @@ def cmd_gevrey(path, nmax=12, force=False, selftest=False):
         synthetic = [float(j) ** (2 * j) for j in range(1, 13)]
         est = gevrey.gevrey_order_estimate(synthetic)
         ok = est.k_hat is not None and abs(est.k_hat - 1.0) <= 0.05
-        _emit({"selftest": est, "ok": ok})
+        print(_dumps({"selftest": est, "ok": ok}))
         return EXIT_OK if ok else EXIT_FAILURE
     if not 1 <= nmax <= gevrey.MAX_DERIVATIVES:
         raise ProblemError(f"--nmax must be in [1, {gevrey.MAX_DERIVATIVES}]")
     prob, _ = _load_and_validate(path)
     creport = conditions.analyze(prob)
     if not creport.ok and not force:
-        _emit({"conditions": creport})
+        print(_dumps({"conditions": creport}))
         return EXIT_HYPOTHESIS
     sol = _solve(prob, creport, force)
     if not sol.converged:
         raise picard.PicardError("iteration did not converge")
     norms = gevrey.derivative_norms(sol.u, n_max=nmax)
     est = gevrey.gevrey_order_estimate(norms.values, norms.flagged)
-    _emit({"solve": sol, "derivative_norms": norms, "estimate": est})
+    print(_dumps({"solve": sol, "derivative_norms": norms, "estimate": est}))
     return EXIT_OK
 
 
@@ -516,7 +486,7 @@ def cmd_reproduce(which):
     summary = {"ok": all_ok, "note": SOURCE_TERM_NOTE}
     if probe_summary is not None:
         summary["probe"] = probe_summary
-    _emit(summary)
+    print(_dumps(summary))
     return EXIT_OK if all_ok else EXIT_FAILURE
 
 

@@ -262,6 +262,26 @@ class TestSolve:
         assert code == EXIT_HYPOTHESIS
         assert not out_csv.exists()
 
+    @pytest.mark.parametrize("change,error", [
+        # psi reaches 1 + 1e-9 near x = 0.002, a CSV point but no validation point
+        ({"psi": "1.000000001-(t-0.002)^2"},
+         "deviating map leaves [-1, 1]: |psi| reaches 1.000000001"),
+        # b is 0.01 except at the CSV point 0.5, where ln(0) cannot be evaluated
+        ({"b": "0.01+0*ln(abs(t-0.5))"}, "ln of non-positive value (0) in 'ln(abs(t-0.5))'"),
+    ], ids=["psi-range", "data"])
+    def test_failure_at_a_csv_point_only_keeps_the_report(self, tmp_path, capsys, change, error):
+        doc = {"k": 1, "d": 0, "c": 0.01, "P": [0, 0, 0.1], "a": "0.1", "b": "0.01", "psi": "t",
+               **change}
+        path, out_csv = write_json(tmp_path, doc), tmp_path / "x.csv"
+        code, out = run(capsys, ["solve", path])
+        assert code == EXIT_OK and report_of(out)["solve"]["converged"]
+        code = cli.main(["solve", path, "--out", str(out_csv)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert report_of(captured.out)["solve"]["converged"]
+        assert captured.err == f"error: cannot write CSV {str(out_csv)!r}: {error}\n"
+        assert not out_csv.exists()
+
     @pytest.mark.parametrize("command", ["solve", "gevrey"])
     def test_every_forced_solve_prints_one_stable_line(self, tmp_path, capsys, command):
         doc = {"k": 1.0, "d": 0.0, "c": 0.1, "P": [0.0, 0.0, 1.0],
@@ -348,6 +368,8 @@ class TestEk:
         for lv in singular:
             assert lv == {"A": lv["A"], "p": lv["p"], "worst_ratio": None, "worst_dist": None,
                           "singularity": "pole of 1/(t-1.05)"}
+            # the EkLevel fields first, then the one SingularEkLevel adds
+            assert list(lv) == ["A", "p", "worst_ratio", "worst_dist", "singularity"]
         assert all(set(lv) == {"A", "p", "worst_ratio", "worst_dist"}
                    for lv in rep["levels"] if lv not in singular)
 
@@ -691,6 +713,21 @@ def test_report_writer_keeps_field_order_and_drops_repr_false_fields():
     assert doc == {"z": None, "a": None}
 
 
+@pytest.mark.parametrize(
+    "x", [set(), [1.0, {"x": object()}], {"a": 1, (1, 2): 2}], ids=["set", "object", "tuple-key"])
+def test_report_writer_raises_what_json_dumps_raises(x):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(x, indent=2)
+    with pytest.raises(TypeError) as raised:
+        cli._dumps(x)
+    assert str(raised.value) == str(expected.value)
+
+
+@dataclasses.dataclass
+class SubRecord(Record):
+    b: object = None
+
+
 class Tagged(float):
     """A float whose repr is not its JSON text."""
 
@@ -737,6 +774,7 @@ VALUES = st.recursive(SCALARS, lambda inner: st.one_of(
     st.lists(inner, max_size=4).map(tuple),
     st.dictionaries(KEYS, inner, max_size=4),
     st.builds(Record, inner, inner, inner),
+    st.builds(SubRecord, inner, inner, inner, inner),
 ), max_leaves=30)
 
 

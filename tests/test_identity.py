@@ -5,6 +5,7 @@ workload reaches are recorded on the files they name."""
 
 import importlib.util
 import json
+import os
 import pathlib
 import sys
 
@@ -133,6 +134,8 @@ def test_record_adds_the_fixed_operations(monkeypatch):
     assert ops["entire solve"] == {"argv": ["solve"], "doc": identity.FIXED_DOCS[0][1]}
     assert ops["escape solve --force"] == {
         "argv": ["solve", "--force"], "doc": identity.FIXED_DOCS[1][1]}
+    assert ops[f"graze solve --out {os.devnull}"] == {
+        "argv": ["solve", "--out", os.devnull], "doc": identity.FIXED_DOCS[2][1]}
     for key, change, argv in [
         ('a="1e200" P=[0, 1e+200, 1] check', {"a": "1e200", "P": [0, 1e200, 1]}, ["check"]),
         ("P=[0, 0.1] solve --force", {"P": [0, 0.1]}, ["solve", "--force"]),

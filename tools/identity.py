@@ -55,6 +55,9 @@ FIXED_DOCS = (
     # a forced iterate that leaves the ball: exit 3 with "solve": {"error"}
     ("escape", {"k": 1, "d": 0, "c": 1, "P": [0, 0, 4], "a": "1", "b": "0", "psi": "t"},
      ["solve", "--force"]),
+    # psi leaves [-1, 1] at a CSV point only: the report, then an error, exit 4
+    ("graze", {"k": 1, "d": 0, "c": 0.01, "P": [0, 0, 0.1], "a": "0.1", "b": "0.01",
+               "psi": "1.000000001-(t-0.002)^2"}, ["solve", "--out", os.devnull]),
 )
 # (entries replaced in example2, command): an overflowing first hypothesis
 # ("cond1_lhs": null), a failing warning under "validation": {"ok": true},
