@@ -360,31 +360,25 @@ class ChebFun:
         return max(best, _newton(c, th, lo, hi, np.sign(v[idx]), 1)[1])
 
     def l1_norm(self):
+        """Integral of |u| over [-1, 1]; the same as abs_integral."""
+        return self.abs_integral()
+
+    def abs_integral(self):
         """Integral of |u| over [-1, 1].
 
         Sign changes of FFT values on a Chebyshev grid of size >= 16*(degree+1)
         are refined by bracketed Newton steps in theta = arccos(x); each piece
         between them adds |U(b) - U(a)|, U the antiderivative.
         """
-        return self.abs_integral(-1.0, 1.0)
-
-    def abs_integral(self, lo, hi):
-        """Integral of |u| over [lo, hi] within [-1, 1] as in l1_norm, on the
-        cells of its grid that cover [lo, hi]; roots outside it clip to its ends."""
-        if hi < lo:
-            lo, hi = hi, lo
         c = self.coeffs
         ng = _fft_size(max(16 * len(c), 64))
-        grid = np.pi * np.arange(ng + 1) / ng  # theta of _pts_desc(ng)
-        ends = np.arccos(np.clip([hi, lo], -1.0, 1.0))
-        first = np.searchsorted(grid, ends[0], "right") - 1  # last node <= theta(hi)
-        last = np.searchsorted(grid, ends[1])  # first node >= theta(lo)
-        th, v = grid[first : last + 1], _grid_values(c, ng)[first : last + 1]
+        th = np.pi * np.arange(ng + 1) / ng  # theta of _pts_desc(ng)
+        v = _grid_values(c, ng)
         sv = np.sign(v)
         br = np.nonzero(sv[:-1] * sv[1:] < 0.0)[0]
         a, b = th[br], th[br + 1]
         roots = _newton(c, a - v[br] * (b - a) / (v[br + 1] - v[br]), a, b, sv[br], 0)[0]
-        bps = np.unique(np.clip(np.concatenate([ends, th[v == 0.0], roots]), *ends))
+        bps = np.unique(np.clip(np.concatenate([[0.0, np.pi], th[v == 0.0], roots]), 0.0, np.pi))
         uv = _theta_eval(self.antiderivative().coeffs, bps)[0]
         return math.fsum(np.abs(np.diff(uv)))
 

@@ -12,9 +12,12 @@ Problem files are JSON documents:
     }
 
 "P" lists polynomial coefficients in ascending powers; "mu" and "solver" are
-optional; unknown keys are rejected.  Reports are printed to stdout as JSON
-with full float precision; exit codes are a stable contract: 0 success,
-2 hypothesis failure, 3 convergence/diagnostic failure, 4 input error.
+optional; unknown keys are rejected.  No command reads a file's "mu" beyond
+validating it: only gevrey.omega_sequence uses it, and reproduce calls that
+only on the built-in examples, which set mu = 1.  Reports are printed to
+stdout as JSON with full float precision; exit codes are a stable contract:
+0 success, 2 hypothesis failure, 3 convergence/diagnostic failure, 4 input
+error.
 """
 
 from __future__ import annotations

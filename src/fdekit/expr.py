@@ -9,10 +9,14 @@ The input language is a small infix grammar over a single variable ``t``:
     atom   := NUMBER | 'pi' | 'e' | 't' | NAME '(' expr ')' | '(' expr ')'
 
 Builtin functions: sin, cos, sinh, cosh, exp, ln, sqrt, abs.  Numbers accept
-plain decimal and scientific notation.  Whitespace is insignificant.
+plain decimal and scientific notation; ``pi`` and ``e`` parse to numbers.
+Whitespace is insignificant.
 
 Parsed expressions are immutable; evaluation is pure and vectorised over
-numpy arrays, at real or complex points.  Complex evaluation uses principal
+numpy arrays, at real or complex points.  A subtree free of ``t`` is
+computed once per evaluation, as one scalar.  An exponent that is an
+integer literal, of any size, is an integer power in every evaluation and
+analysis.  Complex evaluation uses principal
 branches, with real values (negated ones too) on the upper lip of each cut,
 and rejects ``abs``.  ``Expr.singular_nodes`` lists, innermost first, the
 poles and branch cuts that can keep a tree from being analytic on a region.
@@ -44,8 +48,6 @@ FUNCTIONS = ("sin", "cos", "sinh", "cosh", "exp", "ln", "sqrt", "abs")
 ENTIRE_FUNCTIONS = ("sin", "cos", "sinh", "cosh", "exp")
 CONSTANTS = {"pi": math.pi, "e": math.e}
 
-# exponents larger than this are never treated as integer-literal powers
-_MAX_INT_EXPONENT = 512
 # numpy's complex power multiplies out integer exponents in (-100, 100) and
 # takes every other one through the complex logarithm, whose results at z
 # and conj(z) need not be conjugate to the last bit
@@ -84,11 +86,6 @@ class OverflowEvalError(EvalError):
 @dataclass(frozen=True)
 class Num:
     value: float
-
-
-@dataclass(frozen=True)
-class Const:
-    name: str
 
 
 @dataclass(frozen=True)
@@ -223,7 +220,7 @@ class _Parser:
             if text == "t":
                 return Var()
             if text in CONSTANTS:
-                return Const(text)
+                return Num(CONSTANTS[text])
             if text in FUNCTIONS:
                 nxt = self._peek()
                 if nxt is None or nxt[1] != "(":
@@ -249,31 +246,24 @@ class _Parser:
 # --- evaluation -----------------------------------------------------------
 
 
-def _literal(node):
-    """The value of a number literal, negated any number of times, else None."""
-    if isinstance(node, Num):
-        return float(node.value)
-    if isinstance(node, Neg):
-        inner = _literal(node.child)
-        return -inner if inner is not None else None
-    return None
-
-
 def _int_literal_exponent(node):
-    """Return the integer value of an integer-literal exponent node, else None."""
-    v = _literal(node)
-    if v is not None and v.is_integer() and abs(v) <= _MAX_INT_EXPONENT:
-        return int(v)
+    """The value of a number literal, negated any number of times, if it is
+    an integer, else None."""
+    if isinstance(node, Neg):
+        n = _int_literal_exponent(node.child)
+        return -n if n is not None else None
+    if isinstance(node, Num) and float(node.value).is_integer():
+        return int(node.value)
     return None
 
 
 def _eval(node, t, cplx):
-    """Values of node at the points t.  No node writes into an array, so a
-    Var hands back t itself and every other node a new array."""
+    """Values of node at the points t: one scalar of t's kind when node
+    holds no t, else an array.  No node writes into an array, so a Var hands
+    back t itself and every other node a new value."""
     if isinstance(node, Num):
-        return np.full_like(t, node.value)
-    if isinstance(node, Const):
-        return np.full_like(t, CONSTANTS[node.name])
+        # of t's kind: with a Python float, complex sqrt(-1) would be nan
+        return t.dtype.type(node.value)
     if isinstance(node, Var):
         return t
     if isinstance(node, Neg):
@@ -336,7 +326,9 @@ def _eval_pow(node, base, t, cplx):
     if n is not None:
         if n < 0 and np.any(base == 0):
             raise DomainError(f"zero base with negative exponent in '{node.src}'")
-        return base ** n
+        # numpy's power of a scalar need not match its power of an array to
+        # the last bit; a 0-d array takes the latter
+        return np.asarray(base) ** n
     expo = _eval(node.right, t, cplx)
     if cplx:
         if np.any(base == 0):
@@ -348,7 +340,9 @@ def _eval_pow(node, base, t, cplx):
             f"power with non-positive base ({worst:g}) and non-integer exponent "
             f"in '{node.src}'"
         )
-    return np.power(base, expo)
+    # numpy would take a scalar exponent of 2, 0.5 or -1 through square, sqrt
+    # or reciprocal, which need not match its power to the last bit
+    return np.power(base, expo if np.ndim(expo) else np.full(t.shape, expo))
 
 
 def _singular_nodes(node, out):
@@ -373,8 +367,8 @@ def _singular_nodes(node, out):
         if node.op == "/" and right:
             out.append(("pole", node, node.right))
         elif node.op == "^" and left:
-            n = _literal(node.right)
-            if n is None or not n.is_integer():
+            n = _int_literal_exponent(node.right)
+            if n is None:
                 out.append(("cut", node, node.left))
             elif n < 0:
                 out.append(("pole", node, node.left))
@@ -384,11 +378,10 @@ def _singular_nodes(node, out):
 
 def _is_conjugate_exact(node):
     """True when every node is holomorphic on all of C and commutes with
-    conjugation bit for bit: numbers, constants, t, unary minus, + - *, the
-    entire builtins and integer-literal powers with an exponent in
-    [0, 99].  Anything else (division, ln, sqrt, abs, other powers) does
-    not count."""
-    if isinstance(node, (Num, Const, Var)):
+    conjugation bit for bit: numbers, t, unary minus, + - *, the entire
+    builtins and integer-literal powers with an exponent in [0, 99].
+    Anything else (division, ln, sqrt, abs, other powers) does not count."""
+    if isinstance(node, (Num, Var)):
         return True
     if isinstance(node, Neg):
         return _is_conjugate_exact(node.child)
@@ -434,9 +427,11 @@ class Expr:
         if not np.all(np.isfinite(arr)):
             raise DomainError("evaluation point is not finite")
         with np.errstate(all="ignore"):
-            out = np.asarray(_eval(self.root, arr, kind is complex), dtype=kind)
+            out = _eval(self.root, arr, kind is complex)
         if not np.all(np.isfinite(out)):
             raise OverflowEvalError(f"non-finite value while evaluating '{self.src}'")
+        if np.ndim(out) == 0:  # a t-free tree: one value for every point
+            return kind(out) if scalar else np.full(arr.shape, out)
         if scalar:
             return kind(out[0])
         # a bare t evaluates to the points themselves, maybe the caller's array

@@ -428,6 +428,8 @@ def stadium_inclusion_probe(iterates, r0, k, s, C, n_range):
     n_range = list(n_range)
     if not n_range:
         raise GevreyError("empty level range")
+    if min(n_range) < 1:
+        raise GevreyError(f"levels start at 1, got {min(n_range)}")
     if max(n_range) > len(iterates):
         raise GevreyError(
             f"need iterate {max(n_range)} but only {len(iterates)} were kept"

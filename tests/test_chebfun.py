@@ -269,31 +269,12 @@ class TestKernelEdgeCases:
         # the root sits within 1e-16 of the node x = cos(pi/2)
         assert ChebFun([2e-17, 0.5]).l1_norm() == pytest.approx(0.5, abs=1e-15)
         assert ChebFun([0.0, 1.0]).l1_norm() == pytest.approx(1.0, abs=1e-15)
-        assert ChebFun([0.0, 1.0]).abs_integral(0.0, 1.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_example1_odd_power_through_zero(self):
         # a = alpha t^N with N odd has its root at t = 0, a grid node
         for n_pow in (1, 3):
             u = build(lambda t, n=n_pow: 0.9 * t**n)
             assert u.l1_norm() == pytest.approx(2 * 0.9 / (n_pow + 1), abs=1e-15)
-            assert u.abs_integral(-1.0, 0.0) == pytest.approx(0.9 / (n_pow + 1), abs=1e-15)
-
-    def test_root_at_sub_interval_endpoint(self):
-        u = ChebFun([0.0, 0.0, 1.0])  # 2x^2 - 1, roots at +-1/sqrt(2)
-        r = 1.0 / math.sqrt(2.0)
-        want = r - 1.0 / 3.0 - 2.0 * r**3 / 3.0  # int_r^1 (2x^2 - 1)
-        assert u.abs_integral(r, 1.0) == pytest.approx(want, abs=1e-15)
-        assert u.abs_integral(-1.0, -r) == pytest.approx(want, abs=1e-15)
-        assert u.abs_integral(-r, r) == pytest.approx(2.0 * r - 4.0 * r**3 / 3.0, abs=1e-15)
-        assert u.abs_integral(0.3, 0.3) == 0.0
-
-    def test_abs_integral_is_additive(self):
-        rng = np.random.default_rng(9)
-        for f in (lambda t: np.sin(7 * t) - 0.2, lambda t: np.cos(40 * t) * np.exp(t)):
-            u = build(f)
-            for d in rng.uniform(-1, 1, 5):
-                total = u.abs_integral(-1.0, d) + u.abs_integral(d, 1.0)
-                assert total == pytest.approx(u.l1_norm(), abs=1e-13)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_sup_at_an_interval_end(self, sign):

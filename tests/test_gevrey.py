@@ -538,6 +538,15 @@ class TestStadiumInclusionProbe:
         with pytest.raises(GevreyError):
             stadium_inclusion_probe([ChebFun([0.0])], 0.1, 1.0, 0.1, 2.0, range(1, 5))
 
+    @pytest.mark.parametrize("n_range", [[0], [-1, 2]])
+    def test_levels_below_1_rejected(self, n_range, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the probe worked on a level below 1")
+
+        monkeypatch.setattr(gevrey, "_stadium_radius", no_work)
+        with pytest.raises(GevreyError, match="levels start at 1"):
+            stadium_inclusion_probe([ChebFun([0.0])] * 3, 0.1, 1.0, 0.1, 2.0, n_range)
+
     @pytest.mark.parametrize("density", [8, 64, 128, 256])
     def test_point_one_plus_radius_bounds_the_ellipse_parameter(self, density):
         # a stadium that passes _fits_trusted lies inside the iterate's

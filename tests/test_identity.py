@@ -136,6 +136,7 @@ def test_record_adds_the_fixed_operations(monkeypatch):
         "argv": ["solve", "--force"], "doc": identity.FIXED_DOCS[1][1]}
     assert ops[f"graze solve --out {os.devnull}"] == {
         "argv": ["solve", "--out", os.devnull], "doc": identity.FIXED_DOCS[2][1]}
+    assert ops["power check"] == {"argv": ["check"], "doc": identity.FIXED_DOCS[3][1]}
     for key, change, argv in [
         ('a="1e200" P=[0, 1e+200, 1] check', {"a": "1e200", "P": [0, 1e200, 1]}, ["check"]),
         ("P=[0, 0.1] solve --force", {"P": [0, 0.1]}, ["solve", "--force"]),
@@ -154,6 +155,7 @@ def test_record_adds_the_fixed_operations(monkeypatch):
          ["ek"]),
         ("k=0.005 ek", {"k": 0.005}, ["ek"]),
         ('psi="exp(800*t)" k=0.005 ek', {"psi": "exp(800*t)", "k": 0.005}, ["ek"]),
+        ('psi="t^600" ek', {"psi": "t^600"}, ["ek"]),
     ]:
         assert ops[f"example2 {key}"] == {"argv": argv, "doc": {**cli.example2_doc(), **change}}
     assert ops["gevrey --selftest"] == {"argv": ["gevrey"], "doc": None}

@@ -58,6 +58,9 @@ FIXED_DOCS = (
     # psi leaves [-1, 1] at a CSV point only: the report, then an error, exit 4
     ("graze", {"k": 1, "d": 0, "c": 0.01, "P": [0, 0, 0.1], "a": "0.1", "b": "0.01",
                "psi": "1.000000001-(t-0.002)^2"}, ["solve", "--out", os.devnull]),
+    # a large integer-literal exponent at negative t: an integer power, a report
+    ("power", {"k": 1, "d": 0, "c": 0.01, "P": [0, 0, 0.1], "a": "0.1*t^600", "b": "0.01",
+               "psi": "t"}, ["check"]),
 )
 # (entries replaced in example2, command): an overflowing first hypothesis
 # ("cond1_lhs": null), a failing warning under "validation": {"ok": true},
@@ -67,9 +70,10 @@ FIXED_DOCS = (
 # power is not evaluated exactly under conjugation, a psi with a pole 0.05
 # from [-1, 1] (also at density 17), one that moves with the branch of
 # (-1)^t, one whose branch cut starts 0.2 from [-1, 1], one with a zero
-# 0.04 and a pole 0.05 from it under a cut, and a radius that first
+# 0.04 and a pole 0.05 from it under a cut, a radius that first
 # underflows at level 41, in the second block: sin(t) ends with the radius
-# error, while exp(800*t) overflows in the first block before it
+# error, while exp(800*t) overflows in the first block before it, and a psi
+# with a large integer-literal exponent
 EXAMPLE2_CHANGES = (
     ({"a": "1e200", "P": [0, 1e200, 1]}, ["check"]),
     ({"P": [0, 0.1]}, ["solve", "--force"]),
@@ -86,6 +90,7 @@ EXAMPLE2_CHANGES = (
     ({"psi": "sqrt((t-1.04)/(t-1.05))", "k": 0.5}, ["ek"]),
     ({"k": 0.005}, ["ek"]),
     ({"psi": "exp(800*t)", "k": 0.005}, ["ek"]),
+    ({"psi": "t^600"}, ["ek"]),
 )
 _SECONDS = re.compile(r'("seconds": )[^,}\n]+')
 _ABSENT = object()  # a key missing from one of two compared JSON objects
