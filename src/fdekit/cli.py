@@ -376,38 +376,31 @@ SOURCE_TERM_NOTE = (
 )
 
 
-def _assertions_example2():
-    """Hypothesis-stage assertions for the quartic built-in example."""
-    prob = load_problem(example2_doc())
-    rep = conditions.analyze(prob)
-    lo, hi = EX2_THETA_BRACKET
-    glo, ghi = EX2_GAP_BRACKET
-    checks = [
-        ("theta in reference bracket", rep.theta is not None and lo < rep.theta < hi,
-         f"theta={rep.theta!r}"),
-        ("gap in reference bracket", rep.gap is not None and glo < rep.gap < ghi,
-         f"gap={rep.gap!r}"),
-        ("cond1 lhs = 0.375 +- 1e-12",
-         abs(rep.cond1_lhs - EX2_COND1_LHS) <= 1e-12, f"lhs={rep.cond1_lhs!r}"),
-        ("cond2 lhs = 0.02 +- 1e-10",
-         rep.cond2_lhs is not None and abs(rep.cond2_lhs - EX2_COND2_LHS) <= 1e-10,
-         f"lhs={rep.cond2_lhs!r}"),
-        ("both hypotheses pass", rep.ok, rep.error or ""),
-    ]
-    return prob, rep, checks
-
-
-def _assertions_example1():
-    """Closed-form assertions for the cubic built-in example."""
+def _hypothesis_checks(name, rep):
+    """(label, ok, detail) of the hypothesis-stage checks of a built-in
+    example: reference brackets and values for example2, closed forms for
+    example1."""
+    if name == "example2":
+        lo, hi = EX2_THETA_BRACKET
+        glo, ghi = EX2_GAP_BRACKET
+        return [
+            ("theta in reference bracket", rep.theta is not None and lo < rep.theta < hi,
+             f"theta={rep.theta!r}"),
+            ("gap in reference bracket", rep.gap is not None and glo < rep.gap < ghi,
+             f"gap={rep.gap!r}"),
+            ("cond1 lhs = 0.375 +- 1e-12",
+             abs(rep.cond1_lhs - EX2_COND1_LHS) <= 1e-12, f"lhs={rep.cond1_lhs!r}"),
+            ("cond2 lhs = 0.02 +- 1e-10",
+             rep.cond2_lhs is not None and abs(rep.cond2_lhs - EX2_COND2_LHS) <= 1e-10,
+             f"lhs={rep.cond2_lhs!r}"),
+        ]
     alpha, beta, gamma, N = (EX1_PARAMS[key] for key in ("alpha", "beta", "gamma", "N"))
-    prob = load_problem(example1_doc(**EX1_PARAMS))
-    rep = conditions.analyze(prob)
     theta_ref = math.sqrt((N + 1) / (6.0 * abs(alpha)))
     lhs_ref = (2.0 * beta / gamma) * math.sinh(gamma)
     # sufficient reference bound for the second hypothesis; smaller than the
     # report's gap, so lhs < bound_ref implies the strict inequality
     bound_ref = math.sqrt((N + 1) / (24.0 * abs(alpha)))
-    checks = [
+    return [
         ("theta matches closed form",
          rep.theta is not None and abs(rep.theta - theta_ref) <= 1e-12,
          f"theta={rep.theta!r} ref={theta_ref!r}"),
@@ -420,38 +413,28 @@ def _assertions_example1():
         ("reference bound below gap",
          rep.gap is not None and bound_ref <= rep.gap + 1e-12,
          f"gap={rep.gap!r}"),
-        ("both hypotheses pass", rep.ok, rep.error or ""),
     ]
-    return prob, rep, checks
 
 
-def _reproduce_one(name, lines):
-    assertions = _assertions_example2 if name == "example2" else _assertions_example1
-    prob, rep, checks = assertions()
-
+def _reproduce_one(name):
+    """The PASS/FAIL lines of one built-in example, one per check in a fixed
+    order, and its inclusion probe report (None for example1)."""
+    prob = load_problem(example2_doc() if name == "example2" else example1_doc(**EX1_PARAMS))
+    rep = conditions.analyze(prob)
     sol = picard.solve(prob, rep, keep_iterates=(name == "example2"))
     u0 = sol.u.eval(prob.d)
-    c_ref = prob.c
-    checks.append(("solve converged", sol.converged, f"iterations={sol.iterations}"))
-    checks.append(
-        (f"u({prob.d:g}) = {c_ref:g} +- 1e-12", abs(u0 - c_ref) <= 1e-12, f"u0={u0!r}")
-    )
-    checks.append(
-        ("residual <= 1e-10", sol.residual_sup <= 1e-10, f"residual={sol.residual_sup!r}")
-    )
     bound = picard.coeff_bound(sol.u.coeffs)
-    checks.append(
-        ("iterates inside invariant ball", bound <= sol.r0_used + picard.BALL_SLACK,
-         f"bound={bound!r} r0={sol.r0_used!r}")
-    )
-
     ek = gevrey.check_ek(prob.psi, prob.k, gevrey.DEFAULT_SCALES, 100, density=128)
-    checks.append(
-        ("deviating-map inclusion check passes", ek.passed,
-         f"worst ratio={ek.worst_ratio!r}")
-    )
-
-    probe_summary = None
+    checks = _hypothesis_checks(name, rep) + [
+        ("both hypotheses pass", rep.ok, rep.error or ""),
+        ("solve converged", sol.converged, f"iterations={sol.iterations}"),
+        (f"u({prob.d:g}) = {prob.c:g} +- 1e-12", abs(u0 - prob.c) <= 1e-12, f"u0={u0!r}"),
+        ("residual <= 1e-10", sol.residual_sup <= 1e-10, f"residual={sol.residual_sup!r}"),
+        ("iterates inside invariant ball", bound <= sol.r0_used + picard.BALL_SLACK,
+         f"bound={bound!r} r0={sol.r0_used!r}"),
+        ("deviating-map inclusion check passes", ek.passed, f"worst ratio={ek.worst_ratio!r}"),
+    ]
+    probe = None
     if name == "example2":
         # the largest scale that passed the inclusion check at every level
         tau = max((A for A, first in ek.first_pass_p.items() if first == 1), default=None)
@@ -464,33 +447,21 @@ def _reproduce_one(name, lines):
             ("iterate continuations inside fattened value interval",
              probe.all_within, f"s_used={probe.s_used!r}")
         )
-        probe_summary = probe
-
-    all_ok = True
-    for label, ok, detail in checks:
-        all_ok &= bool(ok)
-        suffix = f"  [{detail}]" if detail else ""
-        lines.append(f"{'PASS' if ok else 'FAIL'}  {name}: {label}{suffix}")
-    return all_ok, probe_summary
+    lines = [f"{'PASS' if ok else 'FAIL'}  {name}: {label}" + (f"  [{detail}]" if detail else "")
+             for label, ok, detail in checks]
+    return lines, probe
 
 
 def cmd_reproduce(which):
     names = ["example1", "example2"] if which == "all" else [which]
-    lines = []
-    all_ok = True
-    probe_summary = None
-    for name in names:
-        ok, probe = _reproduce_one(name, lines)
-        all_ok &= ok
-        if probe is not None:
-            probe_summary = probe
+    runs = [_reproduce_one(name) for name in names]
+    lines = [line for run_lines, _ in runs for line in run_lines]
     for line in lines:
         print(line)
-    summary = {"ok": all_ok, "note": SOURCE_TERM_NOTE}
-    if probe_summary is not None:
-        summary["probe"] = probe_summary
-    print(_dumps(summary))
-    return EXIT_OK if all_ok else EXIT_FAILURE
+    ok = all(line.startswith("PASS") for line in lines)
+    probes = {"probe": probe for _, probe in runs if probe is not None}
+    print(_dumps({"ok": ok, "note": SOURCE_TERM_NOTE, **probes}))
+    return EXIT_OK if ok else EXIT_FAILURE
 
 
 # --- argument parsing --------------------------------------------------------------
@@ -564,6 +535,8 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if args.command == "gevrey" and not args.selftest and args.path is None:
             parser.error("gevrey requires a problem file unless --selftest is given")
+        if args.command == "gevrey" and args.selftest and args.path is not None:
+            parser.error("gevrey --selftest reads no problem file")
     except SystemExit as exc:
         if exc.code:  # a usage error; --help exits 0
             return EXIT_INPUT

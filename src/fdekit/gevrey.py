@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -406,8 +406,8 @@ class ProbeReport:
     C: float
     r0: float
     k: float
-    all_within: bool = False
-    levels: list = field(default_factory=list)
+    all_within: bool
+    levels: list
 
 
 def stadium_inclusion_probe(iterates, r0, k, s, C, n_range):
@@ -449,16 +449,17 @@ def stadium_inclusion_probe(iterates, r0, k, s, C, n_range):
 
     # an iterate has real coefficients: its values on the lower half of the
     # curve are the exact conjugates of those on the upper half
-    report = ProbeReport(s_requested=float(s), s_used=s_used, C=C, r0=r0, k=k)
+    levels = []
     for n in n_range:
         radius = _stadium_radius(k, s_used, n)
         values = iterates[n - 1].eval_complex(_stadium_points(radius, PROBE_DENSITY, half=True))
         worst = float(np.max(interval_distance(values, half_width=r0)))
-        report.levels.append(ProbeLevel(n=n, ratio=worst / (C * radius), worst_dist=worst,
-                                        allowed=C * radius,
-                                        points=_stadium_width(PROBE_DENSITY)))
-    report.all_within = max(lv.ratio for lv in report.levels) <= 1.0 + EK_PASS_SLACK
-    return report
+        levels.append(ProbeLevel(n=n, ratio=worst / (C * radius), worst_dist=worst,
+                                 allowed=C * radius,
+                                 points=_stadium_width(PROBE_DENSITY)))
+    return ProbeReport(s_requested=float(s), s_used=s_used, C=C, r0=r0, k=k,
+                       all_within=max(lv.ratio for lv in levels) <= 1.0 + EK_PASS_SLACK,
+                       levels=levels)
 
 
 def _fits_trusted(iterate, radius):
@@ -532,30 +533,22 @@ def gevrey_order_estimate(norms, flagged=None):
         for j in range(2, len(norms) + 1)
         if not flagged[j - 1] and norms[j - 1] > 0.0
     ]
-    if len(usable) < 4:
-        return GevreyEstimate(
-            norms=norms,
-            flagged=list(flagged),
-            slope=None,
-            k_hat=None,
-            B=None,
-            classification="unresolved",
-            usable_indices=usable,
-        )
-    js = np.array(usable, dtype=float)
-    y = np.log([norms[j - 1] for j in usable])
-    X = np.column_stack([np.ones_like(js), js, js * np.log(js)])
-    coef, *_ = np.linalg.lstsq(X, y, rcond=None)
-    slope = float(coef[2])
-    if not math.isfinite(slope):
-        raise GevreyError("non-finite slope in regularity fit")
-    b_fit = float(np.exp(coef[1])) if abs(coef[1]) < 700 else None
-    if slope > SLOPE_ANALYTIC_CUTOFF:
-        classification = "gevrey"
-        k_hat = 1.0 / (slope - 1.0)
-    else:
-        classification = "analytic-like"
-        k_hat = None
+    slope = k_hat = b_fit = None
+    classification = "unresolved"
+    if len(usable) >= 4:
+        js = np.array(usable, dtype=float)
+        y = np.log([norms[j - 1] for j in usable])
+        X = np.column_stack([np.ones_like(js), js, js * np.log(js)])
+        coef, *_ = np.linalg.lstsq(X, y, rcond=None)
+        slope = float(coef[2])
+        if not math.isfinite(slope):
+            raise GevreyError("non-finite slope in regularity fit")
+        b_fit = float(np.exp(coef[1])) if abs(coef[1]) < 700 else None
+        if slope > SLOPE_ANALYTIC_CUTOFF:
+            classification = "gevrey"
+            k_hat = 1.0 / (slope - 1.0)
+        else:
+            classification = "analytic-like"
     return GevreyEstimate(
         norms=norms,
         flagged=list(flagged),

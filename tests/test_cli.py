@@ -467,6 +467,32 @@ class TestGevreyCmd:
         assert rep["solve"]["out_of_theorem"]
 
 
+# the label of every line of `reproduce all`, in order: the text before its values
+REPRODUCE_ALL_LABELS = [
+    "PASS  example1: theta matches closed form",
+    "PASS  example1: cond2 lhs matches closed form",
+    "PASS  example1: lhs below reference bound",
+    "PASS  example1: reference bound below gap",
+    "PASS  example1: both hypotheses pass",
+    "PASS  example1: solve converged",
+    "PASS  example1: u(0) = 0 +- 1e-12",
+    "PASS  example1: residual <= 1e-10",
+    "PASS  example1: iterates inside invariant ball",
+    "PASS  example1: deviating-map inclusion check passes",
+    "FAIL  example2: theta in reference bracket",
+    "FAIL  example2: gap in reference bracket",
+    "PASS  example2: cond1 lhs = 0.375 +- 1e-12",
+    "PASS  example2: cond2 lhs = 0.02 +- 1e-10",
+    "PASS  example2: both hypotheses pass",
+    "PASS  example2: solve converged",
+    "PASS  example2: u(0) = 0.01 +- 1e-12",
+    "PASS  example2: residual <= 1e-10",
+    "PASS  example2: iterates inside invariant ball",
+    "PASS  example2: deviating-map inclusion check passes",
+    "PASS  example2: iterate continuations inside fattened value interval",
+]
+
+
 class TestReproduce:
     def test_cubic_example_all_green(self, capsys):
         code, out = run(capsys, ["reproduce", "example1"])
@@ -514,12 +540,14 @@ class TestReproduce:
         assert sups == []
 
     def test_all_aggregates_both(self, capsys):
+        # every check of both examples, in order, then the summary
         code, out = run(capsys, ["reproduce", "all"])
         assert code == EXIT_FAILURE  # quartic bracket misprints dominate
-        lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
-        assert sum(l.startswith("FAIL") for l in lines) == 2
-        assert any("example1" in l for l in lines)
-        assert any("example2" in l for l in lines)
+        text = out[:out.index("{")].splitlines()
+        assert [line.split("  [")[0] for line in text] == REPRODUCE_ALL_LABELS
+        summary = report_of(out)
+        assert list(summary) == ["ok", "note", "probe"]
+        assert summary["ok"] is False
 
 
 # Inputs that once escaped the exit-code contract as tracebacks: undefined or
@@ -592,6 +620,7 @@ USAGE_ERRORS = {
     "empty-scale-list": ["ek", "{path}", "--A", ""],
     "unknown-command": ["bogus", "{path}"],
     "gevrey-without-path": ["gevrey"],
+    "gevrey-path-and-selftest": ["gevrey", "{path}", "--selftest"],
 }
 
 

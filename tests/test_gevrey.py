@@ -610,6 +610,13 @@ class TestGevreyOrderEstimate:
         assert est.classification == "unresolved"
         assert est.slope is None
 
+    def test_unresolved_report_lists_flagged(self):
+        est = gevrey_order_estimate([1.0, 2.0, 3.0], (False, True, False))
+        assert est.classification == "unresolved"
+        assert (est.slope, est.k_hat, est.B) == (None, None, None)
+        assert est.flagged == [False, True, False]
+        assert est.usable_indices == [3]
+
     def test_fits_derivative_norms(self):
         u = build(np.exp, tol=1e-15)
         dn = derivative_norms(u, 12)

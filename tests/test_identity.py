@@ -61,6 +61,17 @@ def test_every_difference_is_listed(tmp_path, capsys):
     ]
 
 
+def test_a_report_on_one_side_only_is_named(tmp_path, capsys):
+    error = {"code": 4, "stderr": "error: x\n", "stdout": ""}
+    a = write(tmp_path, "a.json", {"paper/ex1-0 check": error})
+    b = write(tmp_path, "b.json", {"paper/ex1-0 check": CHECK})
+    assert identity.main(["compare", a, b]) == 1
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "field <report>: 1 operation(s), not numeric",
+        "3 difference(s) over 1 operations",
+    ]
+
+
 def report(theta, bracket, text=""):
     doc = {"conditions": {"theta": theta, "brackets": {"r1_bracket": bracket}}, "q": 0.5}
     return {"code": 0, "stderr": "", "stdout": text + json.dumps(doc, indent=2) + "\n"}

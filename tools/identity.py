@@ -22,8 +22,9 @@ allowed to change between runs.  It reads nothing of ``perfbench/`` but the work
 ``compare`` lists every operation whose record differs between two files,
 or is missing from one, and exits 1 if there is any; it exits 0 otherwise.
 After those lines it sums up what moved in stdout: one line per moved JSON
-field path (list indices collapsed to ``[]``) with the number of operations
-and the largest relative change, then each moved text line (the ``PASS`` and
+field path (list indices collapsed to ``[]``; ``<report>`` names a report
+printed on one side only) with the number of operations and the largest
+relative change, then each moved text line (the ``PASS`` and
 ``FAIL`` lines of ``reproduce``) with the number of operations.  Recording
 the parent and the changed source on the same seeds shows whether a change
 kept every report byte-identical, and which fields it moved if not.
@@ -180,7 +181,8 @@ def moved(a, b):
     lines = []
     for path, (ops, rels) in sorted(fields.items()):
         change = "not numeric" if None in rels else f"largest relative change {max(rels):.2g}"
-        lines.append(f"field {path}: {len(ops)} operation(s), {change}")
+        # a report on one side only moved as a whole, at the empty path
+        lines.append(f"field {path or '<report>'}: {len(ops)} operation(s), {change}")
     for (x, y), ops in sorted(texts.items()):
         lines.append(f"text line in {len(ops)} operation(s):\n  A: {x}\n  B: {y}")
     return lines
