@@ -71,17 +71,13 @@ class EvalDomainError(ChebError):
 
 
 def _pts_desc(n):
-    # descending order matches the FFT layout in _vals_to_coeffs
-    if n == 0:
-        return np.array([1.0])
+    # n >= 1; descending order matches the FFT layout in _vals_to_coeffs
     return np.cos(np.pi * np.arange(n + 1) / n)
 
 
 def _vals_to_coeffs(v):
     """Coefficients c_k of sum c_k T_k interpolating values at _pts_desc(n)."""
     n = len(v) - 1
-    if n == 0:
-        return np.array([float(v[0])])
     w = np.concatenate([v, v[-2:0:-1]])
     c = np.fft.rfft(w).real / n
     c[0] *= 0.5

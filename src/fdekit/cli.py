@@ -337,13 +337,14 @@ def cmd_ek(path, A_list, pmax, density):
     return EXIT_OK if report.passed else EXIT_HYPOTHESIS
 
 
-def cmd_gevrey(path, nmax=12, force=False, selftest=False):
+def cmd_gevrey(path, nmax=None, force=False, selftest=False):
     if selftest:
         synthetic = [float(j) ** (2 * j) for j in range(1, 13)]
         est = gevrey.gevrey_order_estimate(synthetic)
         ok = est.k_hat is not None and abs(est.k_hat - 1.0) <= 0.05
         print(_dumps({"selftest": est, "ok": ok}))
         return EXIT_OK if ok else EXIT_FAILURE
+    nmax = 12 if nmax is None else nmax
     if not 1 <= nmax <= gevrey.MAX_DERIVATIVES:
         raise ProblemError(f"--nmax must be in [1, {gevrey.MAX_DERIVATIVES}]")
     prob, _ = _load_and_validate(path)
@@ -515,7 +516,7 @@ def _parser():
 
     p_gevrey = sub.add_parser("gevrey", help="derivative-growth regularity estimate")
     p_gevrey.add_argument("path", nargs="?", default=None)
-    p_gevrey.add_argument("--nmax", type=int, default=12)
+    p_gevrey.add_argument("--nmax", type=int, default=None)
     p_gevrey.add_argument("--force", action="store_true")
     p_gevrey.add_argument("--selftest", action="store_true",
                           help="fit a synthetic norm sequence instead of a problem")
@@ -537,6 +538,8 @@ def main(argv=None):
             parser.error("gevrey requires a problem file unless --selftest is given")
         if args.command == "gevrey" and args.selftest and args.path is not None:
             parser.error("gevrey --selftest reads no problem file")
+        if args.command == "gevrey" and args.selftest and (args.nmax is not None or args.force):
+            parser.error("gevrey --selftest takes no --nmax or --force")
     except SystemExit as exc:
         if exc.code:  # a usage error; --help exits 0
             return EXIT_INPUT

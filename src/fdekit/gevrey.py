@@ -129,18 +129,17 @@ def _stadium_radius(k, A, n):
     return A * n ** (-1.0 / k)
 
 
-def _stadium_radii(k, A, n, count):
-    """The radii of the stadia of levels n .. n + count - 1 up to the first
-    that is not positive and finite, and the GevreyError that one raises
-    (None if there is none); a GevreyError at once if the parameters are
-    out of range."""
+def _stadium_radii(k, A, n, count=1):
+    """The radii of the stadia of levels n .. n + count - 1; a GevreyError if
+    the parameters are out of range or one of the radii is not positive and
+    finite."""
     if k <= 0 or A <= 0 or n < 1:
         raise GevreyError("stadium parameters must satisfy k>0, A>0, n>=1")
     radii = [_stadium_radius(k, A, m) for m in range(n, n + count)]
-    for i, radius in enumerate(radii):
+    for radius in radii:
         if not 0.0 < radius < math.inf:
-            return radii[:i], GevreyError(f"stadium radius {radius!r} is not positive and finite")
-    return radii, None
+            raise GevreyError(f"stadium radius {radius!r} is not positive and finite")
+    return radii
 
 
 @dataclass(frozen=True)
@@ -152,9 +151,7 @@ class StadiumRegion:
     n: int
 
     def __post_init__(self):
-        error = _stadium_radii(self.k, self.A, self.n, 1)[1]
-        if error is not None:
-            raise error
+        _stadium_radii(self.k, self.A, self.n)
 
     @property
     def radius(self):
@@ -167,10 +164,7 @@ class StadiumRegion:
         A GevreyError if one of their radii is not positive and finite."""
         if levels is None:
             return _stadium_points(self.radius, density, half)
-        radii, error = _stadium_radii(self.k, self.A, self.n, levels)
-        if error is not None:
-            raise error
-        return _stadium_points(radii, density, half)
+        return _stadium_points(_stadium_radii(self.k, self.A, self.n, levels), density, half)
 
 
 # --- deviating-map inclusion check ------------------------------------------
@@ -224,13 +218,14 @@ def check_ek(psi, k, A_list, p_max, density=128):
     psi commutes with conjugation (`Expr.is_conjugate_exact`) only the first
     half of each curve, tips included, is evaluated: the rest are the exact
     conjugates of its points.
-    The check passes when every ratio is <= 1 + 1e-12.  first_pass_p maps
-    each scale to the first level from which every ratio passes (1: every
-    level; None: it fails at p_max).  The scales must be distinct, positive
-    and finite, 1 <= p_max <= MAX_EK_LEVELS and 1 <= density <=
-    MAX_EK_DENSITY, all checked before any level is sampled.  This is
-    evidence, not a proof: the property quantifies over open sets, and the
-    analyticity test reads a sampled curve.
+    The check passes when every ratio is <= 1 + 1e-12 (so with no scale at
+    all).  first_pass_p maps each scale to the first level from which every
+    ratio passes (1: every level; None: it fails at p_max).  The scales must
+    be distinct, positive and finite, 1 <= p_max <= MAX_EK_LEVELS, 1 <=
+    density <= MAX_EK_DENSITY and the radii of levels 1..p_max+1 of every
+    scale positive and finite, all checked before any level is sampled.
+    This is evidence, not a proof: the property quantifies over open sets,
+    and the analyticity test reads a sampled curve.
     """
     if not 1 <= p_max <= MAX_EK_LEVELS:
         raise GevreyError(f"p_max must be in [1, {MAX_EK_LEVELS}]")
@@ -240,53 +235,36 @@ def check_ek(psi, k, A_list, p_max, density=128):
         raise GevreyError(f"fattening scales must be distinct: {list(A_list)!r}")
     if not all(0.0 < A < math.inf for A in A_list):
         raise GevreyError("fattening scales must be positive and finite")
-    levels = []
-    first_pass = {}
-    worst_overall = 0.0
-    for A in A_list:
-        last_fail = 0
-        for p, (worst, singularity, radius) in enumerate(
-                _level_maxima(psi, k, A, p_max, density), 1):
-            ratio = worst / radius
-            levels.append(EkLevel(A, p, ratio, worst) if singularity is None
-                          else SingularEkLevel(A, p, ratio, worst, singularity))
-            worst_overall = max(worst_overall, ratio)
-            if ratio > 1.0 + EK_PASS_SLACK:
-                last_fail = p
-        first_pass[A] = last_fail + 1 if last_fail < p_max else None
-    return EkReport(psi=psi.src, k=k, A_list=list(A_list), p_max=p_max, density=density,
-                    passed=worst_overall <= 1.0 + EK_PASS_SLACK, worst_ratio=worst_overall,
-                    first_pass_p=first_pass, levels=levels)
-
-
-def _level_maxima(psi, k, A, p_max, density):
-    """(worst, name, radius) for p = 1..p_max: worst is max dist(psi(z),
-    [-1, 1]) over the boundary of the level-(p+1) stadium of scale A and
-    name None, or inf and the node `_singularities` names; radius is that
-    of the level-p stadium.  Each block of levels is one
-    `StadiumRegion.sample`, a broadcast of the template over the list of
-    its radii.  A level whose radius is not positive and finite ends the
-    levels; its error is raised after the earlier levels are evaluated, so
-    an error evaluating one of those is reported first."""
+    # radii[n - 1] is the radius of the level-n stadium of its scale
+    scale_radii = [_stadium_radii(k, A, 1, p_max + 1) for A in A_list]
     # a conjugate-exact psi is entire, so no node needs the lower half
     nodes = psi.singular_nodes()
     half = psi.is_conjugate_exact()
     rows = max(1, _EK_CHUNK // _stadium_width(density, half))
-    radii, error = _stadium_radii(k, A, 1, p_max + 1)  # radii[n - 1] is the level-n radius
-    out = []
-    for first in range(1, len(radii), rows):
-        count = min(rows, len(radii) - first)
-        curves = StadiumRegion(k, A, first + 1).sample(density, count, half)
-        names = _singularities(nodes, curves)
-        keep = [i for i, name in enumerate(names) if name is None]
-        worst = np.full(count, math.inf)
-        if keep:
-            z = curves if len(keep) == count else curves[keep]
-            worst[keep] = np.max(interval_distance(psi.eval_complex(z)), axis=1)
-        out.extend(zip(worst.tolist(), names, radii[first - 1:first - 1 + count]))
-    if error is not None:
-        raise error
-    return out
+    levels = []
+    first_pass = {}
+    for A, radii in zip(A_list, scale_radii):
+        last_fail = 0
+        for first in range(1, p_max + 1, rows):
+            count = min(rows, p_max + 1 - first)
+            curves = StadiumRegion(k, A, first + 1).sample(density, count, half)
+            names = _singularities(nodes, curves)
+            keep = [i for i, name in enumerate(names) if name is None]
+            worst = np.full(count, math.inf)
+            if keep:
+                z = curves if len(keep) == count else curves[keep]
+                worst[keep] = np.max(interval_distance(psi.eval_complex(z)), axis=1)
+            for p, dist, name in zip(range(first, first + count), worst.tolist(), names):
+                ratio = dist / radii[p - 1]
+                levels.append(EkLevel(A, p, ratio, dist) if name is None
+                              else SingularEkLevel(A, p, ratio, dist, name))
+                if ratio > 1.0 + EK_PASS_SLACK:
+                    last_fail = p
+        first_pass[A] = last_fail + 1 if last_fail < p_max else None
+    worst_ratio = max((lv.worst_ratio for lv in levels), default=0.0)
+    return EkReport(psi=psi.src, k=k, A_list=list(A_list), p_max=p_max, density=density,
+                    passed=worst_ratio <= 1.0 + EK_PASS_SLACK, worst_ratio=worst_ratio,
+                    first_pass_p=first_pass, levels=levels)
 
 
 def _singularities(nodes, curves):
@@ -298,13 +276,16 @@ def _singularities(nodes, curves):
     cut's operand misses (-inf, 0] inside iff it misses it on the curve (no
     sample on the cut, no step across it).  Both are read from one np.angle
     of g.  A curve with a step that turns by pi/2 or more about 0 is not
-    trusted: "unresolved ...", unless a sample already decides."""
+    trusted: "unresolved ...", unless a sample already decides.  An operand
+    with one value at every sample is that constant inside the curve, so
+    its node is analytic there unless the value is 0."""
     names = [None] * len(curves)
     for kind, src, operand in nodes:
         live = [i for i, name in enumerate(names) if name is None]
         if not live:
             break
         g = operand.eval_complex(curves if len(live) == len(curves) else curves[live])
+        varies = np.any(g != g[:, :1], axis=1)
         arg = np.angle(g)
         step = np.diff(arg, axis=1, append=arg[:, :1])
         turn = step - 2.0 * np.pi * np.rint(step / (2.0 * np.pi))
@@ -312,9 +293,10 @@ def _singularities(nodes, curves):
         if kind == "pole":
             fails = np.rint(np.sum(turn, axis=1) / (2.0 * np.pi)) != 0
         else:
-            hit |= np.any(np.abs(arg) == np.pi, axis=1)
+            hit |= varies & np.any(np.abs(arg) == np.pi, axis=1)
             fails = np.any(np.abs(step) > np.pi, axis=1)
-        unresolved = np.any(np.abs(turn) >= 0.5 * np.pi, axis=1)
+        fails &= varies
+        unresolved = varies & np.any(np.abs(turn) >= 0.5 * np.pi, axis=1)
         for i, h, u, f in zip(live, hit.tolist(), unresolved.tolist(), fails.tolist()):
             if h or (f and not u):
                 names[i] = f"{kind} of {src}"

@@ -427,6 +427,7 @@ class TestGevreyCmd:
         assert rep["estimate"]["classification"] in ("analytic-like", "gevrey")
         assert rep["estimate"]["slope"] is not None
         assert math.isfinite(rep["estimate"]["slope"])
+        assert len(rep["derivative_norms"]["values"]) == 12  # the default --nmax
 
     def test_selftest(self, capsys):
         code, out = run(capsys, ["gevrey", "--selftest"])
@@ -621,6 +622,8 @@ USAGE_ERRORS = {
     "unknown-command": ["bogus", "{path}"],
     "gevrey-without-path": ["gevrey"],
     "gevrey-path-and-selftest": ["gevrey", "{path}", "--selftest"],
+    "gevrey-selftest-and-nmax": ["gevrey", "--selftest", "--nmax", "99"],
+    "gevrey-selftest-and-force": ["gevrey", "--selftest", "--force"],
 }
 
 

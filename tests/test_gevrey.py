@@ -143,38 +143,37 @@ class TestCheckEk:
         d = dataclasses.asdict(rep)
         assert d["passed"] and len(d["levels"]) == 3
 
-    def test_level_error_precedes_a_later_radius_error(self, monkeypatch):
-        # at k = 1e-3 the level-2 radius 0.5 * 3^-1000 underflows to 0, and
-        # exp(800 t), analytic on the level-1 stadium, overflows there first
-        with pytest.raises(OverflowEvalError, match="non-finite value"):
-            check_ek(parse("exp(800*t)"), 1e-3, [0.5], 100, density=128)
-        with pytest.raises(GevreyError, match="stadium radius 0.0"):
-            check_ek(parse("1/(t+3)"), 1e-3, [0.5], 100, density=128)
-        # 1/t has its pole inside the level-1 stadium: that level is not
-        # evaluated, and the radius error follows
-        with pytest.raises(GevreyError, match="stadium radius 0.0"):
-            check_ek(parse("1/t"), 1e-3, [0.5], 100, density=128)
-        # at k = 0.005 the radius 0.5 * 42^-200 of level 41 is the first to
-        # underflow, in the second block of 31 levels: exp(800 t) overflows
-        # in the first, and sin(t) is evaluated on the 40 levels before it
-        with pytest.raises(OverflowEvalError, match="non-finite value"):
-            check_ek(parse("exp(800*t)"), 0.005, [0.5], 100, density=128)
-        psi = parse("sin(t)")
-        counts = count_eval_points(monkeypatch, psi)
-        with pytest.raises(GevreyError, match="stadium radius 0.0 is not positive and finite"):
-            check_ek(psi, 0.005, [0.5], 100, density=128)
-        assert counts == [31 * 258, 9 * 258]
-
-    @pytest.mark.parametrize("p_max,density", [(0, 32), (10001, 32), (3, 0), (3, 4097)])
-    def test_level_and_density_caps(self, monkeypatch, p_max, density):
+    # at k = 1e-3 the level-3 radius 0.5 * 3^-1000 underflows to 0, at k =
+    # 0.005 the level-42 radius 0.5 * 42^-200, in the second block of levels,
+    # and at k = 0.01 the level-2 radius 1e-300 * 2^-100 of the second scale,
+    # while the first keeps every radius
+    @pytest.mark.parametrize("k,A_list,p_max,density,match", [
+        (1.0, [0.5], 0, 32, "must be in"),
+        (1.0, [0.5], 10001, 32, "must be in"),
+        (1.0, [0.5], 3, 0, "must be in"),
+        (1.0, [0.5], 3, 4097, "must be in"),
+        (1e-3, [0.5], 100, 128, "stadium radius 0.0 is not positive and finite"),
+        (0.005, [0.5], 100, 128, "stadium radius 0.0 is not positive and finite"),
+        (0.01, [0.5, 1e-300], 100, 128, "stadium radius 0.0 is not positive and finite"),
+    ])
+    @pytest.mark.parametrize("src", ["sin(t)", "exp(800*t)", "1/t"])
+    def test_level_and_density_caps(self, monkeypatch, src, k, A_list, p_max, density, match):
+        # every bound and every radius is checked before anything is sampled
+        # or evaluated: exp(800 t) would overflow on the level-1 stadium of
+        # scale 0.5, and 1/t has its pole inside every stadium
         def forbidden(*args, **kwargs):
             raise AssertionError("sampled before checking the caps")
 
+        psi = parse(src)
         monkeypatch.setattr(gevrey, "_template", forbidden)
         monkeypatch.setattr(StadiumRegion, "sample", forbidden)
         monkeypatch.setattr(Expr, "eval_complex", forbidden)
-        with pytest.raises(GevreyError, match="must be in"):
-            check_ek(parse("sin(t)"), 1.0, [0.5], p_max, density=density)
+        with pytest.raises(GevreyError, match=match):
+            check_ek(psi, k, A_list, p_max, density=density)
+
+    def test_no_scale_passes_with_no_level(self):
+        rep = check_ek(parse("2*t"), 1.0, [], 5)
+        assert (rep.passed, rep.worst_ratio, rep.first_pass_p, rep.levels) == (True, 0.0, {}, [])
 
 
 ENTIRE_MAPS = ["sin(t)", "0.5*sin(t)^3", "t^2-0.5", "0.5*cos(t)", "0.9*t",
@@ -339,6 +338,18 @@ class TestSingularLevels:
         names = gevrey._singularities(parse("1/(t-1.001)").singular_nodes(), near[None])
         assert names == ["unresolved pole of 1/(t-1.001)"]
 
+    def test_an_operand_with_one_value_is_analytic(self):
+        # a constant operand is analytic inside the curve, even on a cut,
+        # unless it is 0
+        circle = np.exp(2j * np.pi * np.arange(64) / 64)[None]
+        for src, name in [("1/(0*t+2)", None), ("ln(0*t-1)", None), ("sqrt(0*t-2)", None),
+                          ("1/(0*t)", "pole of 1/(0*t)"), ("ln(0*t)", "cut of ln(0*t)")]:
+            assert gevrey._singularities(parse(src).singular_nodes(), circle) == [name], src
+        # so 0*ln(0*t-1) adds nothing to 0.1 t on any stadium
+        got = check_ek(parse("0.1*t + 0*ln(0*t-1)"), 1.0, [0.1, 0.5, 0.9], 20, density=64)
+        want = check_ek(parse("0.1*t"), 1.0, [0.1, 0.5, 0.9], 20, density=64)
+        assert got.passed and got.levels == want.levels
+
     def test_entire_reports_keep_their_keys(self):
         rep = check_ek(parse("sin(t)"), 1.0, [0.5], 3, density=32)
         assert all(type(lv) is gevrey.EkLevel for lv in rep.levels)
@@ -384,16 +395,14 @@ class TestConjugateReflection:
             else:
                 assert np.array_equal(dists[0], dists[1])
 
-    # ln(0*t-1) is the constant i pi, but its operand lies on the cut of ln
-    # at every point, so no level is shown analytic and none is evaluated
+    # ln(0*t-1) is the constant i pi: its operand lies on the cut of ln at
+    # every point, but takes one value there, so the node is analytic
     @pytest.mark.parametrize("src", ["(0*t-2)^101*t", "(0*t-2)^100*t", "(-1)^t", "ln(0*t-1)"])
     def test_rejected_trees_keep_the_full_template(self, src):
         psi = parse(src)
         assert not psi.is_conjugate_exact()
         rep = check_ek(psi, 1.0, [0.5], 3, density=17)
-        singular = 0.0 if src == "ln(0*t-1)" else math.inf
-        assert [lv.worst_dist for lv in rep.levels] == full_sample_maxima(
-            psi, 1.0, 0.5, 3, 17, singular)
+        assert [lv.worst_dist for lv in rep.levels] == full_sample_maxima(psi, 1.0, 0.5, 3, 17)
 
     @pytest.mark.parametrize("exponent", [99, 100, 101])
     def test_exponents_from_100_break_the_reflection(self, exponent):

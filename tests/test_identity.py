@@ -167,6 +167,8 @@ def test_record_adds_the_fixed_operations(monkeypatch):
         ("k=0.005 ek", {"k": 0.005}, ["ek"]),
         ('psi="exp(800*t)" k=0.005 ek', {"psi": "exp(800*t)", "k": 0.005}, ["ek"]),
         ('psi="t^600" ek', {"psi": "t^600"}, ["ek"]),
+        ('psi="0.1*t+0*ln(0*t-1)" ek', {"psi": "0.1*t+0*ln(0*t-1)"}, ["ek"]),
+        ("k=0.01 ek --A 0.5,1e-300", {"k": 0.01}, ["ek", "--A", "0.5,1e-300"]),
     ]:
         assert ops[f"example2 {key}"] == {"argv": argv, "doc": {**cli.example2_doc(), **change}}
     assert ops["gevrey --selftest"] == {"argv": ["gevrey"], "doc": None}

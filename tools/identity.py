@@ -72,9 +72,11 @@ FIXED_DOCS = (
 # from [-1, 1] (also at density 17), one that moves with the branch of
 # (-1)^t, one whose branch cut starts 0.2 from [-1, 1], one with a zero
 # 0.04 and a pole 0.05 from it under a cut, a radius that first
-# underflows at level 41, in the second block: sin(t) ends with the radius
-# error, while exp(800*t) overflows in the first block before it, and a psi
-# with a large integer-literal exponent
+# underflows at level 42, in the second block: sin(t) and exp(800*t), which
+# would overflow in the first block, both end with the radius error before
+# any level is sampled, a psi with a large integer-literal exponent, a cut
+# whose operand is the constant -1 (analytic, 0.1 t on every stadium), and
+# a second scale whose level-2 radius underflows
 EXAMPLE2_CHANGES = (
     ({"a": "1e200", "P": [0, 1e200, 1]}, ["check"]),
     ({"P": [0, 0.1]}, ["solve", "--force"]),
@@ -92,6 +94,8 @@ EXAMPLE2_CHANGES = (
     ({"k": 0.005}, ["ek"]),
     ({"psi": "exp(800*t)", "k": 0.005}, ["ek"]),
     ({"psi": "t^600"}, ["ek"]),
+    ({"psi": "0.1*t+0*ln(0*t-1)"}, ["ek"]),
+    ({"k": 0.01}, ["ek", "--A", "0.5,1e-300"]),
 )
 _SECONDS = re.compile(r'("seconds": )[^,}\n]+')
 _ABSENT = object()  # a key missing from one of two compared JSON objects
