@@ -6,7 +6,9 @@ second-kind Chebyshev points with the degree doubling until the tail of the
 coefficient vector falls below tolerance, then trims.  Calculus is done on
 coefficients, and the sup norm and integral of |u| refine FFT grid values by
 Newton steps in arccos(x) (the integral then adds |U(b) - U(a)| over the
-pieces between sign changes), so all of these are spectrally accurate.
+pieces between sign changes), so all of these are spectrally accurate.  The
+sup norm kernel _sup_norms takes a stack of series in one FFT and one Newton
+run; ChebFun.sup_norm is its one-series case.
 
 Real evaluation of a series with m + 1 coefficients at N points has two
 kernels.  Below _EVAL_CROSSOVER coefficients it is the Clenshaw recurrence,
@@ -47,7 +49,7 @@ TOL_RANGE = (1e-15, 1e-3)  # relative tolerances build accepts
 MAX_DEGREE = 32768
 
 _EVAL_SLACK = 1e-14  # clamp width for real evaluation just outside [-1, 1]
-_CHUNK = 1 << 16  # matrix entries per dense product in _theta_eval
+_CHUNK = 1 << 14  # matrix entries per dense product in _theta_eval (fits in L2, see CHANGES.md)
 # Real evaluation of series with at least _EVAL_CROSSOVER coefficients
 # interpolates FFT grid values (crossover measured against Clenshaw, see CHANGES.md)
 _EVAL_CROSSOVER = 128
@@ -108,17 +110,17 @@ def _fft_size(n):
 
 
 def _grid_values(c, n):
-    """Values of sum c_k T_k at _pts_desc(n): the inverse of _vals_to_coeffs,
-    a zero-padded DCT-I through one real FFT.  Above degree n the series is
-    first folded by aliasing, as T_k equals T_k' on that grid for
-    k' = min(k mod 2n, 2n - k mod 2n)."""
-    if len(c) > n + 1:
+    """Values of sum c_k T_k at _pts_desc(n), per row of c: the inverse of
+    _vals_to_coeffs, a zero-padded DCT-I through one real FFT.  Above degree
+    n a 1-d series is first folded by aliasing, as T_k equals T_k' on that
+    grid for k' = min(k mod 2n, 2n - k mod 2n)."""
+    if c.shape[-1] > n + 1:
         k = np.arange(len(c)) % (2 * n)
         c = np.bincount(np.minimum(k, 2 * n - k), weights=c, minlength=n + 1)
-    b = np.zeros(n + 1)
-    b[: len(c)] = c
-    b[1:n] *= 0.5
-    return np.fft.rfft(np.concatenate([b, b[-2:0:-1]])).real
+    b = np.zeros(c.shape[:-1] + (n + 1,))
+    b[..., : c.shape[-1]] = c
+    b[..., 1:n] *= 0.5
+    return np.fft.rfft(np.concatenate([b, b[..., -2:0:-1]], axis=-1)).real
 
 
 def _interp_grid(c):
@@ -182,53 +184,109 @@ def _evaluator(c):
     return ev
 
 
-def _theta_eval(c, theta):
-    """Rows g, g', g'' of g(theta) = sum c_k cos(k theta), as dense products in
-    chunks of about _CHUNK entries.  k*theta is exact: theta = head + tail with
-    head on a 2^-35 lattice (k*head is exact for k < 2^16), and with t = k*tail,
-    cos(t) = 1 - t^2/2 and sin(t) = t to double precision as |t| < 2e-6."""
+def _theta_eval(c, theta, starts=(0,)):
+    """Rows g, g', g'' of g(theta) = sum c_k cos(k theta), with row r of c at
+    theta[starts[r]:starts[r + 1]], as dense products in chunks of about
+    _CHUNK entries, one cosine table per chunk.  k*theta is exact: theta =
+    head + tail with head on a 2^-35 lattice (k*head is exact for k < 2^16),
+    and with t = k*tail, cos(t) = 1 - t^2/2 and sin(t) = t to double
+    precision as |t| < 2e-6."""
     # highest degree first, so the small terms add up before the large ones
-    k = np.arange(len(c) - 1, -1, -1, dtype=float)
-    c, kc = c[::-1], -k * c[::-1]
+    k = np.arange(c.shape[1] - 1, -1, -1, dtype=float)
+    c, kc = c[:, ::-1], -k * c[:, ::-1]
     out = np.empty((3, len(theta)))
     tail = np.fmod(theta, 2.0**-35)
     head = theta - tail
-    rows = max(1, _CHUNK // len(c))
-    for s in range(0, len(theta), rows):
-        part = slice(s, s + rows)
-        a = np.multiply.outer(head[part], k)
-        t = np.multiply.outer(tail[part], k)
-        ca, sa, ct = np.cos(a), np.sin(a), 1.0 - 0.5 * t * t
-        cos = ca * ct - sa * t
-        out[:, part] = [cos @ c, (sa * ct + ca * t) @ kc, cos @ (k * kc)]
+    rows = max(1, _CHUNK // len(k))
+    bounds, r = [*starts, len(theta)], 0
+    # pieces [i, j) of one chunk and one row each; chunks start at multiples of rows
+    cuts = sorted({*range(0, len(theta), rows), *bounds})
+    for i, j in zip(cuts, cuts[1:]):
+        if i % rows == 0:
+            s = i
+            a = np.multiply.outer(head[s : s + rows], k)
+            t = np.multiply.outer(tail[s : s + rows], k)
+            ca, sa, ct = np.cos(a), np.sin(a), 1.0 - 0.5 * t * t
+            cos, sin = ca * ct - sa * t, sa * ct + ca * t
+        while bounds[r + 1] <= i:
+            r += 1
+        p = slice(i - s, j - s)
+        out[:, i:j] = [cos[p] @ c[r], sin[p] @ kc[r], cos[p] @ (k * kc[r])]
     return out
 
 
-def _newton(c, th, lo, hi, below, order):
+def _newton(c, th, lo, hi, below, order, starts=(0,)):
     """Zeros of f, the order-th theta-derivative of g = sum c_k cos(k theta),
     one per bracket [lo, hi] where f has the sign `below` left of its zero,
-    and the largest |g| evaluated.  Newton steps are clipped into the bracket,
-    which narrows around the zero; a step that is not finite bisects.  A point
-    stops at a step <= 1e-15 or at |f| <= 4 eps sum k^order |c_k|.
-    """
+    and per row of c the largest |g| evaluated; rows take points as in
+    _theta_eval, one at least.  Newton steps are clipped into the bracket,
+    which narrows around the zero; a step that is not finite bisects.  A
+    point stays at |f| <= 4 eps sum k^order |c_k|, and a row stops once none
+    of its points moves by more than 1e-15."""
+    th = np.array(th, dtype=float)
     if len(th) == 0:
-        return th, 0.0
-    noise = 4.0 * np.finfo(float).eps * float(np.sum(np.abs(c) * np.arange(len(c)) ** order))
-    best = 0.0
+        return th, np.zeros(len(c))
+    noise = 4.0 * np.finfo(float).eps * np.sum(np.abs(c) * np.arange(c.shape[1]) ** order, 1)
+    # the rows still moving and, per point of theirs, its index into th (and
+    # peak, which keep each point's last state), theta, bracket, |g| so far
+    first, counts = list(starts), np.subtract([*starts[1:], len(th)], starts)
+    cl, live, x, peak, pk = c, np.arange(len(th)), th, np.zeros(len(th)), np.zeros(len(th))
+    noise = np.repeat(noise, counts)
     for _ in range(12):
-        rows = _theta_eval(c, th)
-        best = max(best, float(np.max(np.abs(rows[0]))))
+        rows = _theta_eval(cl, x, first)
+        pk = np.maximum(pk, np.abs(rows[0]))
         f = rows[order]
         left = np.sign(f) == below
-        lo, hi = np.where(left, th, lo), np.where(left, hi, th)
+        lo, hi = np.where(left, x, lo), np.where(left, hi, x)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = f / rows[order + 1]
-        new = np.where(np.isfinite(step), np.clip(th - step, lo, hi), 0.5 * (lo + hi))
-        new = np.where(np.abs(f) <= noise, th, new)
-        if np.all(np.abs(new - th) <= 1e-15):
-            return new, best
-        th = new
-    return th, best
+        new = np.where(np.isfinite(step), np.clip(x - step, lo, hi), 0.5 * (lo + hi))
+        new = np.where(np.abs(f) <= noise, x, new)
+        still = np.abs(new - x) > 1e-15  # new is finite, within its bracket
+        x = new
+        if not still.any():
+            break
+        moving = np.logical_or.reduceat(still, first)
+        if not moving.all():
+            th[live], peak[live] = x, pk
+            keep = np.repeat(moving, counts)
+            live, x, lo, hi, below, noise, pk = (
+                v[keep] for v in (live, x, lo, hi, below, noise, pk))
+            cl, counts = cl[moving], counts[moving]
+            first = (np.cumsum(counts) - counts).tolist()
+    th[live], peak[live] = x, pk
+    return th, np.maximum.reduceat(peak, starts)
+
+
+def _sup_norms(c):
+    """Maximum of |u_r| over [-1, 1] for each row u_r = sum_k c[r, k] T_k.
+
+    FFT values of every row on one Chebyshev grid of size >= 8*(columns of
+    c); in each row, every local maximum within 0.1% of the row's best (at
+    most 32, the largest) starts Newton steps for d/dtheta u_r(cos theta) = 0
+    inside its two neighbouring cells, and one _newton run serves all rows.
+    The largest |u_r| evaluated is a lower bound of the sup, ~1e-14 relative.
+    """
+    ng = _fft_size(max(8 * c.shape[1], 64))
+    v = _grid_values(c, ng)
+    va = np.abs(v)
+    best = va.max(axis=1)
+    peak = va >= 0.999 * best[:, None]  # a row's maximum is always one
+    peak[:, 1:] &= va[:, 1:] >= va[:, :-1]
+    peak[:, :-1] &= va[:, :-1] >= va[:, 1:]
+    row, idx = np.nonzero(peak)
+    count = np.bincount(row, minlength=len(c))
+    if count.max() > 32:  # keep each row's 32 largest, sorting the candidates only
+        order = np.lexsort((va[row, idx], row))  # by row, then by |u|
+        keep = order[np.arange(len(order)) >= np.cumsum(count)[row[order]] - 32]
+        row, idx, count = row[keep], idx[keep], np.minimum(count, 32)
+    # end nodes start half a cell inside, as theta = 0, pi are stationary
+    # points of every cosine sum; left of a maximum of |u|, u_theta has u's sign
+    h = math.pi / ng
+    th = np.clip(idx * h, 0.5 * h, math.pi - 0.5 * h)
+    lo, hi = np.maximum(idx - 1, 0) * h, np.minimum(idx + 1, ng) * h
+    starts = (np.cumsum(count) - count).tolist()
+    return np.maximum(best, _newton(c, th, lo, hi, np.sign(v[row, idx]), 1, starts)[1])
 
 
 def ellipse_radius(z):
@@ -332,28 +390,9 @@ class ChebFun:
     # -- norms ----------------------------------------------------------------
 
     def sup_norm(self):
-        """Maximum of |u| over [-1, 1].
-
-        FFT values on a Chebyshev grid of size >= 8*(degree+1); each local
-        maximum within 0.1% of the best (at most 32) starts Newton steps for
-        d/dtheta u(cos theta) = 0 inside its two neighbouring cells.  The
-        largest |u| evaluated is a lower bound of the sup, ~1e-14 relative.
-        """
-        c = self.coeffs
-        ng = _fft_size(max(8 * len(c), 64))
-        v = _grid_values(c, ng)
-        va = np.abs(v)
-        best = float(va.max())
-        nb = np.concatenate([[-np.inf], va, [-np.inf]])  # neighbours of each node
-        idx = np.nonzero((va >= nb[:-2]) & (va >= nb[2:]) & (va >= 0.999 * best))[0]
-        if len(idx) > 32:
-            idx = idx[np.argsort(va[idx])[-32:]]
-        # end nodes start half a cell inside, as theta = 0, pi are stationary
-        # points of every cosine sum; left of a maximum of |u|, u_theta has u's sign
-        h = math.pi / ng
-        th = np.clip(idx * h, 0.5 * h, math.pi - 0.5 * h)
-        lo, hi = np.maximum(idx - 1, 0) * h, np.minimum(idx + 1, ng) * h
-        return max(best, _newton(c, th, lo, hi, np.sign(v[idx]), 1)[1])
+        """Maximum of |u| over [-1, 1]: the one-row case of _sup_norms, a
+        lower bound of the sup, ~1e-14 relative."""
+        return float(_sup_norms(self.coeffs[None])[0])
 
     def l1_norm(self):
         """Integral of |u| over [-1, 1]; the same as abs_integral."""
@@ -373,9 +412,9 @@ class ChebFun:
         sv = np.sign(v)
         br = np.nonzero(sv[:-1] * sv[1:] < 0.0)[0]
         a, b = th[br], th[br + 1]
-        roots = _newton(c, a - v[br] * (b - a) / (v[br + 1] - v[br]), a, b, sv[br], 0)[0]
+        roots = _newton(c[None], a - v[br] * (b - a) / (v[br + 1] - v[br]), a, b, sv[br], 0)[0]
         bps = np.unique(np.clip(np.concatenate([[0.0, np.pi], th[v == 0.0], roots]), 0.0, np.pi))
-        uv = _theta_eval(self.antiderivative().coeffs, bps)[0]
+        uv = _theta_eval(self.antiderivative().coeffs[None], bps)[0]
         return math.fsum(np.abs(np.diff(uv)))
 
     # -- arithmetic -----------------------------------------------------------

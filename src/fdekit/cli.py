@@ -552,7 +552,13 @@ def main(argv=None):
 
 
 def entry():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # a reader closed stdout early: as for an unwritable CSV
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # a silent exit flush
+        code = EXIT_INPUT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -16,12 +16,12 @@ Parsed expressions are immutable; evaluation is pure and vectorised over
 numpy arrays, at real or complex points.  A subtree free of ``t`` is
 computed once per evaluation, as one scalar.  An exponent that is an
 integer literal, of any size, is an integer power in every evaluation and
-analysis.  Complex evaluation uses principal
-branches, with real values (negated ones too) on the upper lip of each cut,
-and rejects ``abs``.  ``Expr.singular_nodes`` lists, innermost first, the
-poles and branch cuts that can keep a tree from being analytic on a region.
-Entire trees with integer-literal exponents up to 99 commute with
-conjugation bit for bit (``Expr.is_conjugate_exact``).  A
+analysis, complex ones from |n| = 100 on by repeated squaring.  Complex
+evaluation uses principal branches, with real values (negated ones too) on
+the upper lip of each cut, and rejects ``abs``.  ``Expr.singular_nodes``
+lists, innermost first, the poles and branch cuts that can keep a tree from
+being analytic on a region.  Entire trees with integer-literal exponents up
+to 99 commute with conjugation bit for bit (``Expr.is_conjugate_exact``).  A
 DomainError quotes the failing operation or call as the user wrote it: the
 parser keeps each node's source text, and there is no printer.
 """
@@ -50,7 +50,8 @@ CONSTANTS = {"pi": math.pi, "e": math.e}
 
 # numpy's complex power multiplies out integer exponents in (-100, 100) and
 # takes every other one through the complex logarithm, whose results at z
-# and conj(z) need not be conjugate to the last bit
+# and conj(z) need not be conjugate to the last bit; _eval_pow takes those
+# by repeated squaring, and conjugate exactness is claimed for numpy's range
 _MAX_CONJUGATE_EXACT_EXPONENT = 99
 
 
@@ -326,6 +327,8 @@ def _eval_pow(node, base, t, cplx):
     if n is not None:
         if n < 0 and np.any(base == 0):
             raise DomainError(f"zero base with negative exponent in '{node.src}'")
+        if cplx and abs(n) >= 100:  # numpy would go through the logarithm
+            return _power_by_squaring(base, n)
         # numpy's power of a scalar need not match its power of an array to
         # the last bit; a 0-d array takes the latter
         return np.asarray(base) ** n
@@ -343,6 +346,16 @@ def _eval_pow(node, base, t, cplx):
     # numpy would take a scalar exponent of 2, 0.5 or -1 through square, sqrt
     # or reciprocal, which need not match its power to the last bit
     return np.power(base, expo if np.ndim(expo) else np.full(t.shape, expo))
+
+
+def _power_by_squaring(base, n):
+    """base**n by squaring over the bits of |n|, highest first, then a
+    reciprocal for n < 0: the complex |n| >= 100 that numpy takes through
+    the logarithm, where 1j**600 is 1 - 5.1e-14j."""
+    out = base
+    for bit in bin(abs(n))[3:]:
+        out = out * out * base if bit == "1" else out * out
+    return 1.0 / out if n < 0 else out
 
 
 def _singular_nodes(node, out):
@@ -453,9 +466,8 @@ class Expr:
         """Whether eval_complex(conj(z)) is conj(eval_complex(z)) up to the
         signs of zeros, so the two have the same real and imaginary
         magnitudes bit for bit: a tree of entire operations whose
-        integer-literal exponents are at most 99, as numpy multiplies those
-        out and runs larger ones through the complex logarithm (see
-        `_is_conjugate_exact`)."""
+        integer-literal exponents are at most 99, the range numpy's complex
+        power multiplies out (see `_MAX_CONJUGATE_EXACT_EXPONENT`)."""
         return _is_conjugate_exact(self.root)
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebfun import ellipse_radius
+from .chebfun import _sup_norms, ellipse_radius
 
 __all__ = [
     "GevreyError",
@@ -464,25 +464,27 @@ class DerivativeNorms:
 def derivative_norms(u, n_max=12):
     """Sup norms of repeated spectral derivatives, m_j = sup |u^(j)|.
 
-    Each norm carries a conditioning flag: spectral differentiation amplifies
-    roundoff by up to the Markov factor prod_{i<j} (deg^2 - i^2)/(2i+1), and
-    a norm is flagged once eps * sup|u| * (that factor) exceeds 1e-4 * m_j.
-    Flagged norms should not enter regularity fits.
+    One chebfun._sup_norms call takes the norms of all derivatives, the
+    zero-padded rows of one matrix.  Each norm carries a conditioning flag:
+    spectral differentiation amplifies roundoff by up to the Markov factor
+    prod_{i<j} (deg^2 - i^2)/(2i+1), and a norm is flagged once
+    eps * sup|u| * (that factor) exceeds 1e-4 * m_j.  Flagged norms should
+    not enter regularity fits.
     """
     if not 1 <= n_max <= MAX_DERIVATIVES:
         raise GevreyError(f"n_max must be in [1, {MAX_DERIVATIVES}]")
     base_sup = u.sup_norm()
     deg = u.degree
-    values = []
+    rows, cur = np.zeros((n_max, max(deg, 1))), u  # u^(j) in row j - 1, zero-padded
+    for r in rows:
+        cur = cur.differentiate()
+        r[: len(cur.coeffs)] = cur.coeffs
+    values = _sup_norms(rows).tolist()
     flagged = []
     amplification = 1.0
-    cur = u
-    for j in range(1, n_max + 1):
-        cur = cur.differentiate()
-        mj = cur.sup_norm()
+    for j, mj in enumerate(values, start=1):
         amplification *= max(deg * deg - (j - 1) ** 2, 1.0) / (2.0 * j - 1.0)
         err_est = _EPS * base_sup * amplification
-        values.append(mj)
         flagged.append(bool(mj == 0.0 or err_est > 1e-4 * mj))
     return DerivativeNorms(values=values, flagged=flagged, degree=deg)
 

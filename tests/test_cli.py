@@ -3,6 +3,9 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -640,6 +643,24 @@ def test_help_exits_0(capsys):
         cli.main(["--help"])
     assert exc.value.code == 0
     assert "usage: fdekit" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("read_first_line", [False, True])
+def test_closed_stdout_exits_4_without_a_traceback(tmp_path, read_first_line):
+    # `fdekit ek PATH --pmax 3000 | head -1`: the reader closes the pipe
+    # before the ~1 MB report is written, or after its first line
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = [sys.executable, "-m", "fdekit.cli", "ek", write_json(tmp_path, example2_doc()),
+            "--pmax", "3000"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    if read_first_line:
+        assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_INPUT
+    assert err == b""
 
 
 class TestParserReuse:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -148,6 +149,29 @@ class TestEvalComplex:
     def test_power_principal_branch(self):
         v = parse("2^t").eval_complex(1j)
         assert v == pytest.approx(np.exp(1j * math.log(2)), abs=1e-15)
+
+    def test_large_integer_powers_are_multiplied_out(self):
+        # through numpy's logarithm route these were 1 - 5.1e-14j and inexact
+        assert parse("t^600").eval_complex(1j) == 1.0
+        v = parse("(0*t-2)^101").eval_complex(np.array([0.5, -0.25j]))
+        assert v.real.tolist() == [-(2.0**101)] * 2 and v.imag.tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("n", [-99, -3, 2, 57, 99])
+    def test_integer_powers_below_100_are_numpys(self, n):
+        z = np.array([0.3 + 0.9j, -1.1 + 0.2j, 0.7 - 0.7j])
+        assert np.array_equal(parse(f"t^{n}").eval_complex(z), z**n)
+
+    @pytest.mark.parametrize("n", [100, 101, 257, 600, -100, -333])
+    def test_large_integer_powers_against_mpmath(self, n):
+        # within |n| eps relative of 50-digit values (0.41 |n| eps measured;
+        # the logarithm route reaches 1.5 |n| eps)
+        mpmath.mp.dps = 50
+        rng = np.random.default_rng(abs(n))
+        z = rng.uniform(0.5, 1.5, 50) * np.exp(1j * rng.uniform(-np.pi, np.pi, 50))
+        for zi, vi in zip(z, parse(f"t^{n}").eval_complex(z)):
+            want = mpmath.mpc(zi.real, zi.imag) ** n
+            err = abs(mpmath.mpc(vi.real, vi.imag) - want) / abs(want)
+            assert err <= abs(n) * np.finfo(float).eps
 
     def test_negated_values_stay_on_the_upper_lip_of_the_cut(self):
         # unary minus must not turn a real value's +0 imaginary part into -0

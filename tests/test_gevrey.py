@@ -2,11 +2,12 @@ import dataclasses
 import math
 
 import numpy as np
+import numpy.polynomial.chebyshev as npcheb
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fdekit import conditions, gevrey, picard
-from fdekit.chebfun import ChebFun, build, ellipse_radius
+from fdekit.chebfun import ChebFun, _sup_norms, build, ellipse_radius
 from fdekit.cli import example1_doc, example2_doc, load_problem
 from fdekit.expr import ENTIRE_FUNCTIONS, DomainError, Expr, OverflowEvalError, parse
 from fdekit.gevrey import (
@@ -405,14 +406,15 @@ class TestConjugateReflection:
         assert [lv.worst_dist for lv in rep.levels] == full_sample_maxima(psi, 1.0, 0.5, 3, 17)
 
     @pytest.mark.parametrize("exponent", [99, 100, 101])
-    def test_exponents_from_100_break_the_reflection(self, exponent):
-        # numpy multiplies out integer powers below 100 and takes larger
-        # ones through the complex logarithm
+    def test_exponents_from_100_keep_the_reflection(self, exponent):
+        # numpy multiplies out integer powers below 100, and _eval_pow larger
+        # ones by repeated squaring instead of numpy's complex logarithm, so
+        # every one commutes with conjugation; the claim stops at 99
         psi = parse(f"(0*t-2)^{exponent}*t")
         z = gevrey._stadium_points(0.37, 128)
-        same = np.array_equal(interval_distance(psi.eval_complex(z)),
+        assert np.array_equal(interval_distance(psi.eval_complex(z)),
                               interval_distance(psi.eval_complex(np.conj(z))))
-        assert same is (exponent < 100) is psi.is_conjugate_exact()
+        assert psi.is_conjugate_exact() is (exponent < 100)
 
 
 # The largest fattening scale at which sin(t), the deviating map of both
@@ -590,6 +592,41 @@ class TestDerivativeNorms:
         for n_max in (13, 0, -3):
             with pytest.raises(GevreyError):
                 derivative_norms(ChebFun([0.0, 1.0]), n_max)
+
+    @pytest.mark.parametrize("case", ["constant", "linear", "T40", *range(0, 601, 40), 1, 2, 17])
+    def test_norms_lie_between_a_dense_maximum_and_the_coefficient_sum(self, case):
+        if case == "constant":  # every derivative row is zero
+            c = np.array([0.7])
+        elif case == "linear":
+            c = np.array([0.0, 1.0])
+        elif case == "T40":  # |T_40| has 41 equal maxima, more than 32
+            c = np.eye(41)[40]
+        else:
+            rng = np.random.default_rng(case)
+            c = rng.standard_normal(case + 1) * 10.0 ** (-15.0 * np.arange(case + 1) / max(case, 1))
+        dn = derivative_norms(ChebFun(c), 12)
+        x = np.cos(np.linspace(0.0, np.pi, 20001))
+        for j, v in enumerate(dn.values, start=1):
+            der = npcheb.chebder(c, j) if j < len(c) else np.zeros(1)
+            bound = picard.coeff_bound(der)
+            dense = np.max(np.abs(npcheb.chebval(x, der)))
+            assert dense - 1e-13 * bound <= v <= bound, (j, dense, v, bound)
+
+    def test_sup_norms_take_every_row_with_more_than_32_equal_maxima(self):
+        # T_40, -T_40 and 2 T_60 beside 0.5 T_1, whose maxima are its two ends
+        rows = np.zeros((4, 61))
+        rows[0, 40], rows[1, 40], rows[2, 60], rows[3, 1] = 1.0, -1.0, 2.0, 0.5
+        assert _sup_norms(rows).tolist() == pytest.approx([1.0, 1.0, 2.0, 0.5], abs=1e-15)
+        assert ChebFun(rows[2]).sup_norm() == pytest.approx(2.0, abs=1e-15)
+
+    def test_one_sup_norm_call(self, monkeypatch):
+        # u's own norm; the twelve derivative rows go through one _sup_norms
+        calls = []
+        sup_norm = ChebFun.sup_norm
+        monkeypatch.setattr(ChebFun, "sup_norm", lambda u: calls.append(u) or sup_norm(u))
+        u = build(np.exp)
+        derivative_norms(u, 12)
+        assert calls == [u]
 
 
 class TestGevreyOrderEstimate:

@@ -142,12 +142,13 @@ def test_record_adds_the_fixed_operations(monkeypatch):
         assert ops[f"example2 psi={psi} ek {options}"] == {
             "argv": ["ek", *options.split()], "doc": doc}
         assert not parse(psi).is_conjugate_exact()
-    assert ops["entire solve"] == {"argv": ["solve"], "doc": identity.FIXED_DOCS[0][1]}
+    assert ops["entire solve"] == {"argv": ["solve"], "doc": identity.ENTIRE}
+    assert ops["entire gevrey"] == {"argv": ["gevrey"], "doc": identity.ENTIRE}
     assert ops["escape solve --force"] == {
-        "argv": ["solve", "--force"], "doc": identity.FIXED_DOCS[1][1]}
+        "argv": ["solve", "--force"], "doc": identity.FIXED_DOCS[2][1]}
     assert ops[f"graze solve --out {os.devnull}"] == {
-        "argv": ["solve", "--out", os.devnull], "doc": identity.FIXED_DOCS[2][1]}
-    assert ops["power check"] == {"argv": ["check"], "doc": identity.FIXED_DOCS[3][1]}
+        "argv": ["solve", "--out", os.devnull], "doc": identity.FIXED_DOCS[3][1]}
+    assert ops["power check"] == {"argv": ["check"], "doc": identity.FIXED_DOCS[4][1]}
     for key, change, argv in [
         ('a="1e200" P=[0, 1e+200, 1] check', {"a": "1e200", "P": [0, 1e200, 1]}, ["check"]),
         ("P=[0, 0.1] solve --force", {"P": [0, 0.1]}, ["solve", "--force"]),

@@ -48,11 +48,14 @@ COMMANDS = (["check"], ["solve"], ["solve", "--force"], ["ek"], ["gevrey"])
 REPRODUCE = ("all", "example1", "example2")
 EK_MAPS = ("sqrt(t+2)", "1/(t+3)", "ln(t+3)", "2^t")
 EK_OPTIONS = ["--pmax", "300", "--density", "200", "--A", "0.05,0.3,1.7"]
+# a solution resolved as a polynomial of degree 6
+ENTIRE = {"k": 1, "d": 0, "c": 0.01, "P": [0, 0, 0.1], "a": "0.1", "b": "0.01", "psi": "t"}
 # report shapes and errors no workload reaches, as (name, document, command)
 FIXED_DOCS = (
-    # a solution resolved as a polynomial of degree 6: "coeff_decay": null
-    ("entire", {"k": 1, "d": 0, "c": 0.01, "P": [0, 0, 0.1], "a": "0.1", "b": "0.01",
-                "psi": "t"}, ["solve"]),
+    # "coeff_decay": null
+    ("entire", ENTIRE, ["solve"]),
+    # derivative rows 7-12 exactly zero: norms 0.0, flagged
+    ("entire", ENTIRE, ["gevrey"]),
     # a forced iterate that leaves the ball: exit 3 with "solve": {"error"}
     ("escape", {"k": 1, "d": 0, "c": 1, "P": [0, 0, 4], "a": "1", "b": "0", "psi": "t"},
      ["solve", "--force"]),
