@@ -348,7 +348,9 @@ class ChebFun:
 
         Clenshaw below _EVAL_CROSSOVER coefficients, O(mN) for degree m at N
         points; above it FFT grid values interpolated in arccos(x),
-        O(m log m + _STENCIL*N) (see the module docstring).
+        O(m log m + _STENCIL*N) (see the module docstring).  Precondition
+        above the crossover: a resolved series (every `build` result), else
+        the error grows to about 1e-6 of the top coefficients.
         """
         return _evaluator(self.coeffs)(x)
 

@@ -354,7 +354,8 @@ def cmd_gevrey(path, nmax=None, force=False, selftest=False):
         return EXIT_HYPOTHESIS
     sol = _solve(prob, creport, force)
     if not sol.converged:
-        raise picard.PicardError("iteration did not converge")
+        print(_dumps({"solve": sol}))
+        return EXIT_FAILURE
     norms = gevrey.derivative_norms(sol.u, n_max=nmax)
     est = gevrey.gevrey_order_estimate(norms.values, norms.flagged)
     print(_dumps({"solve": sol, "derivative_norms": norms, "estimate": est}))

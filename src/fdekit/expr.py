@@ -20,9 +20,9 @@ analysis, complex ones from |n| = 100 on by repeated squaring.  Complex
 evaluation uses principal branches, with real values (negated ones too) on
 the upper lip of each cut, and rejects ``abs``.  ``Expr.singular_nodes``
 lists, innermost first, the poles and branch cuts that can keep a tree from
-being analytic on a region.  Entire trees with integer-literal exponents up
-to 99 commute with conjugation bit for bit (``Expr.is_conjugate_exact``).  A
-DomainError quotes the failing operation or call as the user wrote it: the
+being analytic on a region.  Entire trees with non-negative integer-literal
+exponents commute with conjugation bit for bit (``Expr.is_conjugate_exact``).
+A DomainError quotes the failing operation or call as the user wrote it: the
 parser keeps each node's source text, and there is no printer.
 """
 
@@ -47,13 +47,6 @@ __all__ = [
 FUNCTIONS = ("sin", "cos", "sinh", "cosh", "exp", "ln", "sqrt", "abs")
 ENTIRE_FUNCTIONS = ("sin", "cos", "sinh", "cosh", "exp")
 CONSTANTS = {"pi": math.pi, "e": math.e}
-
-# numpy's complex power multiplies out integer exponents in (-100, 100) and
-# takes every other one through the complex logarithm, whose results at z
-# and conj(z) need not be conjugate to the last bit; _eval_pow takes those
-# by repeated squaring, and conjugate exactness is claimed for numpy's range
-_MAX_CONJUGATE_EXACT_EXPONENT = 99
-
 
 class ExprError(Exception):
     pass
@@ -343,9 +336,7 @@ def _eval_pow(node, base, t, cplx):
             f"power with non-positive base ({worst:g}) and non-integer exponent "
             f"in '{node.src}'"
         )
-    # numpy would take a scalar exponent of 2, 0.5 or -1 through square, sqrt
-    # or reciprocal, which need not match its power to the last bit
-    return np.power(base, expo if np.ndim(expo) else np.full(t.shape, expo))
+    return np.power(base, expo)
 
 
 def _power_by_squaring(base, n):
@@ -392,7 +383,7 @@ def _singular_nodes(node, out):
 def _is_conjugate_exact(node):
     """True when every node is holomorphic on all of C and commutes with
     conjugation bit for bit: numbers, t, unary minus, + - *, the entire
-    builtins and integer-literal powers with an exponent in [0, 99].
+    builtins and non-negative integer-literal powers, chains of products.
     Anything else (division, ln, sqrt, abs, other powers) does not count."""
     if isinstance(node, (Num, Var)):
         return True
@@ -403,8 +394,7 @@ def _is_conjugate_exact(node):
     if isinstance(node, BinOp):
         if node.op == "^":
             n = _int_literal_exponent(node.right)
-            return (n is not None and 0 <= n <= _MAX_CONJUGATE_EXACT_EXPONENT
-                    and _is_conjugate_exact(node.left))
+            return n is not None and n >= 0 and _is_conjugate_exact(node.left)
         return (node.op in ("+", "-", "*") and _is_conjugate_exact(node.left)
                 and _is_conjugate_exact(node.right))
     return False
@@ -465,9 +455,8 @@ class Expr:
     def is_conjugate_exact(self):
         """Whether eval_complex(conj(z)) is conj(eval_complex(z)) up to the
         signs of zeros, so the two have the same real and imaginary
-        magnitudes bit for bit: a tree of entire operations whose
-        integer-literal exponents are at most 99, the range numpy's complex
-        power multiplies out (see `_MAX_CONJUGATE_EXACT_EXPONENT`)."""
+        magnitudes bit for bit: a tree of entire operations whose exponents
+        are non-negative integer literals (see `_is_conjugate_exact`)."""
         return _is_conjugate_exact(self.root)
 
 

@@ -84,7 +84,7 @@ def interval_distance(z, half_width=1.0):
 
 
 @functools.lru_cache(maxsize=8)
-def _template(density):
+def _template(density, half=False):
     """The stadium boundary of radius r is offset + r * direction, in order
     along the closed curve: the tip 1 + r, the upper right cap 1 + r e^(i phi)
     at the angles of linspace(-pi/2, pi/2, density) past the middle one, the
@@ -93,7 +93,8 @@ def _template(density):
     the points between the tips in reverse, so the first len // 2 + 1 points
     hold one of every conjugate pair at every radius.  4 * density + 2
     points, or 4 * density for an odd density, whose middle angle would
-    repeat the tips.  Read-only arrays, shared by every radius."""
+    repeat the tips; with `half`, those first len // 2 + 1 alone.  Read-only
+    arrays, shared by every radius."""
     phi = np.linspace(-0.5 * np.pi, 0.5 * np.pi, density)
     cap = np.exp(1j * phi[(density + 1) // 2:])
     xs = np.linspace(-1.0, 1.0, density)
@@ -104,23 +105,8 @@ def _template(density):
     direction = np.concatenate([[1.0], upper, [-1.0], np.conj(upper[::-1])])
     offset.flags.writeable = False
     direction.flags.writeable = False
-    return offset, direction
-
-
-def _stadium_width(density, half=False):
-    """Points per boundary sampled by `_template`: all of them, or with
-    `half` the first len // 2 + 1, one of every conjugate pair."""
-    size = len(_template(density)[0])
-    return size // 2 + 1 if half else size
-
-
-def _stadium_points(radii, density, half=False):
-    """The boundary of the stadium of each radius, sampled by `_template`
-    and cut to `_stadium_width`: one curve for one radius, or for a sequence
-    of radii the rows of one array, one broadcast of the template."""
-    offset, direction = _template(density)
-    width = _stadium_width(density, half)
-    return offset[:width] + np.asarray(radii, dtype=float)[..., None] * direction[:width]
+    width = len(offset) // 2 + 1 if half else len(offset)
+    return offset[:width], direction[:width]
 
 
 def _stadium_radius(k, A, n):
@@ -158,13 +144,16 @@ class StadiumRegion:
         return _stadium_radius(self.k, self.A, self.n)
 
     def sample(self, density, levels=None, half=False):
-        """The boundary, sampled by `_stadium_points`; with `levels`, the
-        boundaries of the stadia of levels n .. n + levels - 1 (same k and
-        A) as the rows of one array, as check_ek samples a block of levels.
-        A GevreyError if one of their radii is not positive and finite."""
+        """The boundary, sampled by `_template(density, half)`; with
+        `levels`, the boundaries of levels n .. n + levels - 1 (same k and A)
+        as the rows of one array, one broadcast of the template over their
+        radii.  A GevreyError if one of their radii is not positive and
+        finite."""
+        offset, direction = _template(density, half)
         if levels is None:
-            return _stadium_points(self.radius, density, half)
-        return _stadium_points(_stadium_radii(self.k, self.A, self.n, levels), density, half)
+            return offset + self.radius * direction
+        radii = _stadium_radii(self.k, self.A, self.n, levels)
+        return offset + np.asarray(radii)[:, None] * direction
 
 
 # --- deviating-map inclusion check ------------------------------------------
@@ -240,7 +229,7 @@ def check_ek(psi, k, A_list, p_max, density=128):
     # a conjugate-exact psi is entire, so no node needs the lower half
     nodes = psi.singular_nodes()
     half = psi.is_conjugate_exact()
-    rows = max(1, _EK_CHUNK // _stadium_width(density, half))
+    rows = max(1, _EK_CHUNK // len(_template(density, half)[0]))
     levels = []
     first_pass = {}
     for A, radii in zip(A_list, scale_radii):
@@ -325,7 +314,8 @@ def omega_sequence(p, s, r0, n_max, tau_candidate):
     w_{n+1} = ||a||_inf * M(r0 + s n^(-1/k) w_n) + ||b + P(0)a||_inf,
     with both sup norms sampled over the stadium of radius mu/2: on its
     boundary, by the maximum modulus principle, once a and b are shown
-    analytic there as in check_ek (a GevreyError names a node that is not).
+    analytic there as in check_ek (a GevreyError names a node that is not),
+    and on the first half of the curve alone when both are conjugate-exact.
 
     Also computes C_est, the smallest grid-verified constant C >=
     max(2/nu, 1) with  ||a||_inf M(r0 + x) + ||b+P(0)a||_inf <= C max(x,1)^N0
@@ -337,7 +327,8 @@ def omega_sequence(p, s, r0, n_max, tau_candidate):
     if s < 0:
         raise GevreyError("s must be >= 0")
     mu = p.effective_mu()
-    pts = _stadium_points(mu / 2.0, 256)
+    half = p.a.is_conjugate_exact() and p.b.is_conjugate_exact()
+    pts = StadiumRegion(p.k, mu / 2.0, 1).sample(256, half=half)
     for name, f in (("a", p.a), ("b", p.b)):
         singularity = _singularities(f.singular_nodes(), pts[None])[0]
         if singularity is not None:
@@ -432,13 +423,14 @@ def stadium_inclusion_probe(iterates, r0, k, s, C, n_range):
     # an iterate has real coefficients: its values on the lower half of the
     # curve are the exact conjugates of those on the upper half
     levels = []
+    points = len(_template(PROBE_DENSITY)[0])
     for n in n_range:
-        radius = _stadium_radius(k, s_used, n)
-        values = iterates[n - 1].eval_complex(_stadium_points(radius, PROBE_DENSITY, half=True))
+        region = StadiumRegion(k, s_used, n)
+        values = iterates[n - 1].eval_complex(region.sample(PROBE_DENSITY, half=True))
         worst = float(np.max(interval_distance(values, half_width=r0)))
-        levels.append(ProbeLevel(n=n, ratio=worst / (C * radius), worst_dist=worst,
-                                 allowed=C * radius,
-                                 points=_stadium_width(PROBE_DENSITY)))
+        allowed = C * region.radius
+        levels.append(ProbeLevel(n=n, ratio=worst / allowed, worst_dist=worst,
+                                 allowed=allowed, points=points))
     return ProbeReport(s_requested=float(s), s_used=s_used, C=C, r0=r0, k=k,
                        all_within=max(lv.ratio for lv in levels) <= 1.0 + EK_PASS_SLACK,
                        levels=levels)

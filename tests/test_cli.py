@@ -446,6 +446,20 @@ class TestGevreyCmd:
         capsys.readouterr()
         assert code == EXIT_FAILURE
 
+    def test_unconverged_solve_is_printed(self, tmp_path, capsys):
+        # gevrey shows the solve it could not take derivatives of, as solve
+        # itself reports it: "converged": false, exit 3, nothing on stderr
+        doc = example2_doc()
+        doc["solver"] = {"max_iter": 2}
+        path = write_json(tmp_path, doc)
+        code, out = run(capsys, ["solve", path])
+        solved = report_of(out)["solve"]
+        assert code == EXIT_FAILURE and solved["converged"] is False
+        code = cli.main(["gevrey", path])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (EXIT_FAILURE, "")
+        assert report_of(captured.out) == {"solve": solved}
+
     @pytest.mark.parametrize("nmax", ["0", "-3", "13"])
     def test_out_of_range_nmax_exit_4_before_solving(self, tmp_path, capsys, monkeypatch, nmax):
         def forbidden(*args, **kwargs):

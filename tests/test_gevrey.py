@@ -70,7 +70,7 @@ class TestStadiumRegion:
         # 4 density + 2 points; an odd density has no cap point at phi = 0
         size = 4 * density + (2 if density % 2 == 0 else 0)
         for r in np.geomspace(1e-300, 1e3, 50):
-            pts = gevrey._stadium_points(r, density)
+            pts = StadiumRegion(k=1.0, A=r, n=1).sample(density)
             assert len(pts) == size
             assert pts[0] == 1.0 + r and pts[size // 2] == -1.0 - r
             # consecutive points, the last and the first included, are
@@ -84,21 +84,23 @@ class TestStadiumRegion:
             gaps = np.abs(np.diff(pts, append=pts[0]))
             assert np.max(gaps) <= max(r * np.pi, 2.0) / (density - 1) * (1.0 + 1e-12)
 
-    @pytest.mark.parametrize("region", [False, True])
+    @pytest.mark.parametrize("block", [False, True])
     @pytest.mark.parametrize("density", [1, 2, 17, 128, 4096])
-    def test_conjugate_free_columns_cover_the_template(self, density, region):
+    def test_conjugate_free_columns_cover_the_template(self, density, block):
         # the first len // 2 + 1 points, tips included, hold one point of
         # every conjugate pair: the rest are their exact conjugates in
-        # reverse, bit for bit at every radius, through StadiumRegion or not
+        # reverse, bit for bit at every radius, as one curve or as the row
+        # of a block of levels
         for r in (1e-300, 1e-3, 0.37, 2.5):
-            pts = (StadiumRegion(k=1.0, A=r, n=1).sample(density) if region
-                   else gevrey._stadium_points(r, density))
+            region = StadiumRegion(k=1.0, A=r, n=1)
+            pts = region.sample(density, 1)[0] if block else region.sample(density)
             half = len(pts) // 2 + 1
             assert pts[0].imag == 0.0 and pts[half - 1].imag == 0.0
             assert np.all(pts[1:half - 1].imag > 0.0)
             lower = np.conj(pts[1:half - 1][::-1])
             assert pts[half:].view(float).tobytes() == lower.view(float).tobytes()
-        assert len(gevrey._stadium_points(1.0, 128)) // 2 + 1 == 258
+            assert region.sample(density, half=True).tobytes() == pts[:half].tobytes()
+        assert len(StadiumRegion(k=1.0, A=1.0, n=1).sample(128, half=True)) == 258
 
 
     @pytest.mark.parametrize("half", [False, True])
@@ -374,7 +376,7 @@ class TestConjugateReflection:
         ),
         max_leaves=8,
     ))
-    # real constants to a power from 100 on, times t, are not reflected
+    # real constants to a power from 100 on, times t, squared out
     @example(src="(0*t-2)^101*t")
     @example(src="cos(e)^101*t")
     @example(src="(0.3-1.2)^100*t")
@@ -384,7 +386,7 @@ class TestConjugateReflection:
         if not psi.is_conjugate_exact():
             return
         for radius in (1e-300, 1e-3, 0.37, 2.5):
-            z = gevrey._stadium_points(radius, 17)
+            z = StadiumRegion(k=1.0, A=radius, n=1).sample(17)
             dists = []
             for w in (z, np.conj(z)):
                 try:
@@ -398,23 +400,30 @@ class TestConjugateReflection:
 
     # ln(0*t-1) is the constant i pi: its operand lies on the cut of ln at
     # every point, but takes one value there, so the node is analytic
-    @pytest.mark.parametrize("src", ["(0*t-2)^101*t", "(0*t-2)^100*t", "(-1)^t", "ln(0*t-1)"])
+    @pytest.mark.parametrize("src", ["(-1)^t", "ln(0*t-1)"])
     def test_rejected_trees_keep_the_full_template(self, src):
         psi = parse(src)
         assert not psi.is_conjugate_exact()
         rep = check_ek(psi, 1.0, [0.5], 3, density=17)
         assert [lv.worst_dist for lv in rep.levels] == full_sample_maxima(psi, 1.0, 0.5, 3, 17)
 
+    def test_powers_from_100_take_half_curves(self, monkeypatch):
+        psi = parse("(0*t-2)^101*t")
+        counts = count_eval_points(monkeypatch, psi)
+        rep = check_ek(psi, 1.0, [0.5], 3, density=17)
+        assert sum(counts) == 3 * (boundary_size(17) // 2 + 1)
+        assert [lv.worst_dist for lv in rep.levels] == full_sample_maxima(psi, 1.0, 0.5, 3, 17)
+
     @pytest.mark.parametrize("exponent", [99, 100, 101])
     def test_exponents_from_100_keep_the_reflection(self, exponent):
         # numpy multiplies out integer powers below 100, and _eval_pow larger
         # ones by repeated squaring instead of numpy's complex logarithm, so
-        # every one commutes with conjugation; the claim stops at 99
+        # every one commutes with conjugation
         psi = parse(f"(0*t-2)^{exponent}*t")
-        z = gevrey._stadium_points(0.37, 128)
+        z = StadiumRegion(k=1.0, A=0.37, n=1).sample(128)
         assert np.array_equal(interval_distance(psi.eval_complex(z)),
                               interval_distance(psi.eval_complex(np.conj(z))))
-        assert psi.is_conjugate_exact() is (exponent < 100)
+        assert psi.is_conjugate_exact()
 
 
 # The largest fattening scale at which sin(t), the deviating map of both
@@ -487,6 +496,30 @@ class TestOmegaSequence:
         p = load_problem({**example2_doc(), **change, "mu": 0.2})
         assert omega_sequence(p, 0.0, 0.1, 3, None).mu == 0.2
 
+    @pytest.mark.parametrize("change,half", [
+        ({}, False), ({"a": "0.5*cos(t)+t^101", "b": "0.01*exp(t)"}, True),
+    ], ids=["example2", "entire"])
+    def test_half_curve_gives_the_whole_curve_report(self, monkeypatch, change, half):
+        # example2's 2^t is not conjugate-exact: its whole mu/2 boundary is
+        # evaluated; entire data with literal powers take one point of each
+        # conjugate pair, and the sup norms of the whole curve
+        p = load_problem({**example2_doc(), **change})
+        counts = []
+        original = Expr.eval_complex
+
+        def counting(self, z):
+            counts.append(np.size(z))
+            return original(self, z)
+
+        monkeypatch.setattr(Expr, "eval_complex", counting)
+        got = omega_sequence(p, 0.1, 0.1, 20, SINE_SCALE)
+        size = StadiumRegion(k=1.0, A=0.5, n=1).sample(256).size
+        assert counts == [size // 2 + 1 if half else size] * 2
+        monkeypatch.setattr(Expr, "is_conjugate_exact", lambda self: False)
+        want = omega_sequence(p, 0.1, 0.1, 20, SINE_SCALE)
+        assert counts[2:] == [size] * 2
+        assert repr(got) == repr(want)
+
     def test_envelope_constant_floor(self, quartic):
         p, rep = quartic
         om = omega_sequence(p, 0.0, rep.r0, 2, SINE_SCALE)
@@ -540,10 +573,15 @@ class TestStadiumInclusionProbe:
         size = 4 * gevrey.PROBE_DENSITY + 2
         assert counts == [size // 2 + 1] * len(iterates)
         for lv in probe.levels:
-            radius = gevrey._stadium_radius(p.k, probe.s_used, lv.n)
-            pts = gevrey._stadium_points(radius, gevrey.PROBE_DENSITY)
+            region = StadiumRegion(p.k, probe.s_used, lv.n)
+            radius, pts = region.radius, region.sample(gevrey.PROBE_DENSITY)
             worst = np.max(interval_distance(original(iterates[lv.n - 1], pts), half_width=rep.r0))
             assert (lv.points, lv.worst_dist, lv.ratio) == (size, worst, worst / (2.0 * radius))
+
+    def test_underflowing_radius_is_rejected(self):
+        # at k = 0.005 the radius 0.5 * n^-200 of level 42 underflows to 0
+        with pytest.raises(GevreyError, match="stadium radius 0.0 is not positive and finite"):
+            stadium_inclusion_probe([ChebFun([0.0])] * 43, 0.1, 0.005, 0.5, 2.0, range(40, 44))
 
     def test_missing_iterates_rejected(self):
         with pytest.raises(GevreyError):
@@ -563,7 +601,7 @@ class TestStadiumInclusionProbe:
         # a stadium that passes _fits_trusted lies inside the iterate's
         # validity ellipse at every probed point
         for radius in np.geomspace(1e-6, 50, 400):
-            pts = gevrey._stadium_points(radius, density)
+            pts = StadiumRegion(k=1.0, A=radius, n=1).sample(density)
             assert np.max(ellipse_radius(pts)) <= ellipse_radius(1.0 + radius)
 
 

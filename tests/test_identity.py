@@ -170,6 +170,8 @@ def test_record_adds_the_fixed_operations(monkeypatch):
         ('psi="t^600" ek', {"psi": "t^600"}, ["ek"]),
         ('psi="0.1*t+0*ln(0*t-1)" ek', {"psi": "0.1*t+0*ln(0*t-1)"}, ["ek"]),
         ("k=0.01 ek --A 0.5,1e-300", {"k": 0.01}, ["ek", "--A", "0.5,1e-300"]),
+        ('solver={"max_iter": 2} gevrey', {"solver": {"max_iter": 2}}, ["gevrey"]),
+        ('b="0.01*(t+2)^0.5" check', {"b": "0.01*(t+2)^0.5"}, ["check"]),
     ]:
         assert ops[f"example2 {key}"] == {"argv": argv, "doc": {**cli.example2_doc(), **change}}
     assert ops["gevrey --selftest"] == {"argv": ["gevrey"], "doc": None}

@@ -71,15 +71,17 @@ FIXED_DOCS = (
 # data whose Chebyshev coefficients overflow (exit 4), scales whose
 # "first_pass_p" keys print in exponent form, the smallest density, an odd
 # one, one whose level is larger than an ek block, an entire psi whose
-# power is not evaluated exactly under conjugation, a psi with a pole 0.05
+# power is squared out and exact under conjugation, a psi with a pole 0.05
 # from [-1, 1] (also at density 17), one that moves with the branch of
 # (-1)^t, one whose branch cut starts 0.2 from [-1, 1], one with a zero
 # 0.04 and a pole 0.05 from it under a cut, a radius that first
 # underflows at level 42, in the second block: sin(t) and exp(800*t), which
 # would overflow in the first block, both end with the radius error before
 # any level is sampled, a psi with a large integer-literal exponent, a cut
-# whose operand is the constant -1 (analytic, 0.1 t on every stadium), and
-# a second scale whose level-2 radius underflows
+# whose operand is the constant -1 (analytic, 0.1 t on every stadium), a
+# second scale whose level-2 radius underflows, a gevrey whose iteration
+# stops unconverged (its solve report, exit 3) and data with a t-free
+# non-integer exponent
 EXAMPLE2_CHANGES = (
     ({"a": "1e200", "P": [0, 1e200, 1]}, ["check"]),
     ({"P": [0, 0.1]}, ["solve", "--force"]),
@@ -99,6 +101,8 @@ EXAMPLE2_CHANGES = (
     ({"psi": "t^600"}, ["ek"]),
     ({"psi": "0.1*t+0*ln(0*t-1)"}, ["ek"]),
     ({"k": 0.01}, ["ek", "--A", "0.5,1e-300"]),
+    ({"solver": {"max_iter": 2}}, ["gevrey"]),
+    ({"b": "0.01*(t+2)^0.5"}, ["check"]),
 )
 _SECONDS = re.compile(r'("seconds": )[^,}\n]+')
 _ABSENT = object()  # a key missing from one of two compared JSON objects
