@@ -376,7 +376,7 @@ class TestConjugateReflection:
         ),
         max_leaves=8,
     ))
-    # real constants to a power from 100 on, times t, squared out
+    # real constants to a power from 100 on, times t: squared out, reflected
     @example(src="(0*t-2)^101*t")
     @example(src="cos(e)^101*t")
     @example(src="(0.3-1.2)^100*t")
@@ -513,7 +513,7 @@ class TestOmegaSequence:
 
         monkeypatch.setattr(Expr, "eval_complex", counting)
         got = omega_sequence(p, 0.1, 0.1, 20, SINE_SCALE)
-        size = StadiumRegion(k=1.0, A=0.5, n=1).sample(256).size
+        size = boundary_size(256)
         assert counts == [size // 2 + 1 if half else size] * 2
         monkeypatch.setattr(Expr, "is_conjugate_exact", lambda self: False)
         want = omega_sequence(p, 0.1, 0.1, 20, SINE_SCALE)
