@@ -10,11 +10,11 @@ ratio q = ||a||_1 M'(r0) < 1; the stopping rule converts the a-posteriori
 bound ||u - f_n|| <= q/(1-q) ||f_n - f_{n-1}|| into a sup-norm tolerance.
 Each iterate is rebuilt as a fresh adaptive series, and the returned solution
 carries the increment history and an equation residual measured on a dense
-grid.
+grid.  A forced solve keeps no ball; its q is the ratio of its last two increments.
 
 The loop measures with one norm: sum |c_k| over the Chebyshev coefficients,
 rounded up (coeff_bound), which bounds the sup on [-1, 1] from above since
-|T_k| <= 1.  An iterate whose bound exceeds r0 + BALL_SLACK escapes the
+|T_k| <= 1.  An iterate whose bound exceeds r0 (1 + BALL_SLACK) escapes the
 invariant ball, and the recorded increment of f_n is the bound of
 f_n - f_{n-1}, so neither the ball check nor the stopping rule rests on a
 sampled sup norm.
@@ -52,9 +52,8 @@ __all__ = [
 ]
 
 RESIDUAL_GRID = 2048  # 2049 Chebyshev points
-BALL_SLACK = 1e-10
+BALL_SLACK = 1e-10  # relative to r0, so the ball rule holds at every scale
 _EPS = float(np.finfo(float).eps)  # a Python float, so bounds print plainly
-_FORCED_Q = 0.5  # stopping heuristic when running outside the theorem
 
 
 class PicardError(Exception):
@@ -62,7 +61,7 @@ class PicardError(Exception):
 
 
 class BallEscapeError(PicardError):
-    """An iterate left the invariant ball (hypotheses violated or numerics)."""
+    """An iterate left the ball the hypotheses make invariant: numerics."""
 
 
 class ConditionFailure(PicardError):
@@ -72,9 +71,10 @@ class ConditionFailure(PicardError):
 @dataclass
 class Solution:
     """increments[n-1] is the rounded-up sum |c_k| of f_{n+1} - f_n
-    (coeff_bound), an upper bound of its sup on [-1, 1].  degree is that of
-    u; u and the kept iterates are repr=False fields, which the CLI report
-    leaves out."""
+    (coeff_bound), an upper bound of its sup on [-1, 1].  A forced solve has
+    r0_used inf, q_used increments[-1] / increments[-2] and n_req None.
+    degree is that of u; u and the kept iterates are repr=False fields, which
+    the CLI report leaves out."""
 
     u: ChebFun = field(repr=False)
     iterations: int
@@ -111,20 +111,18 @@ def apply_T(f, p, *, _samples=None):
 def solve(p, report=None, *, force=False, keep_iterates=False):
     """Iterate f_1 = 0, f_{n+1} = T(f_n) to the fixed point.
 
-    Requires a passing ConditionsReport (computed if not supplied) unless
-    force=True, which runs outside the hypothesis window with the heuristic
-    radius 2*(||b + P(0)a||_1 + |c|) for ball monitoring and marks the
-    result out_of_theorem.  Iteration stops once the increment's coefficient
-    bound is at most p.solve_tol * (1 - q); p.max_iter steps without that
-    return converged=False.  A ball-escape or an unresolved iterate raises,
-    naming the iterate.  keep_iterates keeps f_1, f_2, ... on the Solution.
+    Requires a passing ConditionsReport (computed if not supplied), whose r0
+    and q it uses, unless force=True, which runs outside the hypothesis
+    window with no ball (r0 = inf) and q_n = inc_n / inc_(n-1), the observed
+    ratio, and marks the result out_of_theorem.  Iteration stops once the
+    increment's coefficient bound is at most p.solve_tol * (1 - q), so never
+    while forced increments grow; p.max_iter steps without that return
+    converged=False.  A ball escape, an unresolved or a non-finite iterate
+    raises, naming the iterate.  keep_iterates keeps f_1, f_2, ... on the
+    Solution.
     """
-    st = p.solve_tol
-
     if force:
-        r0 = 2.0 * (conditions.source_mass(p) + abs(p.c))
-        q = _FORCED_Q
-        out_of_theorem = True
+        r0 = q = math.inf
     else:
         if report is None:
             report = conditions.analyze(p)
@@ -134,11 +132,6 @@ def solve(p, report=None, *, force=False, keep_iterates=False):
             )
         r0 = report.r0
         q = report.q
-        out_of_theorem = False
-
-    # stop once the a-posteriori error bound q/(1-q) * inc is below st; since
-    # 0 < q < 1, inc <= st*(1-q) ensures it and is what the Solution records
-    threshold = st * (1.0 - q)
 
     f = ChebFun(np.zeros(1))
     samples = {}
@@ -154,6 +147,11 @@ def solve(p, report=None, *, force=False, keep_iterates=False):
             raise ResolutionError(f'iterate {n + 1}: "a P(f o psi) + b": {exc}') from exc
         inc = coeff_bound((fn - f).coeffs)
         increments.append(inc)
+        if force:  # the first increment has no ratio: it stops the solve only at 0
+            q = inc / increments[-2] if n > 1 else (math.inf if inc else 0.0)
+        # stop once the a-posteriori error bound q/(1-q) * inc is below tol; for
+        # 0 < q < 1, inc <= tol*(1-q) ensures it and is what the Solution records
+        threshold = p.solve_tol * (1.0 - q)
         _check_ball(fn, r0, n + 1)
         if keep_iterates:
             iterates.append(fn)
@@ -172,7 +170,7 @@ def solve(p, report=None, *, force=False, keep_iterates=False):
         r0_used=r0,
         residual_sup=residual(f, p, _samples=samples),
         converged=converged,
-        out_of_theorem=out_of_theorem,
+        out_of_theorem=force,
         n_req=n_req,
         coeff_decay=f.ellipse_hint,
         degree=f.degree,
@@ -180,12 +178,16 @@ def solve(p, report=None, *, force=False, keep_iterates=False):
     )
 
 
+def within_ball(bound, r0):
+    """The invariant-ball rule: bound <= r0 up to the relative slack BALL_SLACK."""
+    return bound <= r0 * (1.0 + BALL_SLACK)
+
+
 def _check_ball(f, r0, index):
-    """Raise BallEscapeError when the coefficient bound of f, an upper bound
-    of sup |f|, exceeds r0 + BALL_SLACK: every iterate kept is inside the
-    ball."""
+    """Raise BallEscapeError unless the coefficient bound of f, an upper bound
+    of sup |f|, is within_ball r0: every iterate kept is inside the ball."""
     bound = coeff_bound(f.coeffs)
-    if bound > r0 + BALL_SLACK:
+    if not within_ball(bound, r0):
         raise BallEscapeError(
             f"iterate {index} has coefficient bound {bound!r} > invariant radius {r0!r}"
         )

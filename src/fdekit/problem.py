@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chebfun import DEFAULT_TOL, MAX_DEGREE, TOL_RANGE, _pts_desc, build
-from .expr import Expr
+from .chebfun import DEFAULT_TOL, MAX_DEGREE, TOL_RANGE, ChebError, _pts_desc, build
+from .expr import Expr, ExprError
 
 __all__ = [
     "Polynomial",
@@ -274,7 +274,7 @@ class Problem:
                     worst_value=worst_v,
                 )
             )
-        except Exception as exc:  # evaluation failure is a validation failure
+        except ExprError as exc:  # evaluation failure is a validation failure
             checks.append(
                 CheckResult("psi_range", False, "error", f"psi evaluation failed: {exc}")
             )
@@ -303,7 +303,7 @@ class Problem:
         for e in (self.a, self.b, self.psi):
             try:
                 u = build(lambda t, e=e: e.eval_real(t), self.cheb_tol, self.max_degree)
-            except Exception as exc:
+            except (ExprError, ChebError) as exc:
                 raise ProblemError(f"mu not given and not estimable: {exc}") from exc
             rho = min(rho, u.ellipse_hint)
         if math.isinf(rho):

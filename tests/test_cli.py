@@ -603,12 +603,20 @@ def test_error_exits_with_message(tmp_path, capsys, command, change):
     assert "Traceback" not in err
 
 
-# Data beyond the float range: exit 4 with one error line and no numpy
-# warning, after FORCED_NOTE when the solve is forced.
+# Data undefined on [-1, 1] or beyond the float range: exit 4 with one error
+# line and no numpy warning, after FORCED_NOTE when the solve is forced.
 OVERFLOW_CASES = {
     "check-a-1e308": (
         "check", {"a": "1e308"},
         'error: "a": Chebyshev coefficients overflow (largest |sample| 1.000e+308)',
+    ),
+    "check-psi-ln": (
+        "check", {"psi": "ln(t)"},
+        "error: psi evaluation failed: ln of non-positive value (-1) in 'ln(t)'",
+    ),
+    "check-psi-exp-overflow": (
+        "check", {"psi": "exp(1000*t)"},
+        "error: psi evaluation failed: non-finite value while evaluating 'exp(1000*t)'",
     ),
     "forced-c-1e308": (
         "solve --force", {"c": 1e308},

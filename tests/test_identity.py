@@ -149,6 +149,9 @@ def test_record_adds_the_fixed_operations(monkeypatch):
     assert ops[f"graze solve --out {os.devnull}"] == {
         "argv": ["solve", "--out", os.devnull], "doc": identity.FIXED_DOCS[3][1]}
     assert ops["power check"] == {"argv": ["check"], "doc": identity.FIXED_DOCS[4][1]}
+    for i, name in [(5, "tan"), (6, "exp")]:
+        assert ops[f"{name} solve --force"] == {
+            "argv": ["solve", "--force"], "doc": identity.FIXED_DOCS[i][1]}
     for key, change, argv in [
         ('a="1e200" P=[0, 1e+200, 1] check', {"a": "1e200", "P": [0, 1e200, 1]}, ["check"]),
         ("P=[0, 0.1] solve --force", {"P": [0, 0.1]}, ["solve", "--force"]),

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 import warnings
 from collections import Counter
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fdekit import conditions, picard
-from fdekit.chebfun import ChebFun, _clenshaw, _pts_desc, build
+from fdekit.chebfun import ChebFun, ResolutionError, _clenshaw, _pts_desc, build
 from fdekit.cli import example1_doc, example2_doc, load_problem
 from fdekit.expr import Expr, parse
 from fdekit.picard import ConditionFailure, apply_T, residual, solve
@@ -147,16 +148,6 @@ class TestSolve:
         sol = solve(dataclasses.replace(p, max_iter=2), rep)
         assert not sol.converged and sol.iterations == 2
 
-    def test_ball_escape_raises(self):
-        # y' = 4 y^2, y(0) = 1 blows up inside [-1,1]; the forced heuristic
-        # radius 2*(0 + 1) = 2 is overrun within a few iterations
-        p = load_problem(
-            {"k": 1.0, "d": 0.0, "c": 1.0, "P": [0.0, 0.0, 4.0],
-             "a": "1", "b": "0", "psi": "t"}
-        )
-        with pytest.raises(picard.BallEscapeError):
-            solve(p, force=True)
-
     def test_solve_deterministic(self):
         p = load_problem(example2_doc())
         rep = conditions.analyze(p)
@@ -173,6 +164,71 @@ class TestSolve:
         assert sol.converged
         assert sol.u.eval(0.0) == pytest.approx(0.0, abs=1e-12)
         assert sol.residual_sup <= 1e-10
+
+
+def forced_doc(**change):
+    """y' = P(y o psi) + b with a = 1, b = 0, psi = t and y(0) = 0, entries
+    replaced."""
+    return {"k": 1.0, "d": 0.0, "c": 0.0, "P": [0.0, 0.0, 1.0], "a": "1", "b": "0",
+            "psi": "t", **change}
+
+
+TAN = forced_doc(P=[2.4, 0.0, 1.0])  # y' = y^2 + 2.4: sqrt(2.4) tan(sqrt(2.4) x)
+EXP = forced_doc(P=[0.0, 5.0], c=1.0)  # y' = 5y, y(0) = 1: e^(5x)
+XS = np.linspace(-1.0, 1.0, 2001)
+
+
+class TestForcedSolve:
+    """Outside the hypotheses no r0 or q exists: a forced solve keeps no ball
+    and stops on the ratio of its last two increments."""
+
+    def test_tan_closed_form(self):
+        # sup 71.7 on [-1, 1], past any ball the data would suggest
+        sol = solve(load_problem(TAN), force=True)
+        r = math.sqrt(2.4)
+        assert sol.converged
+        assert np.max(np.abs(sol.u.eval(XS) - r * np.tan(r * XS))) <= 1e-11
+
+    def test_exponential_closed_form(self):
+        sol = solve(load_problem(EXP), force=True)
+        assert sol.converged
+        assert np.max(np.abs(sol.u.eval(XS) / np.exp(5.0 * XS) - 1.0)) <= 1e-10
+
+    @pytest.mark.parametrize("doc", [TAN, EXP], ids=["tan", "exp"])
+    def test_scaling_is_bit_for_bit(self, doc):
+        # y -> lam y takes P_j to P_j lam^(1-j), c to lam c and tol to lam tol
+        # (b = 0 here); a power of two keeps every bit
+        base = solve(load_problem(doc), force=True)
+        for m in (-40, -20, 30):
+            lam = 2.0 ** m
+            p = load_problem({**doc, "P": [pj * lam ** (1 - j) for j, pj in enumerate(doc["P"])],
+                              "c": lam * doc["c"]})
+            sol = solve(dataclasses.replace(p, solve_tol=lam * p.solve_tol), force=True)
+            assert sol.converged and sol.iterations == base.iterations
+            assert np.array_equal(sol.u.coeffs, lam * base.u.coeffs)
+
+    def test_report_has_no_ball_and_the_observed_ratio(self, monkeypatch):
+        def refuse(p):
+            raise AssertionError("a forced solve needs no source mass")
+
+        monkeypatch.setattr(conditions, "source_mass", refuse)
+        sol = solve(load_problem(TAN), force=True)
+        assert sol.out_of_theorem and sol.r0_used == math.inf and sol.n_req is None
+        assert sol.q_used == sol.increments[-1] / sol.increments[-2]
+        # its increments grow for 8 iterates before they contract: the solve
+        # goes on while they grow
+        incs = sol.increments
+        assert all(later > earlier for earlier, later in zip(incs[1:9], incs[2:10]))
+
+    @pytest.mark.parametrize("doc,iterate", [
+        (forced_doc(P=[0.0, 0.0, 4.0], c=1.0), 13),  # y' = 4y^2, y(0) = 1: blow-up at 1/4
+        (forced_doc(P=[10.0, 0.0, 1.0]), 13),
+        (forced_doc(b="0.8", psi="sin(3*t)"), 17),
+        (forced_doc(P=[0.0, 0.0, 0.0, 1.0], c=2.0, psi="sin(t)"), 9),  # max_degree reached
+    ], ids=["4y^2", "y^2+10", "sin(3t)", "cubic-sin(t)"])
+    def test_divergence_raises_at_its_iterate(self, doc, iterate):
+        with pytest.raises(ResolutionError, match=f'^iterate {iterate}: "a P'):
+            solve(load_problem(doc), force=True)
 
 
 class TestRandomizedSolves:
@@ -259,11 +315,18 @@ class TestBallCheck:
         # upper bound sum |c_k| = 2
         f = cancelling_series()
         r0 = 1.6
-        assert picard.coeff_bound(f.coeffs) > r0 + picard.BALL_SLACK >= f.sup_norm()
+        assert not picard.within_ball(picard.coeff_bound(f.coeffs), r0)
+        assert picard.within_ball(f.sup_norm(), r0)
         calls = self.count_sup_norms(monkeypatch)
         with pytest.raises(picard.BallEscapeError):
             picard._check_ball(f, r0, 3)
         assert calls == []
+
+    def test_scaled_cancelling_series_still_escapes(self):
+        # the slack is relative to r0, so the verdict holds at every scale
+        lam = 2.0 ** -40
+        with pytest.raises(picard.BallEscapeError):
+            picard._check_ball(ChebFun(lam * cancelling_series().coeffs), lam * 1.6, 3)
 
     def test_escape_raises_with_the_coefficient_bound_message(self):
         f = cancelling_series()
@@ -327,7 +390,7 @@ class TestSampleReuse:
             # the recorded increment bounds the sup, and every kept iterate
             # is inside the ball by its coefficient bound
             assert increments[-1] >= (fn - f).sup_norm()
-            assert picard.coeff_bound(fn.coeffs) <= rep.r0 + picard.BALL_SLACK
+            assert picard.within_ball(picard.coeff_bound(fn.coeffs), rep.r0)
             f = fn
         assert np.array_equal(sol.u.coeffs, f.coeffs)
         assert sol.increments == increments

@@ -231,3 +231,8 @@ class TestEffectiveMu:
     def test_low_degree_fallback(self):
         p = make_problem(a=parse("t"), b=parse("t^2"), psi=parse("t"))
         assert p.effective_mu() == 1.0
+
+    def test_undefined_data_is_not_estimable(self):
+        # ln(t+1) is undefined at t = -1, a point every build samples
+        with pytest.raises(ProblemError, match="^mu not given and not estimable: "):
+            make_problem(a=parse("ln(t+1)")).effective_mu()

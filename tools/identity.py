@@ -56,7 +56,8 @@ FIXED_DOCS = (
     ("entire", ENTIRE, ["solve"]),
     # derivative rows 7-12 exactly zero: norms 0.0, flagged
     ("entire", ENTIRE, ["gevrey"]),
-    # a forced iterate that leaves the ball: exit 3 with "solve": {"error"}
+    # a forced iteration that diverges (y' = 4y^2 blows up at x = 1/4): exit 4
+    # at its first non-finite sample, iterate 13
     ("escape", {"k": 1, "d": 0, "c": 1, "P": [0, 0, 4], "a": "1", "b": "0", "psi": "t"},
      ["solve", "--force"]),
     # psi leaves [-1, 1] at a CSV point only: the report, then an error, exit 4
@@ -65,6 +66,13 @@ FIXED_DOCS = (
     # a large integer-literal exponent at negative t: an integer power, a report
     ("power", {"k": 1, "d": 0, "c": 0.01, "P": [0, 0, 0.1], "a": "0.1*t^600", "b": "0.01",
                "psi": "t"}, ["check"]),
+    # forced solves that converge though no ball fits them: y' = y^2 + 2.4
+    # (sqrt(2.4) tan(sqrt(2.4) x), whose increments grow for 8 iterates) and
+    # y' = 5y, y(0) = 1
+    ("tan", {"k": 1, "d": 0, "c": 0, "P": [2.4, 0, 1], "a": "1", "b": "0", "psi": "t"},
+     ["solve", "--force"]),
+    ("exp", {"k": 1, "d": 0, "c": 1, "P": [0, 5], "a": "1", "b": "0", "psi": "t"},
+     ["solve", "--force"]),
 )
 # (entries replaced in example2, command): an overflowing first hypothesis
 # ("cond1_lhs": null), a failing warning under "validation": {"ok": true},
