@@ -407,8 +407,8 @@ def stadium_inclusion_probe(iterates, r0, k, s, C, n_range):
         raise GevreyError(
             f"need iterate {max(n_range)} but only {len(iterates)} were kept"
         )
-    if s <= 0:
-        raise GevreyError("s must be positive")
+    if not (s > 0 and math.isfinite(r0)):  # r0 = inf would drop the real parts
+        raise GevreyError(f"s must be positive and r0 finite, got s={s!r}, r0={r0!r}")
 
     s_used = float(s)
     for _ in range(200):

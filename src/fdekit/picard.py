@@ -72,9 +72,9 @@ class ConditionFailure(PicardError):
 class Solution:
     """increments[n-1] is the rounded-up sum |c_k| of f_{n+1} - f_n
     (coeff_bound), an upper bound of its sup on [-1, 1].  A forced solve has
-    r0_used inf, q_used increments[-1] / increments[-2] and n_req None.
-    degree is that of u; u and the kept iterates are repr=False fields, which
-    the CLI report leaves out."""
+    r0_used inf, n_req None, q_used increments[-1] / increments[-2] (after
+    one increment: inf, or 0.0 if it is 0).  degree is that of u; u and the
+    kept iterates are repr=False fields, which the CLI report leaves out."""
 
     u: ChebFun = field(repr=False)
     iterations: int

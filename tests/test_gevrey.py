@@ -546,10 +546,17 @@ class TestStadiumInclusionProbe:
              "a": "0", "b": "cos(pi*t/2)*pi/2", "psi": "t"}
         )
         sol = picard.solve(p, force=True, keep_iterates=True)
-        probe = stadium_inclusion_probe(
-            sol.iterates, sol.r0_used, 1.0, 0.2, 2.0, range(1, 4)
-        )
+        # a forced solve has no ball; the solution sin(pi t/2) takes its
+        # values in [-1, 1], and a narrower interval fails the probe
+        probe = stadium_inclusion_probe(sol.iterates, 1.0, 1.0, 0.2, 2.0, range(1, 4))
         assert probe.all_within
+        assert not stadium_inclusion_probe(sol.iterates, 0.5, 1.0, 0.2, 2.0, range(1, 4)).all_within
+
+    @pytest.mark.parametrize("r0", [math.inf, math.nan])
+    def test_non_finite_radius_is_rejected(self, r0):
+        # half_width = inf would measure the distance to the whole real line
+        with pytest.raises(GevreyError, match="r0 finite"):
+            stadium_inclusion_probe([ChebFun([0.0])] * 2, r0, 1.0, 0.1, 2.0, range(1, 3))
 
     def test_half_curve_gives_the_whole_curve_report(self, monkeypatch):
         # an iterate has real coefficients, so the first half of each curve,
