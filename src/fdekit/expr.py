@@ -21,7 +21,8 @@ evaluation uses principal branches, with real values (negated ones too) on
 the upper lip of each cut, and rejects ``abs``.  ``Expr.singular_nodes``
 lists, innermost first, the poles and branch cuts that can keep a tree from
 being analytic on a region.  Entire trees with non-negative integer-literal
-exponents commute with conjugation bit for bit (``Expr.is_conjugate_exact``).
+exponents commute with conjugation bit for bit (``Expr.is_conjugate_exact``),
+and ``Expr.parity`` shows some of them odd or even under z -> -conj(z).
 A DomainError quotes the failing operation or call as the user wrote it: the
 parser keeps each node's source text, and there is no printer.
 """
@@ -380,24 +381,39 @@ def _singular_nodes(node, out):
     return False
 
 
-def _is_conjugate_exact(node):
-    """True when every node is holomorphic on all of C and commutes with
+def _symmetry(node):
+    """None unless every node is holomorphic on all of C and commutes with
     conjugation bit for bit: numbers, t, unary minus, + - *, the entire
     builtins and non-negative integer-literal powers, chains of products.
-    Anything else (division, ln, sqrt, abs, other powers) does not count."""
-    if isinstance(node, (Num, Var)):
-        return True
+    Else 1 (even), -1 (odd) or 0 (neither shown): t is odd, numbers even;
+    unary minus keeps the parity, + and - keep one both sides share, *
+    multiplies them; a power of an odd base is odd for an odd exponent,
+    else even, of an even base even; sin and sinh keep their argument's
+    parity, cos and cosh of an odd one are even, every entire builtin of an
+    even one is.  Sound, not complete: exp(t) and t^2+t are neither."""
+    if isinstance(node, Num):
+        return 1
+    if isinstance(node, Var):
+        return -1
     if isinstance(node, Neg):
-        return _is_conjugate_exact(node.child)
+        return _symmetry(node.child)
     if isinstance(node, Call):
-        return node.func in ENTIRE_FUNCTIONS and _is_conjugate_exact(node.arg)
+        inner = _symmetry(node.arg) if node.func in ENTIRE_FUNCTIONS else None
+        if inner == -1:
+            return {"sin": -1, "sinh": -1, "cos": 1, "cosh": 1}.get(node.func, 0)
+        return inner
     if isinstance(node, BinOp):
+        left = _symmetry(node.left)
         if node.op == "^":
             n = _int_literal_exponent(node.right)
-            return n is not None and n >= 0 and _is_conjugate_exact(node.left)
-        return (node.op in ("+", "-", "*") and _is_conjugate_exact(node.left)
-                and _is_conjugate_exact(node.right))
-    return False
+            if left is None or n is None or n < 0:
+                return None
+            return -1 if left == -1 and n % 2 else abs(left)
+        right = _symmetry(node.right)
+        if left is None or right is None or node.op == "/":
+            return None
+        return left * right if node.op == "*" else left if left == right else 0
+    return None
 
 
 # --- public wrapper -------------------------------------------------------
@@ -456,8 +472,15 @@ class Expr:
         """Whether eval_complex(conj(z)) is conj(eval_complex(z)) up to the
         signs of zeros, so the two have the same real and imaginary
         magnitudes bit for bit: a tree of entire operations whose exponents
-        are non-negative integer literals (see `_is_conjugate_exact`)."""
-        return _is_conjugate_exact(self.root)
+        are non-negative integer literals (see `_symmetry`)."""
+        return _symmetry(self.root) is not None
+
+    def parity(self):
+        """1 (even) or -1 (odd) when eval_complex(-conj(z)) is
+        parity * conj(eval_complex(z)) up to the signs of zeros, so the two
+        have the same real and imaginary magnitudes bit for bit; 0 when the
+        tree is not conjugate-exact or `_symmetry` shows neither."""
+        return _symmetry(self.root) or 0
 
 
 def parse(src):

@@ -8,7 +8,9 @@ regularity bootstrap.  check_ek shows the map analytic on each stadium by
 the argument principle and samples the stadium boundary alone, where the
 maximum principle puts the worst point.  Every sample is one fixed template
 scaled by the radius, in order along the closed curve, its lower half the
-exact conjugate of its upper half.
+exact conjugate of its upper half and, from density 2 on, its left half the
+exact mirror image -conj(z) of its right half: an odd or even psi is
+evaluated on a quarter of each curve.
 
 Growth: the envelope recursion w_1 = 1,
 w_{n+1} = ||a||_inf * M(r0 + s n^(-1/k) w_n) + ||b + P(0)a||_inf (sup norms
@@ -56,7 +58,8 @@ MAX_EK_LEVELS = 10000
 MAX_EK_DENSITY = 4096
 PROBE_DENSITY = 64  # stadium_inclusion_probe points per boundary piece
 # points per psi evaluation in check_ek, or one level if larger: the fastest
-# block in a sweep over 2^10..2^16, whose complex temporaries stay in cache
+# block in a sweep over 2^10..2^16, whose complex temporaries stay in cache;
+# a block of quarter curves holds about twice as many levels as one of halves
 _EK_CHUNK = 1 << 13
 _EPS = np.finfo(float).eps
 
@@ -84,20 +87,26 @@ def interval_distance(z, half_width=1.0):
 
 
 @functools.lru_cache(maxsize=8)
-def _template(density, half=False):
+def _template(density, fold=1):
     """The stadium boundary of radius r is offset + r * direction, in order
     along the closed curve: the tip 1 + r, the upper right cap 1 + r e^(i phi)
     at the angles of linspace(-pi/2, pi/2, density) past the middle one, the
     upper segment from x = 1 to -1 (`density` points), the upper left cap
     -1 - r conj(e^(i phi)), the tip -(1 + r), then the exact conjugates of
-    the points between the tips in reverse, so the first len // 2 + 1 points
-    hold one of every conjugate pair at every radius.  4 * density + 2
-    points, or 4 * density for an odd density, whose middle angle would
-    repeat the tips; with `half`, those first len // 2 + 1 alone.  Read-only
-    arrays, shared by every radius."""
+    the points between the tips in reverse, so the first h = len // 2 + 1
+    points hold one of every conjugate pair at every radius.  4 * density +
+    2 points, or 4 * density for an odd density, whose middle angle would
+    repeat the tips.  From density 2 on, the segment abscissae are exactly
+    antisymmetric (linspace's are not, by an ulp), so point h - 1 - i is
+    -conj of point i at every radius, bit for bit, and the first
+    ceil(h / 2) points hold one of every such mirror pair.  `fold` 2 keeps
+    the first h points, 4 (density >= 2) the first ceil(h / 2), 1 the whole
+    curve.  Read-only arrays, shared by every radius."""
     phi = np.linspace(-0.5 * np.pi, 0.5 * np.pi, density)
     cap = np.exp(1j * phi[(density + 1) // 2:])
     xs = np.linspace(-1.0, 1.0, density)
+    if density > 1:  # exactly antisymmetric; linspace(-1, 1, 1) = [-1] stays
+        xs = 0.5 * (xs - xs[::-1])
     ones = np.ones(len(cap))
     upper_offset = np.concatenate([ones, xs[::-1], -ones])
     upper = np.concatenate([cap, np.full(density, 1j), -np.conj(cap[::-1])])
@@ -105,7 +114,9 @@ def _template(density, half=False):
     direction = np.concatenate([[1.0], upper, [-1.0], np.conj(upper[::-1])])
     offset.flags.writeable = False
     direction.flags.writeable = False
-    width = len(offset) // 2 + 1 if half else len(offset)
+    width = len(offset) // 2 + 1 if fold > 1 else len(offset)
+    if fold > 2:
+        width = (width + 1) // 2
     return offset[:width], direction[:width]
 
 
@@ -143,13 +154,14 @@ class StadiumRegion:
     def radius(self):
         return _stadium_radius(self.k, self.A, self.n)
 
-    def sample(self, density, levels=None, half=False):
-        """The boundary, sampled by `_template(density, half)`; with
+    def sample(self, density, levels=None, fold=1):
+        """The boundary, sampled by `_template(density, fold)`: the whole
+        curve, its conjugate half (fold 2) or its mirror quarter (fold 4); with
         `levels`, the boundaries of levels n .. n + levels - 1 (same k and A)
         as the rows of one array, one broadcast of the template over their
         radii.  A GevreyError if one of their radii is not positive and
         finite."""
-        offset, direction = _template(density, half)
+        offset, direction = _template(density, fold)
         if levels is None:
             return offset + self.radius * direction
         radii = _stadium_radii(self.k, self.A, self.n, levels)
@@ -206,7 +218,10 @@ def check_ek(psi, k, A_list, p_max, density=128):
     template over the list of its radii, and take one psi evaluation.  When
     psi commutes with conjugation (`Expr.is_conjugate_exact`) only the first
     half of each curve, tips included, is evaluated: the rest are the exact
-    conjugates of its points.
+    conjugates of its points.  When psi is also odd or even (`Expr.parity`)
+    and density >= 2, only the first half of that half is: psi(-conj(z)) is
+    +-conj(psi(z)) bit for bit, the stadium is symmetric under z -> -conj(z)
+    to the bit, and the distance reads only |Re| and |Im|.
     The check passes when every ratio is <= 1 + 1e-12 (so with no scale at
     all).  first_pass_p maps each scale to the first level from which every
     ratio passes (1: every level; None: it fails at p_max).  The scales must
@@ -226,17 +241,17 @@ def check_ek(psi, k, A_list, p_max, density=128):
         raise GevreyError("fattening scales must be positive and finite")
     # radii[n - 1] is the radius of the level-n stadium of its scale
     scale_radii = [_stadium_radii(k, A, 1, p_max + 1) for A in A_list]
-    # a conjugate-exact psi is entire, so no node needs the lower half
+    # no node needs the lower half: a conjugate-exact psi (any with a parity) is entire
     nodes = psi.singular_nodes()
-    half = psi.is_conjugate_exact()
-    rows = max(1, _EK_CHUNK // len(_template(density, half)[0]))
+    fold = 4 if density > 1 and psi.parity() else 2 if psi.is_conjugate_exact() else 1
+    rows = max(1, _EK_CHUNK // len(_template(density, fold)[0]))
     levels = []
     first_pass = {}
     for A, radii in zip(A_list, scale_radii):
         last_fail = 0
         for first in range(1, p_max + 1, rows):
             count = min(rows, p_max + 1 - first)
-            curves = StadiumRegion(k, A, first + 1).sample(density, count, half)
+            curves = StadiumRegion(k, A, first + 1).sample(density, count, fold)
             names = _singularities(nodes, curves)
             keep = [i for i, name in enumerate(names) if name is None]
             worst = np.full(count, math.inf)
@@ -327,8 +342,8 @@ def omega_sequence(p, s, r0, n_max, tau_candidate):
     if s < 0:
         raise GevreyError("s must be >= 0")
     mu = p.effective_mu()
-    half = p.a.is_conjugate_exact() and p.b.is_conjugate_exact()
-    pts = StadiumRegion(p.k, mu / 2.0, 1).sample(256, half=half)
+    fold = 2 if p.a.is_conjugate_exact() and p.b.is_conjugate_exact() else 1
+    pts = StadiumRegion(p.k, mu / 2.0, 1).sample(256, fold=fold)
     for name, f in (("a", p.a), ("b", p.b)):
         singularity = _singularities(f.singular_nodes(), pts[None])[0]
         if singularity is not None:
@@ -426,7 +441,7 @@ def stadium_inclusion_probe(iterates, r0, k, s, C, n_range):
     points = len(_template(PROBE_DENSITY)[0])
     for n in n_range:
         region = StadiumRegion(k, s_used, n)
-        values = iterates[n - 1].eval_complex(region.sample(PROBE_DENSITY, half=True))
+        values = iterates[n - 1].eval_complex(region.sample(PROBE_DENSITY, fold=2))
         worst = float(np.max(interval_distance(values, half_width=r0)))
         allowed = C * region.radius
         levels.append(ProbeLevel(n=n, ratio=worst / allowed, worst_dist=worst,

@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fdekit.expr import (
     ENTIRE_FUNCTIONS,
@@ -379,3 +380,61 @@ def test_is_entire_for_every_builtin():
         cut = [("cut", f"{name}(t)")] if name in ("ln", "sqrt") else []
         assert [(kind, text) for kind, text, _ in psi.singular_nodes()] == cut
         assert psi.is_conjugate_exact() is (name in ENTIRE_FUNCTIONS)
+
+
+# (source, parity under z -> -conj(z)): 1 even, -1 odd, 0 when the rule
+# shows neither; a tree outside the conjugate-exact operations has none,
+# even when it is odd (t/2, ln(2)*t)
+PARITY_CASES = {
+    "t^2-0.5": 1, "0.5*cos(t)": 1, "0.5*sin(t)^3": -1, "exp(t)-1": 0, "t^2+t": 0,
+    "t": -1, "-t": -1, "2": 1, "-(pi)": 1, "t^0": 1, "(t^2+t)^0": 0, "t*t": 1,
+    "cosh(t)*t": -1, "sinh(sin(t))": -1, "cos(sinh(t))": 1, "exp(t^2)": 1, "exp(t)": 0,
+    "sin(t)-t^3": -1, "sin(t)+1": 0, "cos(t+1)": 0, "(0*t-2)^101*t": 0, "(t^3)^101": -1,
+    "t/2": 0, "ln(2)*t": 0, "2^t": 0, "t^-1": 0, "sqrt(t^2+1)": 0, "abs(t)": 0,
+}
+
+
+@pytest.mark.parametrize("src,parity", PARITY_CASES.items(), ids=PARITY_CASES.keys())
+def test_parity_rule(src, parity):
+    psi = parse(src)
+    assert psi.parity() == parity
+    if parity:
+        assert psi.is_conjugate_exact()
+
+
+# random points of the box [-1.6, 1.6] x [0, 0.7], which holds every
+# default ek stadium, and points on its axes
+_BOX = np.concatenate([
+    np.random.default_rng(1729).uniform(-1.6, 1.6, 48)
+    + 1j * np.random.default_rng(1730).uniform(0.0, 0.7, 48),
+    [0.0, 1.6, -1.6, 0.7j, 1.0 + 0.25j, -1.0 + 0.25j]])
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(src=st.recursive(
+    st.just("t") | st.sampled_from(["0.5", "2", "1.7", "pi", "0", "(0*t-2)", "-0.75"]),
+    lambda inner: st.one_of(
+        st.builds("{}({})".format, st.sampled_from(ENTIRE_FUNCTIONS), inner),
+        inner.map("-({})".format),
+        st.builds("({}){}({})".format, inner, st.sampled_from("+-*"), inner),
+        st.builds("({})^{}".format, inner, st.sampled_from([0, 1, 2, 3, 4, 5, 101])),
+    ),
+    max_leaves=10,
+))
+@example(src="0.5*sin(t)^3")
+@example(src="(t^3)^101")
+@example(src="cos(sinh(t))*t^5")
+def test_parity_is_bitwise_under_reflection(src):
+    # an odd or even tree has the same |Re| and |Im| at -conj(z) as at z,
+    # bit for bit; points where either value overflows are skipped
+    psi = parse(src)
+    if not psi.parity():
+        return
+    assert psi.is_conjugate_exact()
+    for z in [_BOX, *_BOX[:, None]]:  # as one array, then point by point
+        try:
+            w, mirror = psi.eval_complex(z), psi.eval_complex(-np.conj(z))
+        except OverflowEvalError:
+            continue
+        assert np.abs(w.real).tobytes() == np.abs(mirror.real).tobytes(), src
+        assert np.abs(w.imag).tobytes() == np.abs(mirror.imag).tobytes(), src

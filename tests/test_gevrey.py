@@ -99,21 +99,49 @@ class TestStadiumRegion:
             assert np.all(pts[1:half - 1].imag > 0.0)
             lower = np.conj(pts[1:half - 1][::-1])
             assert pts[half:].view(float).tobytes() == lower.view(float).tobytes()
-            assert region.sample(density, half=True).tobytes() == pts[:half].tobytes()
-        assert len(StadiumRegion(k=1.0, A=1.0, n=1).sample(128, half=True)) == 258
+            assert region.sample(density, fold=2).tobytes() == pts[:half].tobytes()
+        assert len(StadiumRegion(k=1.0, A=1.0, n=1).sample(128, fold=2)) == 258
+        assert len(StadiumRegion(k=1.0, A=1.0, n=1).sample(128, fold=4)) == 129
 
+    @pytest.mark.parametrize("density", [*range(2, 301), 1024, 4096])
+    def test_half_template_is_mirror_exact(self, density):
+        # point h - 1 - i of the first h = len // 2 + 1 is -conj of point i,
+        # bit for bit at every radius, and fold 4 keeps the first ceil(h / 2)
+        offset, direction = gevrey._template(density, 2)
+        assert np.array_equal(offset[::-1], -offset)
+        assert np.array_equal(direction[::-1], -np.conj(direction))
+        for r in (1e-300, 1e-3, 0.37, 2.5):
+            pts = StadiumRegion(k=1.0, A=r, n=1).sample(density, fold=2)
+            assert np.abs(pts.real[::-1]).tobytes() == np.abs(pts.real).tobytes()
+            assert pts.imag[::-1].tobytes() == pts.imag.tobytes()
+            quarter = StadiumRegion(k=1.0, A=r, n=1).sample(density, fold=4)
+            assert quarter.tobytes() == pts[:(len(pts) + 1) // 2].tobytes()
 
-    @pytest.mark.parametrize("half", [False, True])
-    @pytest.mark.parametrize("density", [1, 17, 128])
-    def test_levels_are_rows_of_one_level_samples(self, density, half):
+    def test_density_one_keeps_its_points(self, monkeypatch):
+        # symmetrising linspace(-1, 1, 1) = [-1] would move it to 0, so the
+        # curve has no mirror quarter: an odd psi takes the half rule
+        r = 0.37
+        pts = StadiumRegion(k=1.0, A=r, n=1).sample(1)
+        assert pts.tolist() == [1.0 + r, -1.0 + r * 1j, -1.0 - r, -1.0 - r * 1j]
+        psi = parse("sin(t)")
+        counts = count_eval_points(monkeypatch, psi)
+        check_ek(psi, 1.0, [0.5], 5, density=1)
+        assert sum(counts) == 5 * 3
+
+    # a density-1 curve has no mirror quarter
+    @pytest.mark.parametrize("density,fold", [(density, fold) for density in (1, 2, 3, 17, 128)
+                                              for fold in (1, 2, 4) if density > 1 or fold < 4])
+    def test_levels_are_rows_of_one_level_samples(self, density, fold):
         # sample(levels=m) stacks the boundaries of levels n .. n + m - 1,
-        # bit for bit, each cut to its first len // 2 + 1 points with half
-        rows = StadiumRegion(k=0.5, A=0.7, n=3).sample(density, 40, half)
+        # bit for bit, each cut to its first h = len // 2 + 1 points with
+        # fold 2 and to the first ceil(h / 2) with fold 4
+        rows = StadiumRegion(k=0.5, A=0.7, n=3).sample(density, 40, fold)
         for i, row in enumerate(rows):
             pts = StadiumRegion(k=0.5, A=0.7, n=3 + i).sample(density)
-            cut = pts[:len(pts) // 2 + 1] if half else pts
+            width = len(pts) // 2 + 1 if fold > 1 else len(pts)
+            cut = pts[:(width + 1) // 2 if fold == 4 else width]
             assert row.tobytes() == cut.tobytes()
-        assert StadiumRegion(k=0.5, A=0.7, n=3).sample(density, half=half).tobytes() == \
+        assert StadiumRegion(k=0.5, A=0.7, n=3).sample(density, fold=fold).tobytes() == \
             rows[0].tobytes()
 
     def test_levels_raise_on_a_later_radius(self):
@@ -184,7 +212,8 @@ ENTIRE_MAPS = ["sin(t)", "0.5*sin(t)^3", "t^2-0.5", "0.5*cos(t)", "0.9*t",
 NON_ENTIRE_MAPS = ["sqrt(t+2)", "1/(t+3)", "2^t", "ln(t+3)"]
 # (psi, regularity indices k) for test_row_blocks_match_one_level_at_a_time
 BLOCK_MAPS = [(src, (0.5, 1.0, 2.0)) for src in
-              ("sin(t)", "1.5*t", "(0*t-2)^101*t", "sqrt(t+2)", "(-1)^t")] + [("1/(t-1.05)", (0.5,))]
+              ("sin(t)", "0.5*cos(t)", "1.5*t", "(0*t-2)^101*t", "sqrt(t+2)", "(-1)^t")] + \
+    [("1/(t-1.05)", (0.5,))]
 
 
 def count_eval_points(monkeypatch, psi):
@@ -227,18 +256,24 @@ class TestEkSampling:
     def test_boundary_only_matches_full_sampling(self, monkeypatch, src, k, density):
         psi = parse(src)
         counts = count_eval_points(monkeypatch, psi)
-        got = check_ek(psi, k, [0.1, 0.5, 0.9], 100, density=density)
-        # the first half of the boundaries of all 100 levels of each scale,
-        # tips included, in blocks of at most _EK_CHUNK points
-        assert max(counts) <= gevrey._EK_CHUNK
-        assert sum(counts) == 3 * 100 * (2 * density + 2)
-        calls = len(counts)
-
-        monkeypatch.setattr(Expr, "is_conjugate_exact", lambda self: False)
-        want = check_ek(psi, k, [0.1, 0.5, 0.9], 100, density=density)
-        assert sum(counts[calls:]) == 3 * 100 * boundary_size(density)
+        reports, sizes = [], []
+        # the first quarter of the boundaries of all 100 levels of each
+        # scale for an odd or even psi, else the first half, tips included,
+        # in blocks of at most _EK_CHUNK points; then the first half with
+        # the parity rule off, and the whole curve with the conjugate rule
+        # off too
+        for off in (None, "parity", "is_conjugate_exact"):
+            if off:
+                monkeypatch.setattr(Expr, off, lambda self: 0)
+            calls = len(counts)
+            reports.append(check_ek(psi, k, [0.1, 0.5, 0.9], 100, density=density))
+            assert max(counts[calls:]) <= gevrey._EK_CHUNK
+            sizes.append(sum(counts[calls:]))
+        quarter = density + 1 if src != "exp(t)-1" else 2 * density + 2
+        assert sizes == [3 * 100 * n for n in (quarter, 2 * density + 2, boundary_size(density))]
         for f in dataclasses.fields(EkReport):
-            assert getattr(got, f.name) == getattr(want, f.name), f.name
+            assert [getattr(rep, f.name) for rep in reports[1:]] == \
+                [getattr(reports[0], f.name)] * 2, f.name
 
     @pytest.mark.parametrize("src", NON_ENTIRE_MAPS)
     def test_non_entire_maps_evaluate_the_whole_curve(self, monkeypatch, src):
@@ -262,18 +297,19 @@ class TestEkSampling:
 
         monkeypatch.setattr(Expr, "eval_complex", ones)
         rep = check_ek(psi, 1.0, [0.5], 300, density=4096)
-        # sin(t) evaluates the first half of its boundary, tips included
-        level = boundary_size(4096) // 2 + 1 if psi.is_conjugate_exact() else boundary_size(4096)
+        # sin(t) evaluates the first quarter of its boundary, tips included
+        level = 4096 + 1 if psi.parity() else boundary_size(4096)
         assert len(rep.levels) == 300 and len(counts) > 1
         assert max(counts) <= max(gevrey._EK_CHUNK, level)
         assert sum(counts) == 300 * level
 
-    # entire maps with and without the conjugate reduction (1.5*t peaks at
-    # the cap tip 1 + r), non-entire maps with and without reflection
-    # symmetry, and a pole 0.05 from [-1, 1]; 100 levels span 4 blocks of
-    # 31 levels at density 128 for sin(t) and 1.5*t, 7 blocks of 15 for the
-    # others, and 100 blocks of one level at density 4096
-    @pytest.mark.parametrize("density", [1, 2, 17, 128, 4096])
+    # entire maps on quarter curves (odd sin(t) and 1.5*t, which peaks at
+    # the cap tip 1 + r, even 0.5*cos(t)), on half curves ((0*t-2)^101*t)
+    # and on whole ones ((-1)^t), a non-entire map, and a pole 0.05 from
+    # [-1, 1]; 100 levels span 2 blocks of 63 levels at density 128 for the
+    # quarters, 4 blocks of 31 for the half, 7 blocks of 15 for the others,
+    # and 100 blocks of one level at density 4096
+    @pytest.mark.parametrize("density", [1, 2, 3, 17, 128, 129, 4096])
     @pytest.mark.parametrize("src,ks", BLOCK_MAPS, ids=[m[0] for m in BLOCK_MAPS])
     def test_row_blocks_match_one_level_at_a_time(self, src, ks, density):
         psi, A = parse(src), 0.5

@@ -78,7 +78,9 @@ FIXED_DOCS = (
 # ("cond1_lhs": null), a failing warning under "validation": {"ok": true},
 # data whose Chebyshev coefficients overflow (exit 4), scales whose
 # "first_pass_p" keys print in exponent form, the smallest density, an odd
-# one, one whose level is larger than an ek block, an entire psi whose
+# one, one whose level is larger than an ek block, the smallest density
+# with a mirror quarter and an odd one, an even psi on quarter curves, a
+# conjugate-exact psi of neither parity on half curves, an entire psi whose
 # power is squared out and exact under conjugation, a psi with a pole 0.05
 # from [-1, 1] (also at density 17), one that moves with the branch of
 # (-1)^t, one whose branch cut starts 0.2 from [-1, 1], one with a zero
@@ -98,6 +100,10 @@ EXAMPLE2_CHANGES = (
     ({}, ["ek", "--density", "1"]),
     ({}, ["ek", "--density", "17", "--pmax", "3"]),
     ({}, ["ek", "--density", "4096", "--pmax", "2"]),
+    ({}, ["ek", "--density", "2"]),
+    ({}, ["ek", "--density", "3", "--pmax", "3"]),
+    ({"psi": "0.5*cos(t)"}, ["ek"]),
+    ({"psi": "exp(t)-1"}, ["ek"]),
     ({"psi": "(0*t-2)^101*t"}, ["ek"]),
     ({"psi": "1/(t-1.05)", "k": 0.5}, ["ek"]),
     ({"psi": "(-1)^t"}, ["ek"]),
