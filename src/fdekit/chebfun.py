@@ -226,7 +226,7 @@ def _newton(c, th, lo, hi, below, order, starts=(0,)):
     th = np.array(th, dtype=float)
     if len(th) == 0:
         return th, np.zeros(len(c))
-    noise = 4.0 * np.finfo(float).eps * np.sum(np.abs(c) * np.arange(c.shape[1]) ** order, 1)
+    noise = 4.0 * np.finfo(float).eps * (np.abs(c) * np.arange(c.shape[1]) ** order).sum(1)
     # the rows still moving and, per point of theirs, its index into th (and
     # peak, which keep each point's last state), theta, bracket, |g| so far
     first, counts = list(starts), np.subtract([*starts[1:], len(th)], starts)
@@ -246,8 +246,8 @@ def _newton(c, th, lo, hi, below, order, starts=(0,)):
         x = new
         if not still.any():
             break
-        moving = np.logical_or.reduceat(still, first)
-        if not moving.all():
+        # one row never compacts: it moves on or it has stopped
+        if len(first) > 1 and not (moving := np.logical_or.reduceat(still, first)).all():
             th[live], peak[live] = x, pk
             keep = np.repeat(moving, counts)
             live, x, lo, hi, below, noise, pk = (

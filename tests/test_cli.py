@@ -803,6 +803,9 @@ class SubRecord(Record):
     b: object = None
 
 
+Single = dataclasses.make_dataclass("Single", [("v", float)])
+
+
 class Tagged(float):
     """A float whose repr is not its JSON text."""
 
@@ -844,7 +847,25 @@ SCALARS = st.one_of(
     st.sampled_from(STRINGS),
     st.sampled_from(NUMPY_SCALARS),
 )
-VALUES = st.recursive(SCALARS, lambda inner: st.one_of(
+# leaves of the rows the writer renders in one pass: exact ints and floats
+# take it, and a Tagged float, a bool or a numpy scalar sends its run back
+# to the walk
+LEAVES = st.one_of(FLOATS, st.integers(), st.just(10**300), st.booleans(),
+                   st.sampled_from(NUMPY_SCALARS))
+NUMBERS = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS), st.integers(), st.just(10**300))
+ROWS = st.one_of(
+    st.lists(NUMBERS, min_size=1, max_size=12),
+    st.lists(LEAVES, max_size=12),
+    st.lists(st.builds(Record, NUMBERS, a=NUMBERS), min_size=1, max_size=8),
+    st.lists(st.builds(Record, LEAVES, a=LEAVES), max_size=8),
+    st.lists(st.builds(Single, NUMBERS), min_size=1, max_size=8),
+    # runs of records that a subclass record breaks, as a SingularEkLevel
+    # breaks a run of EkLevels
+    st.lists(st.one_of(st.builds(Record, NUMBERS, a=NUMBERS),
+                       st.builds(SubRecord, NUMBERS, a=NUMBERS, b=st.one_of(NUMBERS, st.text()))),
+             max_size=8),
+)
+VALUES = st.recursive(st.one_of(SCALARS, ROWS), lambda inner: st.one_of(
     st.lists(inner, max_size=4),
     st.lists(inner, max_size=4).map(tuple),
     st.dictionaries(KEYS, inner, max_size=4),
@@ -861,8 +882,28 @@ VALUES = st.recursive(SCALARS, lambda inner: st.one_of(
     a={1.5: (), math.nan: {}, -math.inf: [], 7: Record(math.inf, [2.0], ()), True: "x",
        None: Record(-0.0, a={Tagged(2.5): 1e300}), "\u00e9": "\x01"},
 ))
+@example(x=[Record(p / 7, a=p) for p in range(150)] + [Record(math.nan, a=-math.inf)]
+          + [Record(p / 7, a=p) for p in range(151, 300)])
 def test_report_writer_matches_json_dumps_of_the_converted_value(x):
     assert cli._dumps(x) == json.dumps(reference(x), indent=2)
+
+
+@pytest.mark.parametrize("change,pmax", [
+    ({"psi": "sin(t)"}, 100),
+    ({"psi": "0.8*sin(t)", "k": 2.0}, 100),
+    ({"psi": "sin(0.8*t)", "k": 0.5}, 100),
+    ({"psi": "0.8*t"}, 100),
+    # singular rows between regular ones
+    ({"psi": "1/(t-1.05)", "k": 0.5}, 100),
+    # 3,000 rows over many blocks
+    ({}, 1000),
+], ids=["sin", "scaled-sin", "sin-scaled", "linear", "pole", "pmax-1000"])
+def test_ek_prints_the_converted_report(tmp_path, capsys, change, pmax):
+    doc = {**example2_doc(), **change}
+    _, out = run(capsys, ["ek", write_json(tmp_path, doc), "--pmax", str(pmax)])
+    prob = load_problem(doc)
+    report = cli.gevrey.check_ek(prob.psi, prob.k, cli.gevrey.DEFAULT_SCALES, pmax, density=128)
+    assert out == json.dumps(reference(report), indent=2) + "\n"
 
 
 def test_solve_report_is_the_solution_without_its_series(tmp_path, capsys):

@@ -160,6 +160,7 @@ def test_record_adds_the_fixed_operations(monkeypatch):
         ("ek --density 1", {}, ["ek", "--density", "1"]),
         ("ek --density 17 --pmax 3", {}, ["ek", "--density", "17", "--pmax", "3"]),
         ("ek --density 4096 --pmax 2", {}, ["ek", "--density", "4096", "--pmax", "2"]),
+        ("ek --pmax 1000", {}, ["ek", "--pmax", "1000"]),
         ("ek --density 2", {}, ["ek", "--density", "2"]),
         ("ek --density 3 --pmax 3", {}, ["ek", "--density", "3", "--pmax", "3"]),
         ('psi="0.5*cos(t)" ek', {"psi": "0.5*cos(t)"}, ["ek"]),

@@ -78,7 +78,8 @@ FIXED_DOCS = (
 # ("cond1_lhs": null), a failing warning under "validation": {"ok": true},
 # data whose Chebyshev coefficients overflow (exit 4), scales whose
 # "first_pass_p" keys print in exponent form, the smallest density, an odd
-# one, one whose level is larger than an ek block, the smallest density
+# one, one whose level is larger than an ek block, a report of 3,000 rows
+# over many blocks, the smallest density
 # with a mirror quarter and an odd one, an even psi on quarter curves, a
 # conjugate-exact psi of neither parity on half curves, an entire psi whose
 # power is squared out and exact under conjugation, a psi with a pole 0.05
@@ -100,6 +101,7 @@ EXAMPLE2_CHANGES = (
     ({}, ["ek", "--density", "1"]),
     ({}, ["ek", "--density", "17", "--pmax", "3"]),
     ({}, ["ek", "--density", "4096", "--pmax", "2"]),
+    ({}, ["ek", "--pmax", "1000"]),
     ({}, ["ek", "--density", "2"]),
     ({}, ["ek", "--density", "3", "--pmax", "3"]),
     ({"psi": "0.5*cos(t)"}, ["ek"]),
