@@ -180,8 +180,8 @@ def _dumps(x, nl="\n"):
     walk.  Dataclass records become {field: value} over their repr=True fields
     in declaration order, tuples lists, numpy scalars Python ones, non-finite
     floats null: byte for byte json.dumps(..., indent=2) of the converted value.
-    A list's runs of exact numbers, or of records of one type, are written by
-    `_rows` in one pass where every leaf of the run is an exact int or float."""
+    A list of records of one type is written by `_rows` in one pass where
+    every leaf is an exact int or float."""
     if isinstance(x, float):
         return float.__repr__(x) if math.isfinite(x) else "null"
     if isinstance(x, str):
@@ -196,9 +196,7 @@ def _dumps(x, nl="\n"):
         return int.__repr__(x)
     inner = nl + "  "
     if isinstance(x, (list, tuple)):
-        runs = [list(run) for _, run in itertools.groupby(x, type)]
-        text = ",".join([_rows(run, inner) or ",".join([inner + _dumps(v, inner) for v in run])
-                         for run in runs])
+        text = x and _rows(x, inner) or ",".join([inner + _dumps(v, inner) for v in x])
         return "[" + text + nl + "]" if text else "[]"
     if isinstance(x, dict):
         parts = [inner + _key(k) + _dumps(v, inner) for k, v in x.items()]
@@ -209,28 +207,31 @@ def _dumps(x, nl="\n"):
     return "{" + ",".join(parts) + nl + "}" if parts else "{}"
 
 
-def _rows(run, inner):
-    """The items of run, all of one type, as list members at indent inner, in
-    one pass: the leaves become text in one repr of their list, inf and nan
-    null, filled into the type's _row_format; None unless every leaf is an
-    exact int or float."""
-    row, leaves = _row_format(type(run[0]), inner)
-    values = leaves(run) if row else None
-    if values is None or not set(map(type, values)) <= {int, float}:
+def _rows(x, inner):
+    """The records of the nonempty list or tuple x as list members at indent
+    inner, in one pass: the leaves become text in one repr of their list, inf
+    and nan null, filled into the type's _row_format; None unless the items
+    are records of one type and every leaf is an exact int or float, which
+    x[0] is checked for first."""
+    row, leaves = _row_format(type(x[0]), inner)
+    if row is None or not set(map(type, leaves(x[:1]))) <= {int, float}:
+        return None
+    if len(set(map(type, x))) > 1:
+        return None
+    values = leaves(x)
+    if not set(map(type, values)) <= {int, float}:
         return None
     text = repr(values)
     if "n" in text:  # no int or finite float repr has one
         text = text.replace("-inf", "null").replace("inf", "null").replace("nan", "null")
-    return ",".join([row] * len(run)) % tuple(text[1:-1].split(", "))
+    return ",".join([row] * len(x)) % tuple(text[1:-1].split(", "))
 
 
 @functools.cache
 def _row_format(cls, inner):
     """(row, leaves): row the %-format of one cls item at indent inner, one %s
     per leaf, and leaves(run) the list of a run's leaves in row order; (None,
-    None) unless cls is int, float or a dataclass with repr=True fields."""
-    if cls is int or cls is float:
-        return inner + "%s", list
+    None) unless cls is a dataclass with repr=True fields."""
     fields = _fields(cls) if dataclasses.is_dataclass(cls) else ()
     if not fields:
         return None, None
@@ -245,10 +246,8 @@ def _key(k):
     int, bool and None keys as their JSON text in quotes."""
     if isinstance(k, str):
         return _quote(k) + ": "
-    if isinstance(k, float):
-        return f'"{float.__repr__(k).replace("inf", "Infinity").replace("nan", "NaN")}": '
-    if isinstance(k, int) or k is None:
-        return f'"{_dumps(k)}": '
+    if isinstance(k, (int, float)) or k is None:
+        return f'"{json.dumps(k)}": '
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 

@@ -847,9 +847,9 @@ SCALARS = st.one_of(
     st.sampled_from(STRINGS),
     st.sampled_from(NUMPY_SCALARS),
 )
-# leaves of the rows the writer renders in one pass: exact ints and floats
-# take it, and a Tagged float, a bool or a numpy scalar sends its run back
-# to the walk
+# fields of the records the writer renders in one pass: exact ints and
+# floats take it, and a Tagged float, a bool or a numpy scalar sends the list
+# back to the walk
 LEAVES = st.one_of(FLOATS, st.integers(), st.just(10**300), st.booleans(),
                    st.sampled_from(NUMPY_SCALARS))
 NUMBERS = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS), st.integers(), st.just(10**300))
