@@ -40,6 +40,7 @@ __all__ = [
     "build",
     "ellipse_radius",
     "ChebError",
+    "CoefficientError",
     "ResolutionError",
     "EvalDomainError",
 ]
@@ -62,6 +63,10 @@ _PI_LONG = np.arccos(np.longdouble(-1.0))
 
 class ChebError(Exception):
     pass
+
+
+class CoefficientError(ChebError, ValueError):
+    """ChebFun coefficients that are empty, not 1-d or not finite."""
 
 
 class ResolutionError(ChebError):
@@ -322,9 +327,9 @@ class ChebFun:
     def __init__(self, coeffs, ellipse_hint=None, grid_size=None):
         c = np.array(coeffs, dtype=float)
         if c.ndim != 1 or len(c) == 0:
-            raise ValueError("coefficients must be a non-empty 1-d array")
+            raise CoefficientError("coefficients must be a non-empty 1-d array")
         if not np.all(np.isfinite(c)):
-            raise ValueError("non-finite coefficients")
+            raise CoefficientError("non-finite coefficients")
         c.setflags(write=False)
         self.coeffs = c
         self.ellipse_hint = (
@@ -376,15 +381,16 @@ class ChebFun:
         return ChebFun(out, self.ellipse_hint)
 
     def differentiate(self):
-        """Derivative as a ChebFun (degree drops by one)."""
+        """Derivative as a ChebFun (degree drops by one); CoefficientError on overflow."""
         c = self.coeffs
         n = len(c) - 1
         if n == 0:
             return ChebFun(np.zeros(1), self.ellipse_hint)
         # w[j] = sum of 2k c_k, k > j, k - j odd, added from the top down
-        d = 2.0 * np.arange(n, 0, -1) * c[:0:-1]
         w = np.empty(n)
-        w[0::2], w[1::2] = np.cumsum(d[0::2]), np.cumsum(d[1::2])
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite w raises below
+            d = 2.0 * np.arange(n, 0, -1) * c[:0:-1]
+            w[0::2], w[1::2] = np.cumsum(d[0::2]), np.cumsum(d[1::2])
         w = w[::-1].copy()
         w[0] *= 0.5
         return ChebFun(w, self.ellipse_hint)

@@ -73,13 +73,9 @@ class GevreyError(Exception):
 
 def interval_distance(z, half_width=1.0):
     """Distance from complex points to the real interval [-h, h]
-    (vectorised): hypot(max(|re| - h, 0), im), each step written into one
-    output array."""
+    (vectorised): hypot(max(|re| - h, 0), im)."""
     arr = np.asarray(z, dtype=complex)
-    out = np.abs(arr.real, out=np.empty(arr.shape))
-    np.subtract(out, half_width, out=out)
-    np.maximum(out, 0.0, out=out)
-    np.hypot(out, arr.imag, out=out)
+    out = np.hypot(np.maximum(np.abs(arr.real) - half_width, 0.0), arr.imag)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -332,15 +328,17 @@ def omega_sequence(p, s, r0, n_max, tau_candidate):
     analytic there as in check_ek (a GevreyError names a node that is not),
     and on the first half of the curve alone when both are conjugate-exact.
 
-    Also computes C_est, the smallest grid-verified constant C >=
-    max(2/nu, 1) with  ||a||_inf M(r0 + x) + ||b+P(0)a||_inf <= C max(x,1)^N0
-    on x in [0, 2]; boundedness w_n <= C_est is asserted whenever
-    s <= 1/C_est.  nu = min(mu, tau_candidate)/2, where tau_candidate is a
-    fattening scale the caller found to pass check_ek (the largest one it
-    tested); None means no passing scale is known and gives nu = mu/2.
+    Also computes C_est = max(||a||_inf M(r0 + 1) + ||b+P(0)a||_inf, 2/nu, 1),
+    the exact least C >= max(2/nu, 1) with ||a||_inf M(r0 + x) + ||b+P(0)a||_inf
+    <= C max(x,1)^N0 on x in [0, 2], N0 = max(deg P, 1): the left side over
+    max(x,1)^N0 cannot fall on [0, 1] (M has nonnegative coefficients) nor rise
+    on [1, 2] (each term |P_j| (1 + r0/x)^j x^(j-N0) has j <= N0), so x = 1 is
+    its maximiser.  w_n <= C_est is asserted whenever s <= 1/C_est.  nu =
+    min(mu, tau_candidate)/2, tau_candidate a fattening scale the caller found
+    to pass check_ek (the largest it tested); None (none known) gives mu/2.
     """
-    if s < 0:
-        raise GevreyError("s must be >= 0")
+    if s < 0 or r0 < 0:  # x = 1 maximises the envelope only for r0 >= 0
+        raise GevreyError(f"s and r0 must be >= 0, got s={s!r}, r0={r0!r}")
     mu = p.effective_mu()
     fold = 2 if p.a.is_conjugate_exact() and p.b.is_conjugate_exact() else 1
     pts = StadiumRegion(p.k, mu / 2.0, 1).sample(256, fold=fold)
@@ -354,12 +352,7 @@ def omega_sequence(p, s, r0, n_max, tau_candidate):
     a_sup = float(np.max(np.abs(a_vals)))
     src_sup = float(np.max(np.abs(src_vals)))
     nu_proxy = (mu if tau_candidate is None else min(mu, tau_candidate)) / 2.0
-
-    xs = np.linspace(0.0, 2.0, 2001)
-    envelope = (a_sup * p.P.majorant_eval(r0 + xs) + src_sup) / np.maximum(
-        xs, 1.0
-    ) ** max(p.P.degree, 1)
-    C_est = max(float(np.max(envelope)), 2.0 / nu_proxy, 1.0)
+    C_est = max(a_sup * p.P.majorant_eval(r0 + 1.0) + src_sup, 2.0 / nu_proxy, 1.0)
 
     values = [1.0]
     w = 1.0

@@ -13,6 +13,7 @@ from fdekit.chebfun import (
     _OVERSAMPLE,
     ChebError,
     ChebFun,
+    CoefficientError,
     EvalDomainError,
     ResolutionError,
     _clenshaw,
@@ -20,6 +21,7 @@ from fdekit.chebfun import (
     _fft_size,
     _grid_values,
     _pts_desc,
+    _sup_norms,
     build,
 )
 from _utils import integral, linear_combination, random_smooth_chebfun_args, smooth_fn
@@ -190,6 +192,21 @@ class TestNorms:
         u = build(lambda t: np.sin(40 * np.pi * t))
         assert u.l1_norm() == pytest.approx(4.0 / math.pi, rel=1e-10)
 
+    def test_batched_rows_stop_where_their_one_row_runs_stop(self):
+        # _newton drops each row from the batch as soon as it has stopped, so
+        # a row's norm does not depend on the rows beside it: 2 to 12 decaying
+        # rows of up to 600 coefficients, some with their tails cut to zero
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            rows, cols = int(rng.integers(2, 13)), int(rng.integers(1, 601))
+            decay = rng.uniform(0.0, 16.0, (rows, 1))
+            c = rng.standard_normal((rows, cols)) * 10.0 ** (-decay * np.arange(cols) / cols)
+            for r in range(rows):
+                if rng.random() < 0.3:
+                    c[r, rng.integers(1, cols + 1):] = 0.0
+            got = _sup_norms(c)
+            assert [got[r] == _sup_norms(c[r : r + 1])[0] for r in range(rows)] == [True] * rows
+
 
 class TestPropertySuites:
     def test_fundamental_theorem_and_linearity_and_norms(self):
@@ -237,6 +254,17 @@ class TestKernelEdgeCases:
         for n in list(range(12)) + [100, 1001, 4096]:
             c = rng.standard_normal(n + 1)
             assert np.array_equal(ChebFun(c).differentiate().coeffs, differentiate_reference(c))
+
+    @pytest.mark.parametrize("coeffs", [[], [[1.0]], [math.inf]], ids=["empty", "2-d", "inf"])
+    def test_bad_coefficients_raise_a_cheb_error_that_is_a_value_error(self, coeffs):
+        with pytest.raises(CoefficientError) as ei:
+            ChebFun(coeffs)
+        assert isinstance(ei.value, ChebError) and isinstance(ei.value, ValueError)
+
+    def test_overflowing_derivative_raises_without_a_numpy_warning(self):
+        # 2 * 40 * 1e307 overflows; warnings are errors under pytest
+        with pytest.raises(CoefficientError, match="^non-finite coefficients$"):
+            ChebFun([0.0] * 40 + [1e307]).differentiate()
 
     def test_grid_values_invert_vals_to_coeffs(self):
         rng = np.random.default_rng(8)

@@ -108,6 +108,8 @@ class TestCheck:
         "mu-zero": ({"mu": 0}, 'error: "mu" must be a positive number\n'),
         "mu-string": ({"mu": "x"}, 'error: "mu" must be a positive number\n'),
         "P-string-entry": ({"P": ["a"]}, 'error: "P" must be a non-empty array of numbers\n'),
+        "solver-number": ({"solver": 3}, 'error: "solver" must be an object\n'),
+        "a-number": ({"a": 1}, 'error: "a" must be an expression string\n'),
         "tol-negative": (
             {"solver": {"tol": -1}},
             'error: solver "tol" must be a finite positive number\n',
@@ -131,6 +133,12 @@ class TestCheck:
         code = cli.main(["check", write_json(tmp_path, {**example2_doc(), **change})])
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (EXIT_INPUT, "", line)
+
+    def test_document_that_is_no_object_exit_4(self, tmp_path, capsys):
+        code = cli.main(["check", write_json(tmp_path, [1, 2])])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            EXIT_INPUT, "", "error: problem file must contain a JSON object\n")
 
     def test_hypothesis_failure_exit_2(self, tmp_path, capsys):
         doc = {"k": 1.0, "d": 0.0, "c": 5.0, "P": [0.0, 0.0, 1.0],
@@ -432,6 +440,12 @@ class TestGevreyCmd:
         assert math.isfinite(rep["estimate"]["slope"])
         assert len(rep["derivative_norms"]["values"]) == 12  # the default --nmax
 
+    def test_hypothesis_failure_prints_only_the_conditions(self, tmp_path, capsys):
+        code, out = run(capsys, ["gevrey", write_json(tmp_path, {**example2_doc(), "c": 0.5})])
+        rep = json.loads(out)
+        assert code == EXIT_HYPOTHESIS
+        assert list(rep) == ["conditions"] and rep["conditions"]["cond2_ok"] is False
+
     def test_selftest(self, capsys):
         code, out = run(capsys, ["gevrey", "--selftest"])
         assert code == EXIT_OK
@@ -626,6 +640,15 @@ OVERFLOW_CASES = {
         "solve --force", {"a": "1e200", "P": [0, 1e200, 1]},
         'error: iterate 3: "a P(f o psi) + b": sampled a non-finite value',
     ),
+    # the solution y = 1e290 sin(900 t)/900 resolves, its derivatives overflow
+    "forced-gevrey-derivative-overflow": (
+        "gevrey --force", {"c": 0.0, "P": [0.0, 1.0], "a": "0", "b": "1e290*cos(900*t)"},
+        "error: non-finite coefficients",
+    ),
+    "forced-gevrey-derivative-overflow-1e306": (
+        "gevrey --force", {"c": 0.0, "P": [0.0, 1.0], "a": "0", "b": "1e306*cos(40*t)"},
+        "error: non-finite coefficients",
+    ),
 }
 
 
@@ -658,6 +681,13 @@ def test_usage_error_exits_4(tmp_path, capsys, argv):
     code = cli.main([arg.format(path=path) for arg in argv])
     assert code == EXIT_INPUT
     assert "usage: fdekit" in capsys.readouterr().err
+
+
+def test_bad_scale_list_is_named(tmp_path, capsys):
+    code = cli.main(["ek", write_json(tmp_path, example2_doc()), "--A", "0.1,x"])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err.endswith(
+        "fdekit ek: error: argument --A: bad scale list '0.1,x'\n")
 
 
 def test_help_exits_0(capsys):

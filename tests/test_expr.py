@@ -43,6 +43,17 @@ class TestParse:
         assert ei.value.offset == 2
         assert "unknown identifier" in str(ei.value)
 
+    @pytest.mark.parametrize("src,offset,reason", [
+        ("2*", 2, "unexpected end of input"),
+        ("sin t", 4, "expected '(' after 'sin'"),
+        ("1 2", 2, "unexpected token '2'"),
+        ("*2", 0, "unexpected token '*'"),
+    ])
+    def test_syntax_error_offset_and_reason(self, src, offset, reason):
+        with pytest.raises(ParseError) as ei:
+            parse(src)
+        assert (ei.value.offset, ei.value.reason) == (offset, reason)
+
     def test_empty_input(self):
         with pytest.raises(ParseError):
             parse("   ")

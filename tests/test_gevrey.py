@@ -11,6 +11,7 @@ from fdekit.chebfun import ChebFun, _sup_norms, build, ellipse_radius
 from fdekit.cli import example1_doc, example2_doc, load_problem
 from fdekit.expr import ENTIRE_FUNCTIONS, DomainError, Expr, OverflowEvalError, parse
 from fdekit.gevrey import (
+    MAX_DERIVATIVES,
     EkReport,
     GevreyError,
     SingularEkLevel,
@@ -561,6 +562,21 @@ class TestOmegaSequence:
         om = omega_sequence(p, 0.0, rep.r0, 2, SINE_SCALE)
         assert om.C_est >= max(2.0 / om.nu_proxy, 1.0)
 
+    @pytest.mark.parametrize("doc", [example1_doc, example2_doc])
+    def test_envelope_constant_is_its_value_at_one(self, doc):
+        # the envelope over max(x, 1)^N0 on [0, 2] peaks at x = 1; example2's
+        # value there is above the floor 2/nu and its values at 0 and 2
+        p = load_problem(doc())
+        r0 = conditions.analyze(p).r0
+        om = omega_sequence(p, 0.0, r0, 1, SINE_SCALE)
+        at_one = om.a_sup * p.P.majorant_eval(r0 + 1.0) + om.source_sup
+        assert om.C_est == max(at_one, 2.0 / om.nu_proxy, 1.0)
+
+    @pytest.mark.parametrize("s,r0", [(-0.1, 0.1), (0.0, -0.5)])
+    def test_negative_scale_or_radius_is_rejected(self, quartic, s, r0):
+        with pytest.raises(GevreyError, match="s and r0 must be >= 0"):
+            omega_sequence(quartic[0], s, r0, 1, SINE_SCALE)
+
 
 class TestStadiumInclusionProbe:
     def test_zero_start_has_zero_ratio(self):
@@ -699,6 +715,16 @@ class TestDerivativeNorms:
         rows[0, 40], rows[1, 40], rows[2, 60], rows[3, 1] = 1.0, -1.0, 2.0, 0.5
         assert _sup_norms(rows).tolist() == pytest.approx([1.0, 1.0, 2.0, 0.5], abs=1e-15)
         assert ChebFun(rows[2]).sup_norm() == pytest.approx(2.0, abs=1e-15)
+
+    def test_batched_norms_equal_one_row_runs_on_example2(self, quartic):
+        p, rep = quartic
+        u = picard.solve(p, rep).u
+        rows, cur = np.zeros((MAX_DERIVATIVES, u.degree)), u  # as derivative_norms pads them
+        for r in rows:
+            cur = cur.differentiate()
+            r[: len(cur.coeffs)] = cur.coeffs
+        want = [float(_sup_norms(rows[j : j + 1])[0]) for j in range(MAX_DERIVATIVES)]
+        assert derivative_norms(u, MAX_DERIVATIVES).values == want
 
     def test_one_sup_norm_call(self, monkeypatch):
         # u's own norm; the twelve derivative rows go through one _sup_norms

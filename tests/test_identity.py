@@ -152,6 +152,8 @@ def test_record_adds_the_fixed_operations(monkeypatch):
     for i, name in [(5, "tan"), (6, "exp")]:
         assert ops[f"{name} solve --force"] == {
             "argv": ["solve", "--force"], "doc": identity.FIXED_DOCS[i][1]}
+    assert ops["overflow gevrey --force"] == {
+        "argv": ["gevrey", "--force"], "doc": identity.FIXED_DOCS[7][1]}
     for key, change, argv in [
         ('a="1e200" P=[0, 1e+200, 1] check', {"a": "1e200", "P": [0, 1e200, 1]}, ["check"]),
         ("P=[0, 0.1] solve --force", {"P": [0, 0.1]}, ["solve", "--force"]),

@@ -62,6 +62,15 @@ class TestPolynomial:
         assert P.majorant_eval(2.0) == 0.0
         assert P.majorant_deriv_eval(2.0) == 0.0
 
+    @pytest.mark.parametrize("coeffs,message", [
+        ((), "^polynomial needs at least one coefficient$"),
+        ((1.0, math.nan), "^polynomial coefficients must be finite$"),
+        ((1.0, 0.0), "^leading polynomial coefficient must be nonzero$"),
+    ], ids=["empty", "nan", "zero-leading"])
+    def test_direct_construction_checks_the_coefficients(self, coeffs, message):
+        with pytest.raises(ProblemError, match=message):
+            Polynomial(coeffs)
+
     def test_majorant_rejects_negative(self):
         P = Polynomial.from_coeffs([0, 1, 1])
         for x in (-0.1, *number_kinds(-1)):

@@ -73,6 +73,10 @@ FIXED_DOCS = (
      ["solve", "--force"]),
     ("exp", {"k": 1, "d": 0, "c": 1, "P": [0, 5], "a": "1", "b": "0", "psi": "t"},
      ["solve", "--force"]),
+    # a forced solve that converges to 1e290 sin(900 t) / 900, whose
+    # derivatives overflow: exit 4 with one error line
+    ("overflow", {"k": 1.0, "d": 0.0, "c": 0.0, "P": [0.0, 1.0], "a": "0",
+                  "b": "1e290*cos(900*t)", "psi": "sin(t)"}, ["gevrey", "--force"]),
 )
 # (entries replaced in example2, command): an overflowing first hypothesis
 # ("cond1_lhs": null), a failing warning under "validation": {"ok": true},
