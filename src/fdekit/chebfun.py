@@ -8,7 +8,7 @@ coefficients, and the sup norm and integral of |u| refine FFT grid values by
 Newton steps in arccos(x) (the integral then adds |U(b) - U(a)| over the
 pieces between sign changes), so all of these are spectrally accurate.  The
 sup norm kernel _sup_norms takes a stack of series in one FFT and one Newton
-run; ChebFun.sup_norm is its one-series case.
+run that skips each row once it stops; ChebFun.sup_norm is its one-row case.
 
 Real evaluation of a series with m + 1 coefficients at N points has two
 kernels.  Below _EVAL_CROSSOVER coefficients it is the Clenshaw recurrence,
@@ -189,34 +189,34 @@ def _evaluator(c):
     return ev
 
 
-def _theta_eval(c, theta, starts=(0,)):
+def _theta_eval(c, theta, starts=(0,), moving=None):
     """Rows g, g', g'' of g(theta) = sum c_k cos(k theta), with row r of c at
     theta[starts[r]:starts[r + 1]], as dense products in chunks of about
-    _CHUNK entries, one cosine table per chunk.  k*theta is exact: theta =
+    _CHUNK entries, one cosine table per chunk; a row that is False in the
+    boolean array `moving` is skipped and reads 0.  k*theta is exact: theta =
     head + tail with head on a 2^-35 lattice (k*head is exact for k < 2^16),
     and with t = k*tail, cos(t) = 1 - t^2/2 and sin(t) = t to double
     precision as |t| < 2e-6."""
     # highest degree first, so the small terms add up before the large ones
     k = np.arange(c.shape[1] - 1, -1, -1, dtype=float)
     c, kc = c[:, ::-1], -k * c[:, ::-1]
-    out = np.empty((3, len(theta)))
+    out = np.zeros((3, len(theta)))
     tail = np.fmod(theta, 2.0**-35)
     head = theta - tail
-    rows = max(1, _CHUNK // len(k))
-    bounds, r = [*starts, len(theta)], 0
-    # pieces [i, j) of one chunk and one row each; chunks start at multiples of rows
-    cuts = sorted({*range(0, len(theta), rows), *bounds})
-    for i, j in zip(cuts, cuts[1:]):
-        if i % rows == 0:
-            s = i
-            a = np.multiply.outer(head[s : s + rows], k)
-            t = np.multiply.outer(tail[s : s + rows], k)
-            ca, sa, ct = np.cos(a), np.sin(a), 1.0 - 0.5 * t * t
-            cos, sin = ca * ct - sa * t, sa * ct + ca * t
-        while bounds[r + 1] <= i:
-            r += 1
-        p = slice(i - s, j - s)
-        out[:, i:j] = [cos[p] @ c[r], sin[p] @ kc[r], cos[p] @ (k * kc[r])]
+    size, bounds, built = max(1, _CHUNK // len(k)), [*starts, len(theta)], -1
+    # rows come in order, and chunks start at multiples of size: a chunk's
+    # table is built once, for the first row with points in it
+    for r in range(len(c)) if moving is None else np.flatnonzero(moving):
+        first, end = bounds[r], bounds[r + 1]
+        for s in range(first - first % size, end, size):
+            if s != built:
+                a = np.multiply.outer(head[s : s + size], k)
+                t = np.multiply.outer(tail[s : s + size], k)
+                ca, sa, ct = np.cos(a), np.sin(a), 1.0 - 0.5 * t * t
+                cos, sin, built = ca * ct - sa * t, sa * ct + ca * t, s
+            i, j = max(s, first), min(s + size, end)  # row r's piece of this chunk
+            p = slice(i - s, j - s)
+            out[:, i:j] = [cos[p] @ c[r], sin[p] @ kc[r], cos[p] @ (k * kc[r])]
     return out
 
 
@@ -227,39 +227,31 @@ def _newton(c, th, lo, hi, below, order, starts=(0,)):
     _theta_eval, one at least.  Newton steps are clipped into the bracket,
     which narrows around the zero; a step that is not finite bisects.  A
     point stays at |f| <= 4 eps sum k^order |c_k|, and a row stops once none
-    of its points moves by more than 1e-15."""
+    of its points moves by more than 1e-15: from then on _theta_eval skips
+    it, its 0 moves no point and no peak, and the row ends where it would
+    alone."""
     th = np.array(th, dtype=float)
     if len(th) == 0:
         return th, np.zeros(len(c))
     noise = 4.0 * np.finfo(float).eps * (np.abs(c) * np.arange(c.shape[1]) ** order).sum(1)
-    # the rows still moving and, per point of theirs, its index into th (and
-    # peak, which keep each point's last state), theta, bracket, |g| so far
-    first, counts = list(starts), np.subtract([*starts[1:], len(th)], starts)
-    cl, live, x, peak, pk = c, np.arange(len(th)), th, np.zeros(len(th)), np.zeros(len(th))
-    noise = np.repeat(noise, counts)
+    noise = np.repeat(noise, np.subtract([*starts[1:], len(th)], starts))
+    moving, peak = None, np.zeros(len(th))  # None: every row
     for _ in range(12):
-        rows = _theta_eval(cl, x, first)
-        pk = np.maximum(pk, np.abs(rows[0]))
+        rows = _theta_eval(c, th, starts, moving)
+        peak = np.maximum(peak, np.abs(rows[0]))
         f = rows[order]
         left = np.sign(f) == below
-        lo, hi = np.where(left, x, lo), np.where(left, hi, x)
+        lo, hi = np.where(left, th, lo), np.where(left, hi, th)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = f / rows[order + 1]
-        new = np.where(np.isfinite(step), np.clip(x - step, lo, hi), 0.5 * (lo + hi))
-        new = np.where(np.abs(f) <= noise, x, new)
-        still = np.abs(new - x) > 1e-15  # new is finite, within its bracket
-        x = new
+        new = np.where(np.isfinite(step), np.clip(th - step, lo, hi), 0.5 * (lo + hi))
+        new = np.where(np.abs(f) <= noise, th, new)
+        still = np.abs(new - th) > 1e-15  # new is finite, within its bracket
+        th = new
         if not still.any():
             break
-        # one row never compacts: it moves on or it has stopped
-        if len(first) > 1 and not (moving := np.logical_or.reduceat(still, first)).all():
-            th[live], peak[live] = x, pk
-            keep = np.repeat(moving, counts)
-            live, x, lo, hi, below, noise, pk = (
-                v[keep] for v in (live, x, lo, hi, below, noise, pk))
-            cl, counts = cl[moving], counts[moving]
-            first = (np.cumsum(counts) - counts).tolist()
-    th[live], peak[live] = x, pk
+        if len(starts) > 1:
+            moving = np.logical_or.reduceat(still, starts)
     return th, np.maximum.reduceat(peak, starts)
 
 
@@ -269,7 +261,7 @@ def _sup_norms(c):
     FFT values of every row on one Chebyshev grid of size >= 8*(columns of
     c); in each row, every local maximum within 0.1% of the row's best (at
     most 32, the largest) starts Newton steps for d/dtheta u_r(cos theta) = 0
-    inside its two neighbouring cells, and one _newton run serves all rows.
+    inside its two neighbouring cells; one _newton run takes all rows.
     The largest |u_r| evaluated is a lower bound of the sup, ~1e-14 relative.
     """
     ng = _fft_size(max(8 * c.shape[1], 64))

@@ -61,8 +61,10 @@ EXIT_INPUT = 4
 REQUIRED_KEYS = {"k", "d", "c", "P", "a", "b", "psi"}
 OPTIONAL_KEYS = {"mu", "solver"}
 # Exit code of every fdekit error type that can reach main: bad input and
-# data that cannot be evaluated or resolved exit 4, numerical failures inside
-# the hypothesis checks or the iteration exit 3.
+# data that cannot be evaluated or resolved exit 4, and so does a non-finite
+# sample or an unresolved iterate inside the Picard loop (a ResolutionError);
+# numerical failures inside the hypothesis checks and PicardErrors exit 3.
+# Which code a divergence should have is ROADMAP item 20's to settle.
 _EXIT_CODES = {
     ProblemError: EXIT_INPUT,
     ExprError: EXIT_INPUT,

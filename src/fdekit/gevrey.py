@@ -337,8 +337,11 @@ def omega_sequence(p, s, r0, n_max, tau_candidate):
     min(mu, tau_candidate)/2, tau_candidate a fattening scale the caller found
     to pass check_ek (the largest it tested); None (none known) gives mu/2.
     """
-    if s < 0 or r0 < 0:  # x = 1 maximises the envelope only for r0 >= 0
+    if not (s >= 0 and r0 >= 0):  # x = 1 maximises the envelope only for r0 >= 0; no nan
         raise GevreyError(f"s and r0 must be >= 0, got s={s!r}, r0={r0!r}")
+    if tau_candidate is not None and not 0.0 < tau_candidate < math.inf:
+        raise GevreyError(
+            f"tau_candidate must be None or positive and finite, got {tau_candidate!r}")
     mu = p.effective_mu()
     fold = 2 if p.a.is_conjugate_exact() and p.b.is_conjugate_exact() else 1
     pts = StadiumRegion(p.k, mu / 2.0, 1).sample(256, fold=fold)
@@ -415,8 +418,10 @@ def stadium_inclusion_probe(iterates, r0, k, s, C, n_range):
         raise GevreyError(
             f"need iterate {max(n_range)} but only {len(iterates)} were kept"
         )
-    if not (s > 0 and math.isfinite(r0)):  # r0 = inf would drop the real parts
-        raise GevreyError(f"s must be positive and r0 finite, got s={s!r}, r0={r0!r}")
+    # r0 = inf would drop the real parts; C <= 0 or C = inf would pass any level
+    if not (s > 0 and k > 0 and 0.0 <= r0 < math.inf and 0.0 < C < math.inf):
+        raise GevreyError(f"s and k must be positive, r0 finite and >= 0 and C positive and "
+                          f"finite, got s={s!r}, k={k!r}, r0={r0!r}, C={C!r}")
 
     s_used = float(s)
     for _ in range(200):

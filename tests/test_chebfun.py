@@ -22,6 +22,7 @@ from fdekit.chebfun import (
     _grid_values,
     _pts_desc,
     _sup_norms,
+    _theta_eval,
     build,
 )
 from _utils import integral, linear_combination, random_smooth_chebfun_args, smooth_fn
@@ -193,7 +194,7 @@ class TestNorms:
         assert u.l1_norm() == pytest.approx(4.0 / math.pi, rel=1e-10)
 
     def test_batched_rows_stop_where_their_one_row_runs_stop(self):
-        # _newton drops each row from the batch as soon as it has stopped, so
+        # _newton skips each row of the batch as soon as it has stopped, so
         # a row's norm does not depend on the rows beside it: 2 to 12 decaying
         # rows of up to 600 coefficients, some with their tails cut to zero
         for seed in range(40):
@@ -206,6 +207,21 @@ class TestNorms:
                     c[r, rng.integers(1, cols + 1):] = 0.0
             got = _sup_norms(c)
             assert [got[r] == _sup_norms(c[r : r + 1])[0] for r in range(rows)] == [True] * rows
+
+    def test_theta_eval_skips_the_rows_not_moving(self):
+        # a moving row reads what the call over all rows gives it, bit for
+        # bit, and any other row exact zeros; 300 points take several chunks
+        rng = np.random.default_rng(5)
+        c = rng.standard_normal((5, 120)) * 0.9 ** np.arange(120)
+        counts = np.array([3, 300, 1, 40, 17])
+        starts = (np.cumsum(counts) - counts).tolist()
+        theta = rng.uniform(0.0, math.pi, counts.sum())
+        full = _theta_eval(c, theta, starts)
+        for moving in ([True, False, True, False, True], [False, True, False, True, False]):
+            got = _theta_eval(c, theta, starts, np.array(moving))
+            on = np.repeat(moving, counts)
+            assert np.array_equal(got[:, on], full[:, on])
+            assert not got[:, ~on].any()
 
 
 class TestPropertySuites:

@@ -572,10 +572,17 @@ class TestOmegaSequence:
         at_one = om.a_sup * p.P.majorant_eval(r0 + 1.0) + om.source_sup
         assert om.C_est == max(at_one, 2.0 / om.nu_proxy, 1.0)
 
-    @pytest.mark.parametrize("s,r0", [(-0.1, 0.1), (0.0, -0.5)])
+    @pytest.mark.parametrize("s,r0", [(-0.1, 0.1), (0.0, -0.5), (math.nan, 0.1), (0.0, math.nan)])
     def test_negative_scale_or_radius_is_rejected(self, quartic, s, r0):
         with pytest.raises(GevreyError, match="s and r0 must be >= 0"):
             omega_sequence(quartic[0], s, r0, 1, SINE_SCALE)
+
+    @pytest.mark.parametrize("tau", [0.0, -0.5, math.nan, math.inf])
+    def test_non_positive_or_non_finite_tau_is_rejected(self, quartic, tau):
+        # 0 raised ZeroDivisionError, a negative tau gave a negative nu_proxy
+        # and nan dropped out of min(mu, nan)
+        with pytest.raises(GevreyError, match="tau_candidate must be None or positive and finite"):
+            omega_sequence(quartic[0], 0.0, 0.1, 1, tau)
 
 
 class TestStadiumInclusionProbe:
@@ -609,6 +616,22 @@ class TestStadiumInclusionProbe:
         # half_width = inf would measure the distance to the whole real line
         with pytest.raises(GevreyError, match="r0 finite"):
             stadium_inclusion_probe([ChebFun([0.0])] * 2, r0, 1.0, 0.1, 2.0, range(1, 3))
+
+    def test_negative_radius_is_rejected(self):
+        with pytest.raises(GevreyError, match="r0 finite and >= 0"):
+            stadium_inclusion_probe([ChebFun([0.0])] * 2, -0.5, 1.0, 0.1, 2.0, range(1, 3))
+
+    @pytest.mark.parametrize("k", [0.0, -1.0])
+    def test_non_positive_order_is_rejected(self, k):
+        # k = 0 raised ZeroDivisionError in the stadium radius s n^(-1/k)
+        with pytest.raises(GevreyError, match="s and k must be positive"):
+            stadium_inclusion_probe([ChebFun([0.0])] * 2, 0.5, k, 0.1, 2.0, range(1, 3))
+
+    @pytest.mark.parametrize("C", [0.0, -1.0, math.inf, math.nan])
+    def test_non_positive_or_non_finite_constant_is_rejected(self, C):
+        # 0 raised ZeroDivisionError; -1 and inf gave every ratio <= 0, a pass
+        with pytest.raises(GevreyError, match="C positive and finite"):
+            stadium_inclusion_probe([ChebFun([0.0])] * 2, 0.5, 1.0, 0.1, C, range(1, 3))
 
     def test_half_curve_gives_the_whole_curve_report(self, monkeypatch):
         # an iterate has real coefficients, so the first half of each curve,
