@@ -435,16 +435,20 @@ def _trim(c, thresh):
 def build(f, tol=DEFAULT_TOL, max_degree=MAX_DEGREE):
     """Adaptively construct a ChebFun from a real function on [-1, 1].
 
-    Samples at Chebyshev grids of degree 16, 32, ... up to max_degree;
-    converged when the last two raw coefficients fall below tol relative to
-    the largest, after which the trailing coefficients below tolerance are
-    trimmed.  f must be vectorised: called on the array of grid points, it
-    returns an array of the same shape, else ChebError.  Raises
-    ResolutionError if the degree cap is reached (the typical symptom of a
-    non-smooth input).
+    Samples at Chebyshev grids of degree 16, 32, ..., the last one of degree
+    max_degree itself (16, 32, 64, 65 for a cap of 65), so no grid exceeds
+    the cap; converged when the last two raw coefficients fall below tol
+    relative to the largest, after which the trailing coefficients below
+    tolerance are trimmed.  f must be vectorised: called on the array of
+    grid points, it returns an array of the same shape, else ChebError.
+    Raises ValueError for a tol outside TOL_RANGE or a max_degree below 16,
+    and ResolutionError if the degree cap is reached (the typical symptom of
+    a non-smooth input).
     """
     if not (TOL_RANGE[0] <= tol <= TOL_RANGE[1]):
         raise ValueError(f"tol {tol!r} outside [1e-15, 1e-3]")
+    if max_degree < 16:
+        raise ValueError(f"max_degree {max_degree!r} below 16")
     n = 16
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
         while True:
@@ -469,5 +473,5 @@ def build(f, tol=DEFAULT_TOL, max_degree=MAX_DEGREE):
                     f"not resolved at degree {max_degree} "
                     f"(relative tail {tail / maxc:.3e})"
                 )
-            n *= 2
+            n = min(2 * n, max_degree)
     return ChebFun(_trim(c, tol * maxc) if maxc > 0.0 else np.zeros(1), grid_size=n + 1)

@@ -104,7 +104,7 @@ def compute_theta(p, a_l1):
     if a_l1 == 0.0:
         raise ThetaUndefinedError("theta undefined: ||a||_1 = 0")
     P = p.P
-    if P.degree < 2:
+    if P.below_theorem_degree:
         raise ThetaUndefinedError("theta undefined (degenerate polynomial)")
     lhs0 = a_l1 * P.majorant_deriv_eval(0.0)
     if not lhs0 < 1.0:

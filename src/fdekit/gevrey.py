@@ -68,6 +68,14 @@ class GevreyError(Exception):
     pass
 
 
+def _check_count(name, value, lo, hi):
+    """A GevreyError unless value is an integer (not a bool) in [lo, hi]."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise GevreyError(f"{name} must be an integer, got {value!r}")
+    if not lo <= value <= hi:
+        raise GevreyError(f"{name} must be in [{lo}, {hi}]")
+
+
 # --- interval distance ------------------------------------------------------
 
 
@@ -221,16 +229,15 @@ def check_ek(psi, k, A_list, p_max, density=128):
     The check passes when every ratio is <= 1 + 1e-12 (so with no scale at
     all).  first_pass_p maps each scale to the first level from which every
     ratio passes (1: every level; None: it fails at p_max).  The scales must
-    be distinct, positive and finite, 1 <= p_max <= MAX_EK_LEVELS, 1 <=
-    density <= MAX_EK_DENSITY and the radii of levels 1..p_max+1 of every
-    scale positive and finite, all checked before any level is sampled.
+    be distinct, positive and finite, p_max and density integers in
+    [1, MAX_EK_LEVELS] and [1, MAX_EK_DENSITY], and the radii of levels
+    1..p_max+1 of every scale positive and finite, all checked before any
+    level is sampled.
     This is evidence, not a proof: the property quantifies over open sets,
     and the analyticity test reads a sampled curve.
     """
-    if not 1 <= p_max <= MAX_EK_LEVELS:
-        raise GevreyError(f"p_max must be in [1, {MAX_EK_LEVELS}]")
-    if not 1 <= density <= MAX_EK_DENSITY:
-        raise GevreyError(f"density must be in [1, {MAX_EK_DENSITY}]")
+    _check_count("p_max", p_max, 1, MAX_EK_LEVELS)
+    _check_count("density", density, 1, MAX_EK_DENSITY)
     if len(set(A_list)) != len(A_list):
         raise GevreyError(f"fattening scales must be distinct: {list(A_list)!r}")
     if not all(0.0 < A < math.inf for A in A_list):
@@ -336,9 +343,12 @@ def omega_sequence(p, s, r0, n_max, tau_candidate):
     its maximiser.  w_n <= C_est is asserted whenever s <= 1/C_est.  nu =
     min(mu, tau_candidate)/2, tau_candidate a fattening scale the caller found
     to pass check_ek (the largest it tested); None (none known) gives mu/2.
+    s and r0 must be finite and >= 0 and n_max an integer >= 1.
     """
-    if not (s >= 0 and r0 >= 0):  # x = 1 maximises the envelope only for r0 >= 0; no nan
-        raise GevreyError(f"s and r0 must be >= 0, got s={s!r}, r0={r0!r}")
+    # x = 1 maximises the envelope only for r0 >= 0; M(inf) is nan (Horner starts from 0 inf)
+    if not (0 <= s < math.inf and 0 <= r0 < math.inf):
+        raise GevreyError(f"s and r0 must be >= 0 and finite, got s={s!r}, r0={r0!r}")
+    _check_count("n_max", n_max, 1, math.inf)
     if tau_candidate is not None and not 0.0 < tau_candidate < math.inf:
         raise GevreyError(
             f"tau_candidate must be None or positive and finite, got {tau_candidate!r}")
@@ -476,8 +486,7 @@ def derivative_norms(u, n_max=12):
     eps * sup|u| * (that factor) exceeds 1e-4 * m_j.  Flagged norms should
     not enter regularity fits.
     """
-    if not 1 <= n_max <= MAX_DERIVATIVES:
-        raise GevreyError(f"n_max must be in [1, {MAX_DERIVATIVES}]")
+    _check_count("n_max", n_max, 1, MAX_DERIVATIVES)
     base_sup = u.sup_norm()
     deg = u.degree
     rows, cur = np.zeros((n_max, max(deg, 1))), u  # u^(j) in row j - 1, zero-padded

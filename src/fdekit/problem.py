@@ -15,7 +15,6 @@ per-check results rather than raising.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -66,10 +65,12 @@ class Polynomial:
 
     The associated majorant sum_{j>=1} |a_j| x^j and its derivatives drive
     every hypothesis constant; they are nonnegative and nondecreasing on
-    x >= 0.
+    x >= 0.  Their coefficient tables are built with the polynomial.
     """
 
     coeffs: tuple
+    # table r: j!/(j-r)! |a_j| for j >= r, with a_0 dropped, for r = 0, 1, 2
+    _tables: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.coeffs) == 0:
@@ -78,6 +79,9 @@ class Polynomial:
             raise ProblemError("polynomial coefficients must be finite")
         if len(self.coeffs) > 1 and self.coeffs[-1] == 0:
             raise ProblemError("leading polynomial coefficient must be nonzero")
+        object.__setattr__(self, "_tables", tuple(
+            tuple(math.perm(j, r) * abs(c) if j else 0.0 for j, c in enumerate(self.coeffs))[r:]
+            for r in range(3)))
 
     @classmethod
     def from_coeffs(cls, coeffs):
@@ -103,11 +107,10 @@ class Polynomial:
         return _horner(self.coeffs, x)
 
     def _majorant(self, x, r):
-        """r-th derivative of the majorant: Horner over j!/(j-r)! |a_j|, j >= r,
-        with the constant term dropped."""
+        """r-th derivative of the majorant: Horner over table r."""
         if (x < 0) if isinstance(x, float) else np.any(np.asarray(x) < 0):
             raise ProblemError("majorant is only defined for x >= 0")
-        return _horner(_majorant_coeffs(tuple(self.coeffs), r), x)
+        return _horner(self._tables[r], x)
 
     def majorant_eval(self, x):
         """sum_{j>=1} |a_j| x^j at x >= 0."""
@@ -120,12 +123,6 @@ class Polynomial:
     def majorant_second_deriv_eval(self, x):
         """sum_{j>=2} j (j-1) |a_j| x^(j-2) at x >= 0."""
         return self._majorant(x, 2)
-
-
-@functools.lru_cache(maxsize=64)
-def _majorant_coeffs(coeffs, r):
-    """j!/(j-r)! |a_j| for j >= r, with the constant term a_0 dropped."""
-    return tuple(math.perm(j, r) * abs(c) if j else 0.0 for j, c in enumerate(coeffs))[r:]
 
 
 def _horner(coeffs, x):

@@ -62,6 +62,42 @@ class TestBuild:
         assert ChebFun([1.0, 0.5]).grid_size is None
         assert build(lambda t: np.sin(40 * t)).grid_size == 129  # grids 17, 33, 65, 129
 
+    @pytest.mark.parametrize("cap,ladder", [
+        (17, [16, 17]),
+        (65, [16, 32, 64, 65]),
+        (100, [16, 32, 64, 100]),
+        (128, [16, 32, 64, 128]),
+        (1000, [16, 32, 64, 128, 256, 512, 1000]),
+    ])
+    def test_no_grid_exceeds_the_degree_cap(self, cap, ladder):
+        # |t| is resolved at no degree, so every grid of the ladder is
+        # sampled, the last one at the cap, and the error names the cap
+        degrees = []
+
+        def f(t):
+            degrees.append(len(t) - 1)
+            return np.abs(t)
+
+        with pytest.raises(ResolutionError, match=f"not resolved at degree {cap} "):
+            build(f, max_degree=cap)
+        assert degrees == ladder
+
+    @pytest.mark.parametrize("cap,degree", [(65, None), (100, None), (128, 110), (1000, 110)])
+    def test_degree_cap_holds_for_a_resolvable_function(self, cap, degree):
+        # cos(70 t) needs degree 110 (grid 128): a cap of 65 or 100 stops
+        # below it instead of returning it
+        if degree is None:
+            with pytest.raises(ResolutionError, match=f"not resolved at degree {cap} "):
+                build(lambda t: np.cos(70 * t), max_degree=cap)
+        else:
+            u = build(lambda t: np.cos(70 * t), max_degree=cap)
+            assert (u.degree, u.grid_size) == (degree, 129)
+
+    @pytest.mark.parametrize("cap", [15, 1, 0])
+    def test_degree_cap_below_16_rejected(self, cap):
+        with pytest.raises(ValueError, match=f"max_degree {cap} below 16"):
+            build(np.exp, max_degree=cap)
+
     def test_nonsmooth_fails(self):
         with pytest.raises(ResolutionError):
             build(np.abs, tol=1e-13, max_degree=1024)

@@ -715,6 +715,18 @@ def test_closed_stdout_exits_4_without_a_traceback(tmp_path, read_first_line):
     assert err == b""
 
 
+def test_import_loads_no_package_but_numpy():
+    # a command's start-up is mostly the import of fdekit.cli: beside the
+    # standard library it loads numpy alone, not scipy, mpmath or hypothesis
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys; before = set(sys.modules); import fdekit.cli; "
+            "print(*sorted({name.partition('.')[0] for name in set(sys.modules) - before}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert set(proc.stdout.split()) - sys.stdlib_module_names == {"fdekit", "numpy"}
+
+
 class TestParserReuse:
     def test_scale_list_does_not_leak_between_calls(self, tmp_path, capsys):
         path = write_json(tmp_path, example2_doc())

@@ -184,6 +184,10 @@ class TestCheckEk:
         (1.0, [0.5], 10001, 32, "must be in"),
         (1.0, [0.5], 3, 0, "must be in"),
         (1.0, [0.5], 3, 4097, "must be in"),
+        (1.0, [0.5], 2.5, 32, "p_max must be an integer, got 2.5"),
+        (1.0, [0.5], True, 32, "p_max must be an integer, got True"),
+        (1.0, [0.5], 3, 2.5, "density must be an integer, got 2.5"),
+        (1.0, [0.5], 3, True, "density must be an integer, got True"),
         (1e-3, [0.5], 100, 128, "stadium radius 0.0 is not positive and finite"),
         (0.005, [0.5], 100, 128, "stadium radius 0.0 is not positive and finite"),
         (0.01, [0.5, 1e-300], 100, 128, "stadium radius 0.0 is not positive and finite"),
@@ -572,10 +576,23 @@ class TestOmegaSequence:
         at_one = om.a_sup * p.P.majorant_eval(r0 + 1.0) + om.source_sup
         assert om.C_est == max(at_one, 2.0 / om.nu_proxy, 1.0)
 
-    @pytest.mark.parametrize("s,r0", [(-0.1, 0.1), (0.0, -0.5), (math.nan, 0.1), (0.0, math.nan)])
+    @pytest.mark.parametrize("s,r0", [(-0.1, 0.1), (0.0, -0.5), (math.nan, 0.1), (0.0, math.nan),
+                                      (math.inf, 0.1), (0.0, math.inf)])
     def test_negative_scale_or_radius_is_rejected(self, quartic, s, r0):
+        # an infinite s or r0 would give nan levels or a nan C_est: the
+        # majorant at inf is nan (Horner starts from 0 inf)
         with pytest.raises(GevreyError, match="s and r0 must be >= 0"):
-            omega_sequence(quartic[0], s, r0, 1, SINE_SCALE)
+            omega_sequence(quartic[0], s, r0, 3, SINE_SCALE)
+
+    @pytest.mark.parametrize("n_max,message", [
+        (0, "n_max must be in \\[1, inf\\]"),
+        (-5, "n_max must be in \\[1, inf\\]"),
+        (2.5, "n_max must be an integer, got 2.5"),
+        (True, "n_max must be an integer, got True"),
+    ])
+    def test_level_count_must_be_a_positive_integer(self, quartic, n_max, message):
+        with pytest.raises(GevreyError, match=message):
+            omega_sequence(quartic[0], 0.0, 0.1, n_max, SINE_SCALE)
 
     @pytest.mark.parametrize("tau", [0.0, -0.5, math.nan, math.inf])
     def test_non_positive_or_non_finite_tau_is_rejected(self, quartic, tau):
@@ -709,7 +726,7 @@ class TestDerivativeNorms:
             assert v == pytest.approx(math.factorial(j), rel=1e-4)
 
     def test_cap(self):
-        for n_max in (13, 0, -3):
+        for n_max in (13, 0, -3, 2.5, True):
             with pytest.raises(GevreyError):
                 derivative_norms(ChebFun([0.0, 1.0]), n_max)
 

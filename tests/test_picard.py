@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import re
 import warnings
@@ -229,6 +230,49 @@ class TestForcedSolve:
     def test_divergence_raises_at_its_iterate(self, doc, iterate):
         with pytest.raises(ResolutionError, match=f'^iterate {iterate}: "a P'):
             solve(load_problem(doc), force=True)
+
+
+@functools.cache
+def scaling_cases():
+    """(document, its analysis, its theorem-path solve or None) for both
+    examples and every seed-1 problem of the paper and diagnostics workloads."""
+    from perfbench import workloads
+
+    docs = [example1_doc(), example2_doc()]
+    docs += [prob["doc"] for w in ("paper", "diagnostics") for prob in workloads.generate(w, 1)[0]]
+    cases = []
+    for doc in docs:
+        p = load_problem(doc)
+        rep = conditions.analyze(p)
+        cases.append((doc, rep, solve(p, rep) if rep.ok else None))
+    return cases
+
+
+class TestScaling:
+    """y -> lam y with lam = 2^m takes P_j to P_j lam^(1-j), b to lam b, c to
+    lam c and the solve tolerance to lam tol.  The hypothesis constants either
+    stay or scale with lam, and so does a theorem-path solve, bit for bit."""
+
+    @settings(max_examples=15, deadline=None, database=None, derandomize=True)
+    @given(m=st.integers(-30, 30))
+    @example(m=-30)
+    @example(m=30)
+    def test_theorem_path_scales_bit_for_bit(self, m):
+        lam = 2.0**m
+        for doc, rep, sol in scaling_cases():
+            p = load_problem({**doc, "P": [pj * lam ** (1 - j) for j, pj in enumerate(doc["P"])],
+                              "b": f"({lam!r})*({doc['b']})", "c": lam * doc["c"]})
+            p = dataclasses.replace(p, solve_tol=lam * p.solve_tol)
+            got = conditions.analyze(p)
+            assert (got.a_l1, got.cond1_lhs, got.q, got.ok) == (rep.a_l1, rep.cond1_lhs, rep.q, rep.ok)
+            for name in ("theta", "gap", "cond2_lhs", "r0", "r1"):
+                want = getattr(rep, name)
+                assert getattr(got, name) == (None if want is None else lam * want), (doc, name)
+            if sol is not None:
+                scaled = solve(p, got)
+                assert scaled.iterations == sol.iterations
+                assert np.array_equal(scaled.u.coeffs, lam * sol.u.coeffs)
+                assert scaled.residual_sup == lam * sol.residual_sup
 
 
 class TestRandomizedSolves:
