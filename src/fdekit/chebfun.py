@@ -441,12 +441,15 @@ def build(f, tol=DEFAULT_TOL, max_degree=MAX_DEGREE):
     relative to the largest, after which the trailing coefficients below
     tolerance are trimmed.  f must be vectorised: called on the array of
     grid points, it returns an array of the same shape, else ChebError.
-    Raises ValueError for a tol outside TOL_RANGE or a max_degree below 16,
-    and ResolutionError if the degree cap is reached (the typical symptom of
-    a non-smooth input).
+    Raises ValueError, before f is called, for a tol outside TOL_RANGE or a
+    max_degree that is not an integer (a bool is not) or is below 16, and
+    ResolutionError if the degree cap is reached (the typical symptom of a
+    non-smooth input).
     """
     if not (TOL_RANGE[0] <= tol <= TOL_RANGE[1]):
         raise ValueError(f"tol {tol!r} outside [1e-15, 1e-3]")
+    if isinstance(max_degree, bool) or not isinstance(max_degree, (int, np.integer)):
+        raise ValueError(f"max_degree {max_degree!r} is not an integer")
     if max_degree < 16:
         raise ValueError(f"max_degree {max_degree!r} below 16")
     n = 16

@@ -11,9 +11,10 @@ positive roots r0 < theta < r1; the closed sup-norm ball of radius r0 is
 invariant for the integral operator, which contracts on it with constant
 q = ||a||_1 * M'(r0) < 1.
 
-Each root is one of a convex function, reached by Newton's method from a
-point where that function is positive (0 for r0, _far_start for theta and
-r1); verdicts use exact comparisons and the report carries every slack.
+The stages take P (read through P.majorant) and the norms analyze, the one
+reader of the Problem, computes.  Each root is one of a convex function, met
+by Newton's method from a point where it is positive (0 for r0, _far_start
+for theta and r1); verdicts compare exactly and the report has every slack.
 """
 
 from __future__ import annotations
@@ -89,13 +90,13 @@ def _l1_norm(p, name, f):
         raise ResolutionError(f'"{name}": {exc}') from exc
 
 
-def check_condition1(p, a_l1):
+def check_condition1(P, a_l1):
     """First hypothesis: ||a||_1 * M'(0) < 1, strict.  Returns (lhs, ok)."""
-    lhs = a_l1 * p.P.majorant_deriv_eval(0.0)
+    lhs = a_l1 * P.majorant(0.0, 1)
     return lhs, lhs < 1.0
 
 
-def compute_theta(p, a_l1):
+def compute_theta(P, a_l1):
     """Unique positive root of ||a||_1 * M'(r) = 1.
 
     Newton runs down the convex g(r) = ||a||_1 M'(r) - 1 from x*
@@ -103,20 +104,19 @@ def compute_theta(p, a_l1):
     """
     if a_l1 == 0.0:
         raise ThetaUndefinedError("theta undefined: ||a||_1 = 0")
-    P = p.P
     if P.below_theorem_degree:
         raise ThetaUndefinedError("theta undefined (degenerate polynomial)")
-    lhs0 = a_l1 * P.majorant_deriv_eval(0.0)
+    lhs0 = a_l1 * P.majorant(0.0, 1)
     if not lhs0 < 1.0:
         raise ConditionsError(
             f"||a||_1 * M'(0) = {lhs0!r} >= 1: no positive threshold root"
         )
 
     def g(r):
-        return a_l1 * P.majorant_deriv_eval(r) - 1.0
+        return a_l1 * P.majorant(r, 1) - 1.0
 
     def gp(r):
-        return a_l1 * P.majorant_second_deriv_eval(r)
+        return a_l1 * P.majorant(r, 2)
 
     theta = _convex_root(g, gp, _far_start(P, a_l1), "threshold")
     if abs(g(theta)) > THETA_RESIDUAL_TOL:
@@ -126,19 +126,18 @@ def compute_theta(p, a_l1):
     return theta
 
 
-def check_condition2(p, theta, lhs):
+def check_condition2(P, theta, lhs):
     """Second hypothesis: 0 < lhs < theta - M(theta)/M'(theta), where lhs is
     ||b + P(0)a||_1 + |c|.
 
     Returns (bound, ok); both comparisons are strict.
     """
-    P = p.P
-    bound = theta - P.majorant_eval(theta) / P.majorant_deriv_eval(theta)
+    bound = theta - P.majorant(theta) / P.majorant(theta, 1)
     ok = (0.0 < lhs) and (lhs < bound)
     return bound, ok
 
 
-def localize_radii(p, theta, a_l1, cond2_lhs):
+def localize_radii(P, theta, a_l1, cond2_lhs):
     """The two positive roots r0 < theta < r1 of
     H(r) = a_l1 M(r) + cond2_lhs - r, where a_l1 = ||a||_1 and
     cond2_lhs = ||b + P(0)a||_1 + |c|.
@@ -149,13 +148,12 @@ def localize_radii(p, theta, a_l1, cond2_lhs):
     ROOT_RESIDUAL_TOL * max(1, r).  Returns (r0, r1, certificates) where
     certificates record the brackets (lo, hi, H(lo), H(hi)).
     """
-    P = p.P
 
     def H(r):
-        return a_l1 * P.majorant_eval(r) + cond2_lhs - r
+        return a_l1 * P.majorant(r) + cond2_lhs - r
 
     def Hp(r):
-        return a_l1 * P.majorant_deriv_eval(r) - 1.0
+        return a_l1 * P.majorant(r, 1) - 1.0
 
     h0 = H(0.0)
     htheta = H(theta)
@@ -216,7 +214,7 @@ def analyze(p):
     """Run every hypothesis check and localisation step into a ConditionsReport
     (failed stages leave later fields None); a failing root search raises."""
     a_l1 = a_l1_norm(p)
-    cond1_lhs, cond1_ok = check_condition1(p, a_l1=a_l1)
+    cond1_lhs, cond1_ok = check_condition1(p.P, a_l1=a_l1)
     report = ConditionsReport(
         a_l1=a_l1,
         cond1_lhs=cond1_lhs,
@@ -228,14 +226,14 @@ def analyze(p):
         report.error = "first hypothesis fails: ||a||_1 * M'(0) >= 1"
         return report
     try:
-        theta = compute_theta(p, a_l1=a_l1)
+        theta = compute_theta(p.P, a_l1=a_l1)
     except ThetaUndefinedError as exc:
         report.error = str(exc)
         return report
     report.theta = theta
 
     lhs = source_mass(p) + abs(p.c)
-    bound, cond2_ok = check_condition2(p, theta, lhs=lhs)
+    bound, cond2_ok = check_condition2(p.P, theta, lhs=lhs)
     report.cond2_lhs = lhs
     report.gap = bound
     report.cond2_ok = cond2_ok
@@ -245,10 +243,10 @@ def analyze(p):
         report.error = "second hypothesis fails: mass outside (0, gap)"
         return report
 
-    r0, r1, certs = localize_radii(p, theta, a_l1=a_l1, cond2_lhs=lhs)
+    r0, r1, certs = localize_radii(p.P, theta, a_l1=a_l1, cond2_lhs=lhs)
     report.r0 = r0
     report.r1 = r1
     report.brackets = certs
-    report.q = a_l1 * p.P.majorant_deriv_eval(r0)
+    report.q = a_l1 * p.P.majorant(r0, 1)
     report.slacks["q_margin"] = 1.0 - report.q
     return report

@@ -365,12 +365,12 @@ def omega_sequence(p, s, r0, n_max, tau_candidate):
     a_sup = float(np.max(np.abs(a_vals)))
     src_sup = float(np.max(np.abs(src_vals)))
     nu_proxy = (mu if tau_candidate is None else min(mu, tau_candidate)) / 2.0
-    C_est = max(a_sup * p.P.majorant_eval(r0 + 1.0) + src_sup, 2.0 / nu_proxy, 1.0)
+    C_est = max(a_sup * p.P.majorant(r0 + 1.0) + src_sup, 2.0 / nu_proxy, 1.0)
 
     values = [1.0]
     w = 1.0
     for n in range(1, n_max):
-        w = a_sup * p.P.majorant_eval(r0 + _stadium_radius(p.k, s, n) * w) + src_sup
+        w = a_sup * p.P.majorant(r0 + _stadium_radius(p.k, s, n) * w) + src_sup
         values.append(w)
     if s <= 1.0 / C_est and max(values) > C_est * (1.0 + 1e-12):
         raise GevreyError(
@@ -521,11 +521,14 @@ def gevrey_order_estimate(norms, flagged=None):
     coefficient e on j*log j over usable j >= 2 classifies the sequence:
     e <= 1.05 is analytic-like (consistent with every regularity index),
     otherwise the index estimate is k_hat = 1/(e-1).  Fewer than 4 usable
-    norms yields the "unresolved" classification.
+    norms yields the "unresolved" classification.  flagged, if given, has
+    one entry per norm, else GevreyError.
     """
     norms = [float(v) for v in norms]
     if flagged is None:
         flagged = [False] * len(norms)
+    elif len(flagged) != len(norms):
+        raise GevreyError(f"{len(flagged)} flags for {len(norms)} norms")
     usable = [
         j
         for j in range(2, len(norms) + 1)

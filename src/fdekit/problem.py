@@ -63,9 +63,9 @@ class ProblemError(Exception):
 class Polynomial:
     """Real polynomial sum a_j x^j with coefficients in ascending powers.
 
-    The associated majorant sum_{j>=1} |a_j| x^j and its derivatives drive
-    every hypothesis constant; they are nonnegative and nondecreasing on
-    x >= 0.  Their coefficient tables are built with the polynomial.
+    Its majorant M(x) = sum_{j>=1} |a_j| x^j and the first two derivatives,
+    majorant(x, order), drive every hypothesis constant; they are nonnegative
+    and nondecreasing on x >= 0, from tables built with the polynomial.
     """
 
     coeffs: tuple
@@ -106,23 +106,11 @@ class Polynomial:
     def eval(self, x):
         return _horner(self.coeffs, x)
 
-    def _majorant(self, x, r):
-        """r-th derivative of the majorant: Horner over table r."""
+    def majorant(self, x, order=0):
+        """The order-th derivative (0, 1 or 2) of sum_{j>=1} |a_j| x^j at x >= 0."""
         if (x < 0) if isinstance(x, float) else np.any(np.asarray(x) < 0):
             raise ProblemError("majorant is only defined for x >= 0")
-        return _horner(self._tables[r], x)
-
-    def majorant_eval(self, x):
-        """sum_{j>=1} |a_j| x^j at x >= 0."""
-        return self._majorant(x, 0)
-
-    def majorant_deriv_eval(self, x):
-        """sum_{j>=1} j |a_j| x^(j-1) at x >= 0."""
-        return self._majorant(x, 1)
-
-    def majorant_second_deriv_eval(self, x):
-        """sum_{j>=2} j (j-1) |a_j| x^(j-2) at x >= 0."""
-        return self._majorant(x, 2)
+        return _horner(self._tables[order], x)
 
 
 def _horner(coeffs, x):
@@ -189,16 +177,16 @@ class ValidationReport:
         return [c for c in self.checks if c.severity == "error" and not c.ok]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Problem:
     """One functional differential equation instance.
 
-    Treated as immutable after construction; all solver entry points take a
-    Problem by value and never mutate it.  k, d, c and mu may be given as
-    any JSON number (not a boolean) and are stored as floats: k finite and
-    positive, d in [-1, 1], c finite, mu None or positive and finite.  The
-    solver settings must satisfy SOLVER_RULES (the error names the
-    problem-file key); construction stores them as float or int.
+    Frozen: a changed copy comes from dataclasses.replace, which checks its
+    values as construction does.  k, d, c and mu may be given as any JSON
+    number (not a boolean) and are stored as floats: k finite and positive,
+    d in [-1, 1], c finite, mu None or positive and finite.  The solver
+    settings must satisfy SOLVER_RULES (the error names the problem-file
+    key); construction stores them as float or int.
     """
 
     a: Expr
@@ -220,18 +208,18 @@ class Problem:
             number = _number(value)
             if number is None:
                 raise ProblemError(f'"{name}" must be a number')
-            setattr(self, name, number)
+            object.__setattr__(self, name, number)
         # messages quote the value as given: 0, not 0.0
         if self.k <= 0:
             raise ProblemError(f'"k" must be positive (value {raw["k"]!r})')
         if not -1.0 <= self.d <= 1.0:
             raise ProblemError(f"d outside [-1,1] (value {raw['d']!r})")
         if self.mu is not None:
-            self.mu = _number(self.mu)
+            object.__setattr__(self, "mu", _number(self.mu))
             if self.mu is None or self.mu <= 0:
                 raise ProblemError('"mu" must be a positive number')
         for key, (name, *_) in SOLVER_RULES.items():
-            setattr(self, name, _setting(key, getattr(self, name)))
+            object.__setattr__(self, name, _setting(key, getattr(self, name)))
         for name in ("k", "c"):  # the range test on d rejects inf and nan
             if not math.isfinite(getattr(self, name)):
                 raise ProblemError(f"{name} must be finite")

@@ -47,8 +47,8 @@ def random_passing_problem(rng):
         d=d,
         c=0.0,
     )
-    theta = conditions.compute_theta(skeleton, conditions.a_l1_norm(skeleton))
-    gap, _ = conditions.check_condition2(skeleton, theta, lhs=1.0)
+    theta = conditions.compute_theta(skeleton.P, conditions.a_l1_norm(skeleton))
+    gap, _ = conditions.check_condition2(skeleton.P, theta, lhs=1.0)
     b_const = 0.125 * gap
     c = 0.15 * gap
     return Problem(

@@ -98,6 +98,16 @@ class TestBuild:
         with pytest.raises(ValueError, match=f"max_degree {cap} below 16"):
             build(np.exp, max_degree=cap)
 
+    @pytest.mark.parametrize("cap", [100.5, math.inf, math.nan, True])
+    def test_degree_cap_not_an_integer_rejected(self, cap):
+        # a fractional cap would sample grids that are no Chebyshev grids,
+        # and inf or nan would never stop the ladder
+        def f(t):
+            pytest.fail("sampled despite the cap")
+
+        with pytest.raises(ValueError, match=f"^max_degree {cap!r} is not an integer$"):
+            build(f, max_degree=cap)
+
     def test_nonsmooth_fails(self):
         with pytest.raises(ResolutionError):
             build(np.abs, tol=1e-13, max_degree=1024)

@@ -327,6 +327,26 @@ class TestSolve:
             "not resolved at degree 64 (relative tail 2.199e-03)\n"
         )
 
+    def test_iteration_error_is_in_the_solve_report_and_on_gevrey_stderr(
+            self, tmp_path, capsys, monkeypatch):
+        # a PicardError exits 3 from both: solve keeps it in its report and
+        # writes nothing on stderr, gevrey prints it as one error line
+        monkeypatch.setattr(picard, "within_ball", lambda bound, r0: False)
+        path = write_json(tmp_path, example2_doc())
+        code = cli.main(["solve", path])
+        captured = capsys.readouterr()
+        assert code == EXIT_FAILURE
+        assert captured.err == ""
+        rep = report_of(captured.out)
+        assert list(rep) == ["validation", "conditions", "solve", "timing"]
+        assert list(rep["solve"]) == ["error"]
+        assert rep["solve"]["error"].startswith("iterate 2 has coefficient bound ")
+        code = cli.main(["gevrey", path])
+        captured = capsys.readouterr()
+        assert code == EXIT_FAILURE
+        assert captured.out == ""
+        assert captured.err == f"error: {rep['solve']['error']}\n"
+
     def test_require_ek_blocks_bad_deviation(self, tmp_path, capsys):
         # psi = t^2 maps into [0,1] but fails the stadium inclusion sampling
         # for k=1 near the right endpoint (squaring pushes points outward)

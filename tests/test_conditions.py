@@ -45,18 +45,18 @@ def far_start(a_l1, P):
 class TestCondition1:
     def test_quartic_example(self):
         p = load_problem(example2_doc())
-        lhs, ok = conditions.check_condition1(p, conditions.a_l1_norm(p))
+        lhs, ok = conditions.check_condition1(p.P, conditions.a_l1_norm(p))
         assert ok
         assert lhs == pytest.approx(0.375, abs=1e-13)
 
     def test_cubic_example_lhs_zero(self):
         p = load_problem(example1_doc())
-        lhs, ok = conditions.check_condition1(p, conditions.a_l1_norm(p))
+        lhs, ok = conditions.check_condition1(p.P, conditions.a_l1_norm(p))
         assert lhs == 0.0 and ok
 
     def test_failing_instance(self):
         p = simple_problem("2", [0.0, 1.0, 1.0])
-        lhs, ok = conditions.check_condition1(p, conditions.a_l1_norm(p))
+        lhs, ok = conditions.check_condition1(p.P, conditions.a_l1_norm(p))
         assert lhs == pytest.approx(4.0, abs=1e-12)
         assert not ok
 
@@ -64,31 +64,31 @@ class TestCondition1:
 class TestComputeTheta:
     def test_quartic_example_value(self):
         p = load_problem(example2_doc())
-        theta = conditions.compute_theta(p, conditions.a_l1_norm(p))
+        theta = conditions.compute_theta(p.P, conditions.a_l1_norm(p))
         assert theta == pytest.approx(EX2_THETA, abs=2e-12)
         # the residual contract
-        assert abs(3.0 * p.P.majorant_deriv_eval(theta) - 1.0) <= 1e-12
+        assert abs(3.0 * p.P.majorant(theta, 1) - 1.0) <= 1e-12
 
     def test_cubic_closed_form(self):
         p = load_problem(example1_doc())
-        assert conditions.compute_theta(p, conditions.a_l1_norm(p)) == pytest.approx(
+        assert conditions.compute_theta(p.P, conditions.a_l1_norm(p)) == pytest.approx(
             math.sqrt(1.0 / 3.0), abs=1e-12
         )
 
     def test_half_constant_square(self):
         p = simple_problem("0.5", [0.0, 0.0, 1.0])
-        theta = conditions.compute_theta(p, conditions.a_l1_norm(p))
+        theta = conditions.compute_theta(p.P, conditions.a_l1_norm(p))
         assert theta == pytest.approx(0.5, abs=1e-13)
 
     def test_zero_weight_undefined(self):
         p = simple_problem("0", [0.0, 0.0, 1.0])
         with pytest.raises(ThetaUndefinedError):
-            conditions.compute_theta(p, conditions.a_l1_norm(p))
+            conditions.compute_theta(p.P, conditions.a_l1_norm(p))
 
     def test_degenerate_polynomial_undefined(self):
         p = simple_problem("0.5", [0.0, 1.0])
         with pytest.raises(ThetaUndefinedError, match="degenerate"):
-            conditions.compute_theta(p, conditions.a_l1_norm(p))
+            conditions.compute_theta(p.P, conditions.a_l1_norm(p))
 
     def test_scaling_invariance(self):
         rng = np.random.default_rng(99)
@@ -105,25 +105,25 @@ class TestComputeTheta:
                     c=p.c,
                 )
                 a_l1 = conditions.a_l1_norm(scaled)
-                theta = conditions.compute_theta(scaled, a_l1=a_l1)
-                assert abs(a_l1 * p.P.majorant_deriv_eval(theta) - 1.0) <= 1e-12
+                theta = conditions.compute_theta(scaled.P, a_l1=a_l1)
+                assert abs(a_l1 * p.P.majorant(theta, 1) - 1.0) <= 1e-12
 
 
 class TestCondition2:
     def test_quartic_example(self):
         p = load_problem(example2_doc())
-        theta = conditions.compute_theta(p, conditions.a_l1_norm(p))
+        theta = conditions.compute_theta(p.P, conditions.a_l1_norm(p))
         lhs = mass(p)
-        bound, ok = conditions.check_condition2(p, theta, lhs)
+        bound, ok = conditions.check_condition2(p.P, theta, lhs)
         assert ok
         assert lhs == pytest.approx(0.02, abs=1e-10)
         assert bound == pytest.approx(EX2_GAP, abs=2e-12)
 
     def test_cubic_closed_forms(self):
         p = load_problem(example1_doc())
-        theta = conditions.compute_theta(p, conditions.a_l1_norm(p))
+        theta = conditions.compute_theta(p.P, conditions.a_l1_norm(p))
         lhs = mass(p)
-        bound, ok = conditions.check_condition2(p, theta, lhs)
+        bound, ok = conditions.check_condition2(p.P, theta, lhs)
         assert ok
         assert lhs == pytest.approx(0.2 * math.sinh(1.0), abs=1e-12)
         # report bound is the true gap (2/3) theta; the smaller closed-form
@@ -134,9 +134,9 @@ class TestCondition2:
     def test_degenerate_zero_mass_fails_strictly(self):
         # b = -P(0) a and c = 0 gives lhs = 0: strict positivity fails
         p = simple_problem("2^t", [1.0, 0.0, 1.0], b_src="-(2^t)", c=0.0)
-        theta = conditions.compute_theta(p, conditions.a_l1_norm(p))
+        theta = conditions.compute_theta(p.P, conditions.a_l1_norm(p))
         lhs = mass(p)
-        _, ok = conditions.check_condition2(p, theta, lhs)
+        _, ok = conditions.check_condition2(p.P, theta, lhs)
         assert lhs == pytest.approx(0.0, abs=1e-14)
         assert not ok
 
@@ -238,10 +238,10 @@ class TestAnalyze:
             assert rep.ok, rep.error
             assert 0.0 < rep.r0 < rep.theta < rep.r1
             assert 0.0 < rep.q < 1.0
-            assert abs(rep.a_l1 * p.P.majorant_deriv_eval(rep.theta) - 1.0) <= 1e-12
+            assert abs(rep.a_l1 * p.P.majorant(rep.theta, 1) - 1.0) <= 1e-12
 
             def H(r):
-                return rep.a_l1 * p.P.majorant_eval(r) + rep.cond2_lhs - r
+                return rep.a_l1 * p.P.majorant(r) + rep.cond2_lhs - r
 
             assert abs(H(rep.r0)) <= 1e-11
             assert abs(H(rep.r1)) <= 1e-11
@@ -270,7 +270,7 @@ class TestRootResidual:
         assert rep.ok, rep.error
         assert 0.0 < rep.r0 < rep.theta < rep.r1
         for r in (rep.r0, rep.r1):
-            H = rep.a_l1 * p.P.majorant_eval(r) + rep.cond2_lhs - r
+            H = rep.a_l1 * p.P.majorant(r) + rep.cond2_lhs - r
             assert abs(H) <= conditions.ROOT_RESIDUAL_TOL * max(1.0, r)
         _, hi, _, h_hi = rep.brackets["r1_bracket"]
         assert hi == far_start(rep.a_l1, p.P) and rep.r1 <= hi
@@ -288,7 +288,7 @@ class TestRootResidual:
     def test_message_quotes_the_scaled_tolerance(self, monkeypatch):
         p = load_problem(WEAK_CASES["quadratic-1e-6"])
         a_l1 = conditions.a_l1_norm(p)
-        theta = conditions.compute_theta(p, a_l1)
+        theta = conditions.compute_theta(p.P, a_l1)
         convex_root, moved = conditions._convex_root, {}
 
         def off_root(f, fp, x, name):
@@ -300,7 +300,7 @@ class TestRootResidual:
 
         monkeypatch.setattr(conditions, "_convex_root", off_root)
         with pytest.raises(conditions.ConditionsError) as exc:
-            conditions.localize_radii(p, theta, a_l1, conditions.source_mass(p) + abs(p.c))
+            conditions.localize_radii(p.P, theta, a_l1, conditions.source_mass(p) + abs(p.c))
         tol = conditions.ROOT_RESIDUAL_TOL * moved["r1"]
         assert tol > 1e5 * conditions.ROOT_RESIDUAL_TOL  # r1 ~ 5e5
         assert str(exc.value).startswith("r1 residual ")
@@ -341,20 +341,20 @@ class TestConvexRoot:
         assert rep.ok, rep.error
         assert 0.0 < rep.r0 < rep.theta < rep.r1
         for r in (rep.r0, rep.r1):
-            H = rep.a_l1 * p.P.majorant_eval(r) + rep.cond2_lhs - r
+            H = rep.a_l1 * p.P.majorant(r) + rep.cond2_lhs - r
             assert abs(H) <= conditions.ROOT_RESIDUAL_TOL
 
     @pytest.mark.parametrize("doc", [example1_doc, example2_doc])
     def test_majorant_evaluations_per_analyze(self, doc, monkeypatch):
         p = load_problem(doc())
         calls = []
-        majorant = Polynomial._majorant
+        majorant = Polynomial.majorant
 
-        def counted(self, x, r):
-            calls.append(r)
-            return majorant(self, x, r)
+        def counted(self, x, order=0):
+            calls.append(order)
+            return majorant(self, x, order)
 
-        monkeypatch.setattr(Polynomial, "_majorant", counted)
+        monkeypatch.setattr(Polynomial, "majorant", counted)
         assert conditions.analyze(p).ok
         assert len(calls) == {example1_doc: 44, example2_doc: 48}[doc]
 

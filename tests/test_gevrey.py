@@ -507,7 +507,7 @@ class TestOmegaSequence:
     def test_zero_scale_collapses(self, quartic):
         p, rep = quartic
         om = omega_sequence(p, 0.0, rep.r0, 10, SINE_SCALE)
-        const = om.a_sup * p.P.majorant_eval(rep.r0) + om.source_sup
+        const = om.a_sup * p.P.majorant(rep.r0) + om.source_sup
         assert all(v == pytest.approx(const, rel=1e-15) for v in om.values[1:])
 
     def test_bounded_by_envelope_constant(self, quartic):
@@ -519,7 +519,7 @@ class TestOmegaSequence:
         # independent recursion oracle from the reported sups
         w, oracle = 1.0, [1.0]
         for n in range(1, 50):
-            w = om.a_sup * p.P.majorant_eval(rep.r0 + s * n ** (-1.0) * w) + om.source_sup
+            w = om.a_sup * p.P.majorant(rep.r0 + s * n ** (-1.0) * w) + om.source_sup
             oracle.append(w)
         assert np.allclose(oracle, om.values, rtol=1e-13, atol=0)
 
@@ -573,7 +573,7 @@ class TestOmegaSequence:
         p = load_problem(doc())
         r0 = conditions.analyze(p).r0
         om = omega_sequence(p, 0.0, r0, 1, SINE_SCALE)
-        at_one = om.a_sup * p.P.majorant_eval(r0 + 1.0) + om.source_sup
+        at_one = om.a_sup * p.P.majorant(r0 + 1.0) + om.source_sup
         assert om.C_est == max(at_one, 2.0 / om.nu_proxy, 1.0)
 
     @pytest.mark.parametrize("s,r0", [(-0.1, 0.1), (0.0, -0.5), (math.nan, 0.1), (0.0, math.nan),
@@ -809,6 +809,11 @@ class TestGevreyOrderEstimate:
         assert (est.slope, est.k_hat, est.B) == (None, None, None)
         assert est.flagged == [False, True, False]
         assert est.usable_indices == [3]
+
+    @pytest.mark.parametrize("count", [1, 8])
+    def test_flags_must_match_the_norms(self, count):
+        with pytest.raises(GevreyError, match=f"^{count} flags for 6 norms$"):
+            gevrey_order_estimate([1.0, 2.0, 6.0, 24.0, 120.0, 720.0], [False] * count)
 
     def test_fits_derivative_norms(self):
         u = build(np.exp, tol=1e-15)

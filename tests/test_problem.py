@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -38,7 +39,7 @@ class TestPolynomial:
     def test_cubic_eval_and_derivative(self):
         P = Polynomial.from_coeffs([0, 0, 0, 1])
         assert P.eval(2.0) == 8.0
-        assert P.majorant_deriv_eval(2.0) == 12.0
+        assert P.majorant(2.0, 1) == 12.0
 
     def test_quartic_example_at_zero(self):
         P = Polynomial.from_coeffs([-1.0, 0.125, -1.0, 0.0, 1.0])
@@ -50,17 +51,17 @@ class TestPolynomial:
     def test_majorant_of_quartic(self):
         P = Polynomial.from_coeffs([-1.0, 0.125, -1.0, 0.0, 1.0])
         x = 0.7
-        assert P.majorant_eval(x) == pytest.approx(x**4 + x**2 + x / 8, abs=1e-15)
-        assert P.majorant_deriv_eval(0.0) == 0.125
+        assert P.majorant(x) == pytest.approx(x**4 + x**2 + x / 8, abs=1e-15)
+        assert P.majorant(0.0, 1) == 0.125
 
     def test_majorant_of_cube(self):
         P = Polynomial.from_coeffs([0, 0, 0, 1])
-        assert P.majorant_deriv_eval(0.5) == pytest.approx(3 * 0.25, abs=1e-16)
+        assert P.majorant(0.5, 1) == pytest.approx(3 * 0.25, abs=1e-16)
 
     def test_majorant_of_constant_is_zero(self):
         P = Polynomial.from_coeffs([5.0])
-        assert P.majorant_eval(2.0) == 0.0
-        assert P.majorant_deriv_eval(2.0) == 0.0
+        assert P.majorant(2.0) == 0.0
+        assert P.majorant(2.0, 1) == 0.0
 
     @pytest.mark.parametrize("coeffs,message", [
         ((), "^polynomial needs at least one coefficient$"),
@@ -74,24 +75,23 @@ class TestPolynomial:
     def test_majorant_rejects_negative(self):
         P = Polynomial.from_coeffs([0, 1, 1])
         for x in (-0.1, *number_kinds(-1)):
-            for majorant in (P.majorant_eval, P.majorant_deriv_eval, P.majorant_second_deriv_eval):
+            for order in range(3):
                 with pytest.raises(ProblemError):
-                    majorant(x)
+                    P.majorant(x, order)
 
     @pytest.mark.parametrize("x", [0, 1, 2])
     def test_majorant_is_the_same_for_every_number_kind(self, x):
         # dyadic coefficients at small integers: every sum below is exact
         coeffs = [-1.0, 0.125, -1.0, 0.0, 1.0]
         P = Polynomial.from_coeffs(coeffs)
-        majorants = (P.majorant_eval, P.majorant_deriv_eval, P.majorant_second_deriv_eval)
-        for r, majorant in enumerate(majorants):
+        for r in range(3):
             want = sum(
                 math.perm(j, r) * abs(c) * float(x) ** (j - r)
                 for j, c in enumerate(coeffs)
                 if j >= max(r, 1)
             )
             for v in number_kinds(x):
-                got = majorant(v)
+                got = P.majorant(v, r)
                 assert np.shape(got) == np.shape(v)
                 assert np.all(got == want), (r, type(v))
 
@@ -108,7 +108,7 @@ class TestPolynomial:
             coeffs[deg] = abs(coeffs[deg]) + 0.1
             P = Polynomial.from_coeffs(list(coeffs))
             xs = np.linspace(0.0, 3.0, 40)
-            vals = P.majorant_deriv_eval(xs)
+            vals = P.majorant(xs, 1)
             assert np.all(np.diff(vals) > 0)
 
     def test_triangle_inequality_bound(self):
@@ -120,7 +120,7 @@ class TestPolynomial:
                 coeffs[deg] = 1.0
             P = Polynomial.from_coeffs(list(coeffs))
             x = float(rng.uniform(-2, 2))
-            assert abs(P.eval(x)) <= abs(P.coeffs[0]) + P.majorant_eval(abs(x)) + 1e-12
+            assert abs(P.eval(x)) <= abs(P.coeffs[0]) + P.majorant(abs(x)) + 1e-12
 
 
 class TestValidate:
@@ -210,6 +210,16 @@ class TestConstruction:
         p = make_problem(k=np.int64(2), d=np.float32(0.5), c=np.float64(0))
         assert (p.k, p.d, p.c) == (2.0, 0.5, 0.0)
         assert Polynomial.from_coeffs(np.array([0, 0, 1])).coeffs == (0.0, 0.0, 1.0)
+
+    def test_frozen_and_replaced_with_checks(self):
+        p = make_problem()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.solve_tol = 1e-8
+        assert p.solve_tol == 1e-12
+        q = dataclasses.replace(p, solve_tol=1, max_iter=5.0)
+        assert (type(q.solve_tol), q.solve_tol, type(q.max_iter), q.max_iter) == (float, 1.0, int, 5)
+        with pytest.raises(ProblemError, match='^solver "max_iter" must be an integer >= 1$'):
+            dataclasses.replace(p, max_iter=0)
 
     @pytest.mark.parametrize("coeffs", [[], ["a"], ["1.5"], [1.0, True], [None]])
     def test_polynomial_rejects_non_numbers(self, coeffs):
